@@ -25,6 +25,7 @@ from .hilbert import (
     StateSpace,
     atomic_operators,
     build_space,
+    density_diagnostics,
     excitation_number,
     ladder_operators,
     pure_state,
@@ -38,12 +39,7 @@ from .jcmodel import (
     rwa_validity,
     truncation_edge_state,
 )
-from .observables import (
-    ObservableSet,
-    atomic_ground_population,
-    diagnostics,
-    population,
-)
+from .observables import ObservableSet, population
 from .scenario import ConfigError, Scenario, parse_config, scenario_from_config, serialize_config
 from .solver import (
     DampingBasisError,

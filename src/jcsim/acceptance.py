@@ -30,9 +30,9 @@ from .generators import (
     dressed_approx_generator,
     single_excitation_generator,
 )
-from .hilbert import DensityMatrix, build_space
+from .hilbert import build_space, density_diagnostics
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
-from .observables import ObservableSet, evaluate
+from .observables import ObservableSet
 from .scenario import Scenario
 from .solver import TimeSeries, damping_basis, dominant_frequency, evolve_ode, evolve_spectral, steady_state
 
@@ -104,15 +104,6 @@ def _phen_bell_scenario() -> Scenario:
     )
 
 
-def _populations(series: TimeSeries, space) -> dict[str, np.ndarray]:
-    out = {name: np.empty(series.times.size) for name in _OBSERVABLES.names}
-    for k in range(series.times.size):
-        state = DensityMatrix(series.states[k])
-        for name in _OBSERVABLES.names:
-            out[name][k] = evaluate(name, state, space)
-    return out
-
-
 @dataclass
 class _SharedRuns:
     """Trajectories reused across criteria 1-3, 9 and 10."""
@@ -172,7 +163,7 @@ def _criterion_1(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
     scenario = runs.scenario("micro_rabi")
     series = runs.get_spectral("micro_rabi")
-    pops = _populations(series, scenario.space())
+    pops = _OBSERVABLES.evaluate(series.states, scenario.space())
     t = scenario.time_grid()
     oracle = 1.0 - np.exp(-GAMMA * t / 2.0)
     check.less("max |P_0g - (1 - e^{-gamma t/2})|", np.abs(pops["pop_0g"] - oracle).max(), 1e-8)
@@ -193,7 +184,7 @@ def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
         oracle = {"pop_0g": p0g, "pop_1g": p1g, "atomic_ground": pg}
         for solver_name, tol in (("spectral", 1e-8), ("ode", 1e-6)):
             series = runs.get_spectral(key) if solver_name == "spectral" else runs.get_ode(key)
-            pops = _populations(series, scenario.space())
+            pops = _OBSERVABLES.evaluate(series.states, scenario.space())
             dev = max(np.abs(pops[name] - oracle[name]).max() for name in oracle)
             check.less(f"{key} {solver_name} vs closed form", dev, tol)
     return check.result(2, "phen-closed-forms")
@@ -202,8 +193,10 @@ def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
 def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
     t = runs.scenario("micro_rabi").time_grid()
-    micro = _populations(runs.get_spectral("micro_rabi"), runs.scenario("micro_rabi").space())
-    phen = _populations(runs.get_spectral("phen_rabi"), runs.scenario("phen_rabi").space())
+    micro = _OBSERVABLES.evaluate(runs.get_spectral("micro_rabi").states,
+                                  runs.scenario("micro_rabi").space())
+    phen = _OBSERVABLES.evaluate(runs.get_spectral("phen_rabi").states,
+                                 runs.scenario("phen_rabi").space())
     micro_resid = np.abs(micro["pop_0g"] - _fitted_exponential(t, micro["pop_0g"])).max()
     phen_resid = np.abs(phen["pop_0g"] - _fitted_exponential(t, phen["pop_0g"])).max()
     check.less("micro residual vs fitted exponential", micro_resid, 1e-8)
@@ -347,11 +340,10 @@ def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
     worst_trace, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for key in ("micro_rabi", "phen_rabi", "phen_bell"):
         for series in (runs.get_spectral(key), runs.get_ode(key)):
-            for k in range(series.times.size):
-                trace_defect, herm_defect, min_eig = DensityMatrix(series.states[k]).diagnostics()
-                worst_trace = max(worst_trace, trace_defect)
-                worst_herm = max(worst_herm, herm_defect)
-                worst_eig = max(worst_eig, -min_eig)
+            trace_defect, herm_defect, min_eig = density_diagnostics(series.states)
+            worst_trace = max(worst_trace, trace_defect.max())
+            worst_herm = max(worst_herm, herm_defect.max())
+            worst_eig = max(worst_eig, -min_eig.min())
     check.less("max |trace - 1|", worst_trace, 1e-10)
     check.less("max hermiticity defect", worst_herm, 1e-12)
     check.less("max negative eigenvalue", worst_eig, 1e-10)

@@ -19,9 +19,8 @@ import tempfile
 import numpy as np
 
 from .acceptance import run_all_criteria
-from .hilbert import DensityMatrix
+from .generators import Superoperator
 from .jcmodel import rwa_validity
-from .observables import evaluate
 from .scenario import ConfigError, Scenario, scenario_from_config
 from .solver import (
     DampingBasisError,
@@ -54,14 +53,14 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: list[str], rows: list[list[float]]) -> str:
+def _csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def run_trajectory(scenario: Scenario) -> TimeSeries:
-    """Solve the scenario with its configured solver and attach observables."""
+def run_trajectory(scenario: Scenario) -> tuple[Superoperator, TimeSeries]:
+    """Solve the scenario with its configured solver; return the generator and the trajectory."""
     liouvillian = scenario.generator()
     rho0 = scenario.initial_state()
     times = scenario.time_grid()
@@ -69,26 +68,17 @@ def run_trajectory(scenario: Scenario) -> TimeSeries:
         series = evolve_ode(liouvillian, rho0, times, scenario.dt)
     else:
         series = evolve_spectral(liouvillian, rho0, times)
-    space = scenario.space()
-    values = {name: np.empty(times.size) for name in scenario.observables.names}
-    for k in range(times.size):
-        state = DensityMatrix(series.states[k])
-        for name in scenario.observables.names:
-            values[name][k] = evaluate(name, state, space)
-    series.observables = values
-    return series
+    series.observables = scenario.observables.evaluate(series.states, scenario.space())
+    return liouvillian, series
 
 
 def run_evolve(scenario: Scenario, out_path: str) -> None:
     """Write 'tau,<observables>' CSV for one scenario."""
-    series = run_trajectory(scenario)
+    _, series = run_trajectory(scenario)
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
-    rows = [
-        [tau[k]] + [series.observables[n][k] for n in scenario.observables.names]
-        for k in range(tau.size)
-    ]
-    _write_atomic(out_path, _csv(header, rows))
+    columns = [tau] + [series.observables[n] for n in scenario.observables.names]
+    _write_atomic(out_path, _csv(header, np.column_stack(columns)))
 
 
 def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> dict:
@@ -99,25 +89,19 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    series_a = run_trajectory(scenario_a)
-    series_b = run_trajectory(scenario_b)
+    liouvillian_a, series_a = run_trajectory(scenario_a)
+    liouvillian_b, series_b = run_trajectory(scenario_b)
     tau = scenario_a.tau_grid()
     names = scenario_a.observables.names
-    header = ["tau"]
+    header, columns = ["tau"], [tau]
     for name in names:
         header += [f"{name}_{scenario_a.model}", f"{name}_{scenario_b.model}", f"delta_{name}"]
-    rows = []
-    for k in range(tau.size):
-        row = [tau[k]]
-        for name in names:
-            va = series_a.observables[name][k]
-            vb = series_b.observables[name][k]
-            row += [va, vb, va - vb]
-        rows.append(row)
-    _write_atomic(out_path, _csv(header, rows))
+        va, vb = series_a.observables[name], series_b.observables[name]
+        columns += [va, vb, va - vb]
+    _write_atomic(out_path, _csv(header, np.column_stack(columns)))
 
-    freq_a = dominant_frequency(scenario_a.generator(), scenario_a.initial_state())
-    freq_b = dominant_frequency(scenario_b.generator(), scenario_b.initial_state())
+    freq_a = dominant_frequency(liouvillian_a, scenario_a.initial_state())
+    freq_b = dominant_frequency(liouvillian_b, scenario_b.initial_state())
     shift = abs(freq_a - freq_b)
     reference = max(abs(freq_a), abs(freq_b))
     summary = {

@@ -57,7 +57,6 @@ class Superoperator:
     """Dense Liouvillian matrix on column-major vectorized operators."""
 
     matrix: np.ndarray
-    space: StateSpace | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -83,18 +82,11 @@ def commutator_superoperator(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(idm, h) - np.kron(h.T, idm))
 
 
-def dissipator_superoperator(a: np.ndarray) -> np.ndarray:
-    """Matrix of the unit-rate dissipator rho -> a rho a† - (1/2){a†a, rho}."""
-    idm = np.eye(a.shape[0], dtype=complex)
-    ada = a.conj().T @ a
-    return np.kron(a.conj(), a) - 0.5 * np.kron(idm, ada) - 0.5 * np.kron(ada.T, idm)
+def dissipator_superoperator(operators: list[np.ndarray], rates: list[float]) -> np.ndarray:
+    """Matrix of rho -> sum_c rate_c (A_c rho A_c† - (1/2){A_c†A_c, rho}).
 
-
-def _dissipator_sum(operators: list[np.ndarray], rates: list[float]) -> np.ndarray:
-    """sum_c rate_c * dissipator(op_c), assembled with one batched contraction.
-
-    Equivalent to summing :func:`dissipator_superoperator` terms but avoids
-    the per-channel dim^2 Kronecker products, which dominate the build time
+    Assembled with one batched contraction over the channels rather than
+    per-channel dim^2 Kronecker products, which dominate the build time
     once the manifold count grows.
     """
     stack = np.array(operators, dtype=complex)
@@ -204,8 +196,9 @@ def microscopic_generator(
     mat = commutator_superoperator(hamiltonian(params, space))
     active = [ch for ch in microscopic_channels(params, space, bath, freq_tol) if ch.rate != 0.0]
     if active:
-        mat += _dissipator_sum([ch.operator for ch in active], [ch.rate for ch in active])
-    return Superoperator(mat, space)
+        mat += dissipator_superoperator([ch.operator for ch in active],
+                                        [ch.rate for ch in active])
+    return Superoperator(mat)
 
 
 def phenomenological_generator(
@@ -221,11 +214,13 @@ def phenomenological_generator(
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
     a, a_dag = ladder_operators(space)
     mat = commutator_superoperator(hamiltonian(params, space))
+    # Rates scale unit-rate terms: folded into the builder they move the matrix's last
+    # bits, and damping_basis then orders eigenvalues with tied real parts differently.
     if gamma0 > 0:
-        mat = mat + gamma0 * (nbar + 1.0) * dissipator_superoperator(a)
+        mat += gamma0 * (nbar + 1.0) * dissipator_superoperator([a], [1.0])
         if nbar > 0:
-            mat = mat + gamma0 * nbar * dissipator_superoperator(a_dag)
-    return Superoperator(mat, space)
+            mat += gamma0 * nbar * dissipator_superoperator([a_dag], [1.0])
+    return Superoperator(mat)
 
 
 def dressed_approx_generator(
@@ -261,7 +256,7 @@ def dressed_approx_generator(
     d_dressed *= keep
 
     mat = comm + to_bare @ d_dressed @ to_dressed
-    return Superoperator(mat, space)
+    return Superoperator(mat)
 
 
 def dressed_approx_validity(params: JCParams, gamma0: float, n_max: int) -> tuple[bool, float]:
@@ -300,6 +295,6 @@ def single_excitation_generator(
     jump_plus = np.zeros((3, 3), dtype=complex)
     jump_plus[0, 2] = 1.0
     mat = commutator_superoperator(h) \
-        + (gamma_a / 2.0) * dissipator_superoperator(jump_minus) \
-        + (gamma_b / 2.0) * dissipator_superoperator(jump_plus)
+        + (gamma_a / 2.0) * dissipator_superoperator([jump_minus], [1.0]) \
+        + (gamma_b / 2.0) * dissipator_superoperator([jump_plus], [1.0])
     return Superoperator(mat)

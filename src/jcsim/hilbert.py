@@ -125,20 +125,46 @@ class DensityMatrix:
 
     def diagnostics(self) -> tuple[float, float, float]:
         """(trace defect, hermiticity defect, min eigenvalue)."""
-        trace_defect = abs(self.matrix.trace() - 1.0)
-        herm_defect = np.abs(self.matrix - self.matrix.conj().T).max()
-        min_eig = float(np.linalg.eigvalsh((self.matrix + self.matrix.conj().T) / 2.0)[0])
-        return float(trace_defect), float(herm_defect), min_eig
+        return tuple(float(defect) for defect in density_diagnostics(self.matrix))
 
     def validate(self) -> "DensityMatrix":
-        trace_defect, herm_defect, min_eig = self.diagnostics()
-        if herm_defect > self.tol_herm:
-            raise ValueError(f"hermiticity defect {herm_defect:.3e} > {self.tol_herm:.3e}")
-        if trace_defect > self.tol_trace:
-            raise ValueError(f"trace defect {trace_defect:.3e} > {self.tol_trace:.3e}")
-        if min_eig < -self.tol_pos:
-            raise ValueError(f"min eigenvalue {min_eig:.3e} < -{self.tol_pos:.3e}")
+        message = defect_message(*self.diagnostics(), self.tol_herm, self.tol_trace, self.tol_pos)
+        if message:
+            raise ValueError(message)
         return self
+
+
+def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace defects, hermiticity defects and minimum eigenvalues of states shaped (..., d, d).
+
+    Each result has shape (...).  The minimum eigenvalue is that of the
+    hermitian part, from one ``eigvalsh`` call on the whole stack.
+    """
+    states = np.asarray(states, dtype=complex)
+    # The contiguous copy sums each trace in ndarray.trace's order, and hypot rounds like
+    # abs() of one complex number, which np.abs on a complex array may not.
+    excess = np.diagonal(states, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
+    trace_defect = np.hypot(excess.real, excess.imag)
+    # One full-stack buffer holds the adjoint minus the states, then the hermitian part.
+    work = np.conjugate(np.swapaxes(states, -2, -1))
+    work -= states
+    herm_defect = np.abs(work).max(axis=(-2, -1))
+    np.conjugate(np.swapaxes(states, -2, -1), out=work)
+    work += states
+    work /= 2.0
+    min_eig = np.linalg.eigvalsh(work)[..., 0]
+    return trace_defect, herm_defect, min_eig
+
+
+def defect_message(trace_defect, herm_defect, min_eig, tol_herm, tol_trace, tol_pos) -> str | None:
+    """The first defect over its bound, checked as hermiticity, trace, positivity; else None."""
+    if herm_defect > tol_herm:
+        return f"hermiticity defect {herm_defect:.3e} > {tol_herm:.3e}"
+    if trace_defect > tol_trace:
+        return f"trace defect {trace_defect:.3e} > {tol_trace:.3e}"
+    if min_eig < -tol_pos:
+        return f"min eigenvalue {min_eig:.3e} < -{tol_pos:.3e}"
+    return None
 
 
 def pure_state(vector: np.ndarray, **tolerances) -> DensityMatrix:

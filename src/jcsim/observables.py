@@ -4,10 +4,13 @@ The named observables an experiment scenario can request:
 
     pop_0g, pop_1g, pop_0e   bare-state populations
     atomic_ground            sum_n <n,g|rho|n,g>   (ionization-style readout)
-    atomic_excited           1 - atomic_ground, computed independently
+    atomic_excited           sum_n <n,e|rho|n,e>, computed independently
     photon_number            <a†a>
     excitation_number        <a†a + (sigma_z+1)/2>
     trace_defect, herm_defect, min_eigenvalue    physicality diagnostics
+
+Each is evaluated on a whole trajectory at once: states shaped
+(..., d, d) in, values shaped (...) out.
 """
 
 from __future__ import annotations
@@ -16,16 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import DensityMatrix, StateSpace, excitation_number, ladder_operators
+from .hilbert import (
+    DensityMatrix, StateSpace, density_diagnostics, excitation_number, ladder_operators,
+)
 from .jcmodel import DressedState
 
 _IMAG_TOL = 1e-12
 
 
-def _real_diag(value: complex) -> float:
-    if abs(value.imag) > _IMAG_TOL:
-        raise AssertionError(f"population has imaginary part {value.imag:.3e}")
-    return float(value.real)
+def _real(values):
+    """Real part of diagonal-type values; an imaginary part above 1e-12 is an error."""
+    imag = np.abs(np.imag(values)).max(initial=0.0)
+    if imag > _IMAG_TOL:
+        raise ValueError(f"population has imaginary part {imag:.3e}")
+    return np.real(values)
 
 
 def population(rho: DensityMatrix, label, space: StateSpace | None = None) -> float:
@@ -33,34 +40,12 @@ def population(rho: DensityMatrix, label, space: StateSpace | None = None) -> fl
     m = rho.matrix
     if isinstance(label, DressedState):
         v = label.coefficients
-        return _real_diag(complex(v.conj() @ m @ v))
+        return float(_real(complex(v.conj() @ m @ v)))
     n, s = label
     if space is None:
         space = StateSpace(m.shape[0] // 2 - 1)
     i = space.index(n, s)
-    return _real_diag(complex(m[i, i]))
-
-
-def atomic_ground_population(rho: DensityMatrix, space: StateSpace | None = None) -> float:
-    """Total population of the atomic ground state, summed over photon number."""
-    if space is None:
-        space = StateSpace(rho.matrix.shape[0] // 2 - 1)
-    return sum(population(rho, (n, "g"), space) for n in range(space.n_max + 1))
-
-
-def atomic_excited_population(rho: DensityMatrix, space: StateSpace | None = None) -> float:
-    if space is None:
-        space = StateSpace(rho.matrix.shape[0] // 2 - 1)
-    return sum(population(rho, (n, "e"), space) for n in range(space.n_max + 1))
-
-
-def diagnostics(rho: DensityMatrix) -> tuple[float, float, float]:
-    """(trace defect, hermiticity defect, min eigenvalue) of the state."""
-    return rho.diagnostics()
-
-
-def _expectation(op: np.ndarray, rho: DensityMatrix) -> float:
-    return _real_diag(complex(np.trace(op @ rho.matrix)))
+    return float(_real(complex(m[i, i])))
 
 
 OBSERVABLE_NAMES = (
@@ -76,27 +61,29 @@ OBSERVABLE_NAMES = (
     "min_eigenvalue",
 )
 
+_BARE_LABELS = {"pop_0g": (0, "g"), "pop_1g": (1, "g"), "pop_0e": (0, "e")}
+_ATOM_LEVELS = {"atomic_ground": "g", "atomic_excited": "e"}
+_DIAGNOSTICS = ("trace_defect", "herm_defect", "min_eigenvalue")
 
-def evaluate(name: str, rho: DensityMatrix, space: StateSpace) -> float:
-    """Evaluate one named observable on a state."""
-    if name == "pop_0g":
-        return population(rho, (0, "g"), space)
-    if name == "pop_1g":
-        return population(rho, (1, "g"), space)
-    if name == "pop_0e":
-        return population(rho, (0, "e"), space)
-    if name == "atomic_ground":
-        return atomic_ground_population(rho, space)
-    if name == "atomic_excited":
-        return atomic_excited_population(rho, space)
+
+def evaluate(name: str, states: np.ndarray, space: StateSpace) -> np.ndarray:
+    """One named observable on states shaped (..., d, d); returns shape (...)."""
+    if name in _DIAGNOSTICS:
+        return density_diagnostics(states)[_DIAGNOSTICS.index(name)]
+    diag = np.diagonal(states, axis1=-2, axis2=-1)
+    if name in _BARE_LABELS:
+        return _real(diag[..., space.index(*_BARE_LABELS[name])])
+    if name in _ATOM_LEVELS:
+        s = _ATOM_LEVELS[name]
+        return sum(_real(diag[..., space.index(n, s)]) for n in range(space.n_max + 1))
     if name == "photon_number":
         a, a_dag = ladder_operators(space)
-        return _expectation(a_dag @ a, rho)
-    if name == "excitation_number":
-        return _expectation(excitation_number(space), rho)
-    if name in ("trace_defect", "herm_defect", "min_eigenvalue"):
-        return diagnostics(rho)[("trace_defect", "herm_defect", "min_eigenvalue").index(name)]
-    raise ValueError(f"unknown observable {name!r}")
+        op = a_dag @ a
+    elif name == "excitation_number":
+        op = excitation_number(space)
+    else:
+        raise ValueError(f"unknown observable {name!r}")
+    return _real(np.trace(op @ states, axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)
@@ -114,5 +101,6 @@ class ObservableSet:
         if unknown:
             raise ValueError(f"unknown observables {unknown}; valid: {OBSERVABLE_NAMES}")
 
-    def evaluate(self, rho: DensityMatrix, space: StateSpace) -> dict[str, float]:
-        return {name: evaluate(name, rho, space) for name in self.names}
+    def evaluate(self, states: np.ndarray, space: StateSpace) -> dict[str, np.ndarray]:
+        """Every selected observable on states shaped (..., d, d)."""
+        return {name: evaluate(name, states, space) for name in self.names}

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import Superoperator, unvec, vec
-from .hilbert import DensityMatrix
+from .hilbert import DensityMatrix, defect_message, density_diagnostics
 
 
 class DampingBasisError(RuntimeError):
@@ -60,8 +60,12 @@ class TimeSeries:
 
     def validate_states(self, tol: float = 1e-8) -> "TimeSeries":
         """Check every stored state against the density-matrix invariants."""
-        for k in range(self.states.shape[0]):
-            DensityMatrix(self.states[k], tol_herm=tol, tol_trace=tol, tol_pos=tol).validate()
+        trace_defect, herm_defect, min_eig = density_diagnostics(self.states)
+        bad = np.flatnonzero((herm_defect > tol) | (trace_defect > tol) | (min_eig < -tol))
+        if bad.size:
+            k = bad[0]
+            message = defect_message(trace_defect[k], herm_defect[k], min_eig[k], tol, tol, tol)
+            raise ValueError(f"sample {k} (t = {self.times[k]:.6g}): {message}")
         return self
 
 

@@ -173,7 +173,7 @@ def test_phenomenological_reduces_to_zero_temperature_form():
     space = build_space(2)
     a, _ = ladder_operators(space)
     zero_t = commutator_superoperator(hamiltonian(PARAMS, space)) \
-        + GAMMA0 * dissipator_superoperator(a)
+        + GAMMA0 * dissipator_superoperator([a], [1.0])
     built = phenomenological_generator(PARAMS, space, GAMMA0, 0.0)
     assert np.array_equal(built.matrix, zero_t)
 
@@ -181,7 +181,7 @@ def test_phenomenological_reduces_to_zero_temperature_form():
 def test_photon_loss_dissipator_action():
     space = build_space(2)
     a, _ = ladder_operators(space)
-    dissipator = GAMMA0 * dissipator_superoperator(a)
+    dissipator = dissipator_superoperator([a], [GAMMA0])
     one_g = np.outer(space.basis_state(1, "g"), space.basis_state(1, "g").conj())
     zero_g = np.outer(space.basis_state(0, "g"), space.basis_state(0, "g").conj())
     got = unvec(dissipator @ vec(one_g), space.dim)

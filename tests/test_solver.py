@@ -234,3 +234,22 @@ def test_trajectory_states_validated():
     series = evolve_spectral(liouvillian, _sector_state_excited_atom(),
                              np.linspace(0.0, 10.0, 20))
     series.validate_states(1e-8)
+
+
+_CORRUPTIONS = {
+    "trace defect": lambda rho: rho * 1.01,
+    "hermiticity defect": lambda rho: rho + np.triu(np.full_like(rho, 1e-3), 1),
+    "min eigenvalue": lambda rho: np.diag([1.5, -0.5, 0.0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("defect", list(_CORRUPTIONS))
+def test_validate_states_names_the_corrupted_sample(defect):
+    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    series = evolve_spectral(liouvillian, _sector_state_excited_atom(),
+                             np.linspace(0.0, 50.0, 2000), validate=False)
+    series.validate_states()
+    for k in (1234, 1900):  # the error names the first of them
+        series.states[k] = _CORRUPTIONS[defect](series.states[k])
+    with pytest.raises(ValueError, match=f"^sample 1234 \\(t = .*\\): {defect} "):
+        series.validate_states()
