@@ -1,7 +1,7 @@
 """Builders for the Liouvillian superoperators of the lossy atom-cavity system.
 
-Three generators share the commutator part -i[H, .] and differ in their
-dissipators:
+Every generator is one Lindblad form, -i[H, .] plus the dissipator of a
+list of (jump operator, rate) pairs; the three differ in their jumps:
 
 * ``phenomenological_generator`` damps the bare cavity mode with jump
   operators a and a† at thermally split rates;
@@ -11,7 +11,8 @@ dissipators:
 * ``dressed_approx_generator`` is the secular projection of the
   phenomenological generator in the dressed basis, the standard
   weak-damping approximation that the microscopic construction reproduces
-  for a flat zero-temperature bath.
+  for a flat zero-temperature bath, built from the Bohr-frequency
+  components of a and a† at their photon-loss and photon-gain rates.
 
 Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
 vectorized operators: vec(A X B) = (B^T kron A) vec(X).  The vectorization
@@ -180,6 +181,15 @@ def microscopic_channels(
     return channels
 
 
+def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoperator:
+    """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate."""
+    mat = commutator_superoperator(h)
+    active = [(op, g) for op, g in jumps if g != 0.0]
+    if active:
+        mat += dissipator_superoperator(*zip(*active))
+    return Superoperator(mat)
+
+
 def microscopic_generator(
     params: JCParams,
     space: StateSpace,
@@ -193,12 +203,18 @@ def microscopic_generator(
     their rates makes the truncated thermal state of the Hamiltonian
     stationary.  No Lamb-shift correction is added to the commutator.
     """
-    mat = commutator_superoperator(hamiltonian(params, space))
-    active = [ch for ch in microscopic_channels(params, space, bath, freq_tol) if ch.rate != 0.0]
-    if active:
-        mat += dissipator_superoperator([ch.operator for ch in active],
-                                        [ch.rate for ch in active])
-    return Superoperator(mat)
+    channels = microscopic_channels(params, space, bath, freq_tol)
+    return _lindblad(hamiltonian(params, space), [(ch.operator, ch.rate) for ch in channels])
+
+
+def _photon_loss(space: StateSpace, gamma0: float, nbar: float) -> list[tuple[np.ndarray, float]]:
+    """Jumps a and a† with their rates gamma0(nbar+1) and gamma0*nbar."""
+    if gamma0 < 0:
+        raise ValueError(f"gamma0 must be nonnegative, got {gamma0}")
+    if nbar < 0:
+        raise ValueError(f"nbar must be nonnegative, got {nbar}")
+    a, a_dag = ladder_operators(space)
+    return [(a, gamma0 * (nbar + 1.0)), (a_dag, gamma0 * nbar)]
 
 
 def phenomenological_generator(
@@ -208,19 +224,7 @@ def phenomenological_generator(
     nbar: float,
 ) -> Superoperator:
     """Liouvillian with bare photon loss/gain at rates gamma0(nbar+1), gamma0*nbar."""
-    if gamma0 < 0:
-        raise ValueError(f"gamma0 must be nonnegative, got {gamma0}")
-    if nbar < 0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar}")
-    a, a_dag = ladder_operators(space)
-    mat = commutator_superoperator(hamiltonian(params, space))
-    # Rates scale unit-rate terms: folded into the builder they move the matrix's last
-    # bits, and damping_basis then orders eigenvalues with tied real parts differently.
-    if gamma0 > 0:
-        mat += gamma0 * (nbar + 1.0) * dissipator_superoperator([a], [1.0])
-        if nbar > 0:
-            mat += gamma0 * nbar * dissipator_superoperator([a_dag], [1.0])
-    return Superoperator(mat)
+    return _lindblad(hamiltonian(params, space), _photon_loss(space, gamma0, nbar))
 
 
 def dressed_approx_generator(
@@ -232,31 +236,19 @@ def dressed_approx_generator(
 ) -> Superoperator:
     """Secular projection of the phenomenological generator in the dressed basis.
 
-    The dissipator is transformed to the eigenbasis of the Hamiltonian,
-    every matrix element connecting vectorized entries whose free-evolution
-    frequencies differ by more than ``freq_tol`` is zeroed, and the result
-    is transformed back.  The commutator part is kept in full.
+    The projection keeps the dissipator's matrix elements between dressed
+    coherences whose free-evolution frequencies agree within ``freq_tol``.
+    That is again a Lindblad form: its jumps are the Bohr-frequency
+    components A(omega) of a and a† (see :func:`eigenoperators`), each at
+    the rate of its bare photon-loss or photon-gain jump.  The commutator
+    part is kept in full.
     """
     if freq_tol is None:
         freq_tol = 1e-9 * params.omega0
-    full = phenomenological_generator(params, space, gamma0, nbar).matrix
-    comm = commutator_superoperator(hamiltonian(params, space))
-    dissipator = full - comm
-
+    bare = _photon_loss(space, gamma0, nbar)
     eigensystem = complete_eigensystem(params, space)
-    v = np.column_stack([st.coefficients for st in eigensystem])
-    energies = np.array([st.energy for st in eigensystem])
-    # vec(V† X V) = (V^T kron V†) vec(X)
-    to_dressed = np.kron(v.T, v.conj().T)
-    to_bare = np.kron(v.conj(), v)
-    d_dressed = to_dressed @ dissipator @ to_bare
-
-    freq = vec(energies[:, None] - energies[None, :]).real
-    keep = np.abs(freq[:, None] - freq[None, :]) <= freq_tol
-    d_dressed *= keep
-
-    mat = comm + to_bare @ d_dressed @ to_dressed
-    return Superoperator(mat)
+    jumps = [(op, g) for jump, g in bare for _, op in eigenoperators(jump, eigensystem, freq_tol)]
+    return _lindblad(hamiltonian(params, space), jumps)
 
 
 def dressed_approx_validity(params: JCParams, gamma0: float, n_max: int) -> tuple[bool, float]:
@@ -294,7 +286,4 @@ def single_excitation_generator(
     jump_minus[0, 1] = 1.0
     jump_plus = np.zeros((3, 3), dtype=complex)
     jump_plus[0, 2] = 1.0
-    mat = commutator_superoperator(h) \
-        + (gamma_a / 2.0) * dissipator_superoperator([jump_minus], [1.0]) \
-        + (gamma_b / 2.0) * dissipator_superoperator([jump_plus], [1.0])
-    return Superoperator(mat)
+    return _lindblad(h, [(jump_minus, gamma_a / 2.0), (jump_plus, gamma_b / 2.0)])

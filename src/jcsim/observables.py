@@ -102,5 +102,9 @@ class ObservableSet:
             raise ValueError(f"unknown observables {unknown}; valid: {OBSERVABLE_NAMES}")
 
     def evaluate(self, states: np.ndarray, space: StateSpace) -> dict[str, np.ndarray]:
-        """Every selected observable on states shaped (..., d, d)."""
-        return {name: evaluate(name, states, space) for name in self.names}
+        """Every selected observable on states shaped (..., d, d); diagnostics share one pass."""
+        shared = {}
+        if not set(self.names).isdisjoint(_DIAGNOSTICS):
+            shared = dict(zip(_DIAGNOSTICS, density_diagnostics(states)))
+        return {name: shared[name] if name in shared else evaluate(name, states, space)
+                for name in self.names}

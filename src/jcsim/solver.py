@@ -69,23 +69,27 @@ class TimeSeries:
         return self
 
 
+def _tie_ranks(values: np.ndarray, tol: float) -> np.ndarray:
+    """Rank of each real value; sorted neighbours no more than ``tol`` apart share a rank."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=int)
+    ranks[order] = np.concatenate([[0], np.cumsum(np.diff(values[order]) > tol)])
+    return ranks
+
+
 def _format_clusters(values: np.ndarray, cluster_tol: float = 1e-8) -> str:
-    order = np.lexsort((values.imag, values.real))
-    vals = values[order]
-    clusters = []
-    start = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or abs(vals[k] - vals[start]) > cluster_tol:
-            if k - start > 1:
-                clusters.append(f"{vals[start]:.6g} (x{k - start})")
-            start = k
+    cells = np.column_stack([_tie_ranks(values.real, cluster_tol),
+                             _tie_ranks(values.imag, cluster_tol)])
+    _, first, counts = np.unique(cells, axis=0, return_index=True, return_counts=True)
+    clusters = [f"{values[k]:.6g} (x{n})" for k, n in zip(first, counts) if n > 1]
     return ", ".join(clusters) if clusters else "none"
 
 
 def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> list[DampingMode]:
     """Full biorthonormal eigensystem of the Liouvillian.
 
-    Modes are sorted by (Re lambda descending, Im lambda ascending).  The
+    Modes are sorted by (Re lambda descending, Im lambda ascending), real
+    parts within 1e-9 * max(1, max|lambda|) counting as tied.  The
     stationary right eigenoperators are normalized to unit trace (which
     pins their left partners to the identity), decaying ones to unit
     Frobenius norm with a deterministic phase.
@@ -117,11 +121,12 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> li
     left_res = np.abs(left @ mat - vals[:, None] * left).max()
     if max(right_res, left_res) > residual_tol * scale:
         raise DampingBasisError(
-            f"left/right pairing failed (residuals {right_res:.3e}/{left_res:.3e}); "
+            f"left/right pairing failed (residuals {right_res:.3e}/{left_res:.3e}, "
+            f"eigenvector matrix cond(R) = {np.linalg.cond(right):.3e}); "
             "near-defective eigenvalue clusters: " + _format_clusters(vals)
         )
 
-    order = np.lexsort((vals.imag, -vals.real))
+    order = np.lexsort((vals.imag, _tie_ranks(-vals.real, 1e-9 * scale)))
     return [
         DampingMode(complex(vals[k]), unvec(right[:, k], dim), unvec(left[k, :], dim).T)
         for k in order

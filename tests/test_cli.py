@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from jcsim import cli
+from jcsim import cli, observables, solver
 from jcsim.acceptance import CriterionResult, run_criterion
 from jcsim.analytic import rabi_micro
 
@@ -21,6 +23,8 @@ steps = 400
 observables = pop_0g,atomic_ground
 solver = spectral
 """
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BELL = BASE.replace("initial = fock:0,e", "initial = dressed:1,+").replace(
     "nmax = 2", "nmax = 3"
@@ -113,6 +117,31 @@ def test_solver_failure_exits_2(tmp_path):
     text = BASE.replace("solver = spectral", "solver = ode\ndt = 0.5")
     cfg = _write(tmp_path, "stiff.cfg", text)
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
+    cfg = CONFIGS / "rabi_joint_ground.cfg"
+    assert cli.main(["spectrum", "--config", str(cfg), "--nmax", "12",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "cond(R)" in err and "cluster" in err
+
+
+def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(states):
+        calls.append(states.shape)
+        return diagnostics(states)
+
+    diagnostics = solver.density_diagnostics
+    monkeypatch.setattr(solver, "density_diagnostics", counting)
+    monkeypatch.setattr(observables, "density_diagnostics", counting)
+    text = BASE.replace("observables = pop_0g,atomic_ground",
+                        "observables = trace_defect,herm_defect,min_eigenvalue")
+    cfg = _write(tmp_path, "diag.cfg", text)
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
+    assert len(calls) == 2  # trajectory validation, then the three observables
 
 
 def test_compare_bell_contrast(tmp_path, capsys):

@@ -209,6 +209,28 @@ def test_dressed_approx_differs_from_phenomenological_at_first_order():
     assert 0.05 * GAMMA0 < deviation < 10.0 * GAMMA0
 
 
+def _secular_projection_reference(params, space, gamma0, nbar, freq_tol=1e-9):
+    # the definition: phenomenological dissipator in the dressed basis, every element
+    # between coherences of different free frequency zeroed, transformed back
+    comm = commutator_superoperator(hamiltonian(params, space))
+    dissipator = phenomenological_generator(params, space, gamma0, nbar).matrix - comm
+    system, to_dressed, to_bare = _dressed_transform(params, space)
+    energies = np.array([st.energy for st in system])
+    freq = vec(energies[:, None] - energies[None, :]).real
+    keep = np.abs(freq[:, None] - freq[None, :]) <= freq_tol
+    return comm + to_bare @ ((to_dressed @ dissipator @ to_bare) * keep) @ to_dressed
+
+
+@pytest.mark.parametrize("rabi", [0.2, 0.41, 1.0])  # rabi = omega0 puts |0,g> on (1,-)
+@pytest.mark.parametrize("nbar", [0.0, 0.4])
+@pytest.mark.parametrize("n_max", [2, 3, 5])
+def test_dressed_approx_is_the_secular_projection(n_max, nbar, rabi):
+    params, space = JCParams(OMEGA0, rabi), build_space(n_max)
+    built = dressed_approx_generator(params, space, GAMMA0, nbar)
+    reference = _secular_projection_reference(params, space, GAMMA0, nbar)
+    assert np.abs(built.matrix - reference).max() <= 1e-13
+
+
 def test_dressed_approx_matches_microscopic_for_white_noise():
     space = build_space(3)
     micro = microscopic_generator(PARAMS, space, COLD_BATH)

@@ -5,11 +5,13 @@ from jcsim.analytic import rabi_micro_density
 from jcsim.bath import BathSpec, FlatSpectrum
 from jcsim.generators import (
     Superoperator,
+    commutator_superoperator,
+    dissipator_superoperator,
     microscopic_generator,
     phenomenological_generator,
     single_excitation_generator,
 )
-from jcsim.hilbert import DensityMatrix, build_space, pure_state
+from jcsim.hilbert import DensityMatrix, build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
 from jcsim.solver import (
     DampingBasisError,
@@ -216,6 +218,20 @@ def test_defective_liouvillian_raises_with_cluster():
     matrix[0, 1] = 1.0  # Jordan block: eigenvalue 0 with a single eigenvector
     with pytest.raises(DampingBasisError, match="cluster"):
         damping_basis(Superoperator(matrix))
+
+
+def test_mode_order_survives_last_bit_changes():
+    # gamma * D[a] and D[a] at rate gamma differ in the last bits; their modes must not
+    # trade places where real parts tie exactly (bell_atomic_ground, phen model)
+    space, gamma0 = build_space(3), 0.082
+    a, _ = ladder_operators(space)
+    comm = commutator_superoperator(hamiltonian(JCParams(1.0, 0.41), space))
+    scaled = Superoperator(comm + gamma0 * dissipator_superoperator([a], [1.0]))
+    folded = Superoperator(comm + dissipator_superoperator([a], [gamma0]))
+    assert np.abs(scaled.matrix - folded.matrix).max() > 0.0
+    lam_scaled = np.array([m.eigenvalue for m in damping_basis(scaled)])
+    lam_folded = np.array([m.eigenvalue for m in damping_basis(folded)])
+    assert np.abs(lam_scaled - lam_folded).max() <= 1e-12
 
 
 def test_dominant_frequency_selects_excited_mode():
