@@ -20,6 +20,7 @@ import numpy as np
 
 from .acceptance import run_all_criteria
 from .generators import Superoperator
+from .hilbert import DensityMatrix
 from .jcmodel import rwa_validity
 from .scenario import ConfigError, Scenario, scenario_from_config
 from .solver import (
@@ -124,14 +125,15 @@ def run_spectrum(scenario: Scenario, out_path: str) -> None:
     _write_atomic(out_path, _csv(["re", "im"], rows))
 
 
-def run_steady(scenario: Scenario, out_path: str) -> None:
-    """Write the stationary density matrix as 'row,col,re,im' CSV."""
+def run_steady(scenario: Scenario, out_path: str) -> DensityMatrix:
+    """Write the stationary density matrix as 'row,col,re,im' CSV and return it."""
     rho = steady_state(scenario.generator())
     rows = []
     for j in range(rho.dim):
         for i in range(rho.dim):
             rows.append([i, j, rho.matrix[i, j].real, rho.matrix[i, j].imag])
     _write_atomic(out_path, _csv(["row", "col", "re", "im"], rows))
+    return rho
 
 
 def run_verify(tolerance_scale: float = 1.0, stream=None) -> int:
@@ -208,6 +210,20 @@ def _print_advisories(scenario: Scenario, stream) -> None:
         )
 
 
+def _print_edge_population(scenario: Scenario, rho: DensityMatrix, stream) -> None:
+    """Population of the top Fock level, the cutoff check for a stationary state."""
+    if scenario.model == "single":
+        return  # the three-level sector has no Fock ladder
+    space = scenario.space()
+    top = [space.index(scenario.n_max, s) for s in ("g", "e")]
+    edge = float(rho.matrix[top, top].real.sum())
+    print(
+        f"# top Fock level population = {_fmt(edge)}"
+        f" ({'ok' if edge <= 1e-10 else 'NOT small'})",
+        file=stream,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="jcsim",
@@ -255,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     print(f"{key} = {_fmt(value)}")
         elif args.command == "steady":
-            run_steady(scenario, args.out)
+            _print_edge_population(scenario, run_steady(scenario, args.out), sys.stdout)
         elif args.command == "spectrum":
             run_spectrum(scenario, args.out)
         return 0

@@ -17,6 +17,12 @@ offending eigenvalue cluster named.
 The fixed-step RK4 integrator is an independent verification path: it
 never touches the eigendecomposition, so agreement between the two
 solvers checks both.
+
+The steady state needs only the kernel, so it never diagonalizes the
+whole Liouvillian: the generator splits into decoupled blocks (the
+connected components of its nonzero pattern; for the Jaynes-Cummings
+generators, the sectors of fixed excitation difference N_row - N_col),
+and the kernel is found block by block.
 """
 
 from __future__ import annotations
@@ -243,21 +249,54 @@ def dominant_frequency(liouvillian: Superoperator, rho0: DensityMatrix) -> float
     return best_freq
 
 
+def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of ``mat``.
+
+    Permuting ``mat`` to these blocks makes it block-diagonal, so its
+    eigenvalues are the union of the blocks' eigenvalues.  An index with
+    no nonzero entry is a block of its own.
+    """
+    linked = mat != 0
+    linked |= linked.T
+    unseen = np.ones(mat.shape[0], dtype=bool)
+    blocks = []
+    for seed in range(mat.shape[0]):
+        if not unseen[seed]:
+            continue
+        block = np.zeros_like(unseen)
+        block[seed] = True
+        frontier = block.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
 def steady_state(liouvillian: Superoperator, kernel_tol: float = 1e-10) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    Extracts the kernel of the Liouvillian, hermitizes, and normalizes to
-    unit trace.  A kernel of any other dimension raises
-    :class:`KernelMultiplicityError`.
+    The kernel is found block by block over the decoupled blocks of the
+    Liouvillian; its element, taken from the one block that holds it, is
+    hermitized and normalized to unit trace.  A kernel of any other
+    dimension raises :class:`KernelMultiplicityError`.
     """
-    vals, vecs = np.linalg.eig(liouvillian.matrix)
+    mat = liouvillian.matrix
+    blocks = _coupled_blocks(mat)
+    block_vals = [np.linalg.eigvals(mat[np.ix_(b, b)]) for b in blocks]
+    vals = np.concatenate(block_vals)
     null = np.where(np.abs(vals) < kernel_tol)[0]
     if null.size != 1:
         raise KernelMultiplicityError(
             f"kernel dimension {null.size} at tolerance {kernel_tol:.1e}; "
             f"smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
-    rho = unvec(vecs[:, null[0]], liouvillian.dim)
+    block = next(b for b, v in zip(blocks, block_vals) if np.abs(v).min() < kernel_tol)
+    sub_vals, sub_vecs = np.linalg.eig(mat[np.ix_(block, block)])
+    kernel = np.zeros(mat.shape[0], dtype=complex)
+    kernel[block] = sub_vecs[:, np.argmin(np.abs(sub_vals))]
+    rho = unvec(kernel, liouvillian.dim)
     rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho)
     if abs(trace) < 1e-12:

@@ -262,6 +262,25 @@ def test_steady_csv_is_a_density_matrix(tmp_path):
     assert np.abs(rho - rho.conj().T).max() < 1e-12
 
 
+@pytest.mark.parametrize("nmax, temperature, verdict", [(3, 0.5, "NOT small"), (8, 0.25, "ok")])
+def test_steady_reports_top_fock_level_population(tmp_path, capsys, nmax, temperature, verdict):
+    # phen relaxes to Gibbs(H_free): the top level holds (1 - q) q^nmax / (1 - q^(nmax+1))
+    q = np.exp(-1.0 / temperature)
+    nbar = q / (1.0 - q)
+    text = (BASE.replace("model = micro", "model = phen")
+            .replace("nmax = 2", f"nmax = {nmax}")
+            .replace("nbar = 0.0", f"nbar = {float(nbar)!r}"))
+    cfg = _write(tmp_path, "phen.cfg", text)
+    out = tmp_path / "steady.csv"
+    assert cli.main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    prefix = "# top Fock level population = "
+    assert line.startswith(prefix) and line.endswith(f" ({verdict})")
+    edge = float(line[len(prefix):].split(" ")[0])
+    expected = (1.0 - q) * q**nmax / (1.0 - q ** (nmax + 1))
+    assert edge == pytest.approx(expected, rel=1e-6, abs=1e-15)
+
+
 def test_verify_reporting_and_exit_codes(monkeypatch, capsys):
     passing = [
         CriterionResult(1, "alpha", True, ["ok   measured vs threshold"]),

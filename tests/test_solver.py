@@ -2,21 +2,30 @@ import numpy as np
 import pytest
 
 from jcsim.analytic import rabi_micro_density
-from jcsim.bath import BathSpec, FlatSpectrum
+from jcsim.bath import BathSpec, FlatSpectrum, occupation
 from jcsim.generators import (
     Superoperator,
     commutator_superoperator,
     dissipator_superoperator,
+    dressed_approx_generator,
     microscopic_generator,
     phenomenological_generator,
     single_excitation_generator,
+    unvec,
 )
-from jcsim.hilbert import DensityMatrix, build_space, ladder_operators, pure_state
+from jcsim.hilbert import (
+    DensityMatrix,
+    atomic_operators,
+    build_space,
+    ladder_operators,
+    pure_state,
+)
 from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
 from jcsim.solver import (
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
+    _coupled_blocks,
     damping_basis,
     dominant_frequency,
     evolve_ode,
@@ -211,6 +220,90 @@ def test_steady_state_multiplicity_error_for_unitary_generator():
     liouvillian = phenomenological_generator(PARAMS, build_space(2), 0.0, 0.0)
     with pytest.raises(KernelMultiplicityError):
         steady_state(liouvillian)
+
+
+def _dense_steady_reference(liouvillian: Superoperator, kernel_tol: float = 1e-10) -> DensityMatrix:
+    # steady_state as one dense eig of the whole dim^2 x dim^2 Liouvillian
+    vals, vecs = np.linalg.eig(liouvillian.matrix)
+    null = np.where(np.abs(vals) < kernel_tol)[0]
+    if null.size != 1:
+        raise KernelMultiplicityError(
+            f"kernel dimension {null.size} at tolerance {kernel_tol:.1e}; "
+            f"smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
+        )
+    rho = unvec(vecs[:, null[0]], liouvillian.dim)
+    rho = (rho + rho.conj().T) / 2.0
+    trace = np.trace(rho)
+    if abs(trace) < 1e-12:
+        raise KernelMultiplicityError("kernel element is traceless; no stationary state")
+    return DensityMatrix(rho / trace).validate()
+
+
+def _thermal_generators(n_max: int, temperature: float) -> dict[str, Superoperator]:
+    space, gamma0 = build_space(n_max), 0.04
+    nbar = occupation(OMEGA0, temperature)
+    return {
+        "micro": microscopic_generator(PARAMS, space, BathSpec(temperature, FlatSpectrum(gamma0))),
+        "phen": phenomenological_generator(PARAMS, space, gamma0, nbar),
+        "dressed": dressed_approx_generator(PARAMS, space, gamma0, nbar),
+    }
+
+
+def _u1_breaking_generator(n_max: int) -> Superoperator:
+    # sigma_minus + sigma_plus flips the atom alone, so N_row - N_col is not conserved
+    space = build_space(n_max)
+    a, _ = ladder_operators(space)
+    sm, sp, _ = atomic_operators(space)
+    comm = commutator_superoperator(hamiltonian(PARAMS, space))
+    return Superoperator(comm + dissipator_superoperator([a, sm + sp], [0.05, 0.01]))
+
+
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed", "u1-breaking"])
+def test_steady_state_matches_dense_reference(model):
+    if model == "u1-breaking":
+        liouvillian = _u1_breaking_generator(6)
+        # phen at nmax 6 splits into 15 blocks; the atom flip merges them into 2
+        assert len(_coupled_blocks(liouvillian.matrix)) == 2
+    else:
+        liouvillian = _thermal_generators(8, 0.22)[model]
+    got = steady_state(liouvillian).matrix
+    assert np.abs(got - _dense_steady_reference(liouvillian).matrix).max() <= 1e-12
+
+
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed", "single"])
+def test_coupled_blocks_partition_the_generator(model):
+    if model == "single":
+        mat = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B).matrix
+    else:
+        mat = _thermal_generators(5, 0.3)[model].matrix
+    blocks = _coupled_blocks(mat)
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(mat.shape[0]))
+    off_block = mat.copy()
+    for block in blocks:
+        off_block[np.ix_(block, block)] = 0.0
+    assert not off_block.any()
+
+
+def test_steady_state_counts_isolated_indices_in_the_kernel():
+    # every index of the zero generator is a 1x1 block with eigenvalue 0
+    with pytest.raises(KernelMultiplicityError, match="kernel dimension 4 "):
+        steady_state(Superoperator(np.zeros((4, 4))))
+
+
+def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
+    liouvillian = phenomenological_generator(PARAMS, build_space(16), 0.04, occupation(OMEGA0, 0.22))
+    widths = []
+    for name in ("eig", "eigvals"):
+        original = getattr(np.linalg, name)
+
+        def recording(matrix, _original=original):
+            widths.append(matrix.shape[-1])
+            return _original(matrix)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    steady_state(liouvillian)
+    # the widest excitation-conserving block at nmax 16 is 1 + 4 * 16 + 1
+    assert widths and max(widths) <= 66
 
 
 def test_defective_liouvillian_raises_with_cluster():
