@@ -42,8 +42,8 @@ from .jcmodel import (
 from .observables import ObservableSet, population
 from .scenario import ConfigError, Scenario, parse_config, scenario_from_config, serialize_config
 from .solver import (
+    DampingBasis,
     DampingBasisError,
-    DampingMode,
     KernelMultiplicityError,
     StepSizeError,
     TimeSeries,
@@ -51,7 +51,6 @@ from .solver import (
     dominant_frequency,
     evolve_ode,
     evolve_spectral,
-    expansion_coefficients,
     steady_state,
 )
 

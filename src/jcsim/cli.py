@@ -15,15 +15,18 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
 from .acceptance import run_all_criteria
-from .generators import Superoperator
+from .bath import rate
+from .generators import Superoperator, dressed_approx_validity
 from .hilbert import DensityMatrix
 from .jcmodel import rwa_validity
 from .scenario import ConfigError, Scenario, scenario_from_config
 from .solver import (
+    DampingBasis,
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
@@ -60,22 +63,28 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_trajectory(scenario: Scenario) -> tuple[Superoperator, TimeSeries]:
-    """Solve the scenario with its configured solver; return the generator and the trajectory."""
+def run_trajectory(scenario: Scenario) -> tuple[Superoperator, DampingBasis | None, TimeSeries]:
+    """Solve the scenario with its configured solver.
+
+    Returns the generator, its damping basis (None on the ode route, which
+    never diagonalizes) and the trajectory.
+    """
     liouvillian = scenario.generator()
     rho0 = scenario.initial_state()
     times = scenario.time_grid()
+    basis = None
     if scenario.solver == "ode":
         series = evolve_ode(liouvillian, rho0, times, scenario.dt)
     else:
-        series = evolve_spectral(liouvillian, rho0, times)
+        basis = damping_basis(liouvillian)
+        series = evolve_spectral(basis, rho0, times)
     series.observables = scenario.observables.evaluate(series.states, scenario.space())
-    return liouvillian, series
+    return liouvillian, basis, series
 
 
 def run_evolve(scenario: Scenario, out_path: str) -> None:
     """Write 'tau,<observables>' CSV for one scenario."""
-    _, series = run_trajectory(scenario)
+    _, _, series = run_trajectory(scenario)
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
     columns = [tau] + [series.observables[n] for n in scenario.observables.names]
@@ -83,28 +92,25 @@ def run_evolve(scenario: Scenario, out_path: str) -> None:
 
 
 def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> dict:
-    """Run two scenarios differing only in model; CSV plus a summary block."""
+    """Run two scenarios differing only in model; CSV plus a summary block.
+
+    The CSV is written last, so a run that fails writes none.
+    """
     for field in ("omega0", "rabi", "n_max", "initial", "tau_max", "steps", "solver", "dt"):
         if getattr(scenario_a, field) != getattr(scenario_b, field):
             raise ConfigError(f"compare scenarios differ in {field}, not only in model")
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    liouvillian_a, series_a = run_trajectory(scenario_a)
-    liouvillian_b, series_b = run_trajectory(scenario_b)
-    tau = scenario_a.tau_grid()
-    names = scenario_a.observables.names
-    header, columns = ["tau"], [tau]
-    for name in names:
-        header += [f"{name}_{scenario_a.model}", f"{name}_{scenario_b.model}", f"delta_{name}"]
-        va, vb = series_a.observables[name], series_b.observables[name]
-        columns += [va, vb, va - vb]
-    _write_atomic(out_path, _csv(header, np.column_stack(columns)))
-
-    freq_a = dominant_frequency(liouvillian_a, scenario_a.initial_state())
-    freq_b = dominant_frequency(liouvillian_b, scenario_b.initial_state())
+    liouvillian_a, basis_a, series_a = run_trajectory(scenario_a)
+    liouvillian_b, basis_b, series_b = run_trajectory(scenario_b)
+    if basis_a is None:  # the ode route solves each generator for the frequencies only
+        basis_a, basis_b = damping_basis(liouvillian_a), damping_basis(liouvillian_b)
+    freq_a = dominant_frequency(basis_a, scenario_a.initial_state())
+    freq_b = dominant_frequency(basis_b, scenario_b.initial_state())
     shift = abs(freq_a - freq_b)
     reference = max(abs(freq_a), abs(freq_b))
+    names = scenario_a.observables.names
     summary = {
         "max_abs_delta": {
             name: float(np.abs(series_a.observables[name] - series_b.observables[name]).max())
@@ -115,14 +121,20 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
         "frequency_shift": shift,
         "relative_frequency_shift": shift / reference if reference > 0 else 0.0,
     }
+
+    header, columns = ["tau"], [scenario_a.tau_grid()]
+    for name in names:
+        header += [f"{name}_{scenario_a.model}", f"{name}_{scenario_b.model}", f"delta_{name}"]
+        va, vb = series_a.observables[name], series_b.observables[name]
+        columns += [va, vb, va - vb]
+    _write_atomic(out_path, _csv(header, np.column_stack(columns)))
     return summary
 
 
 def run_spectrum(scenario: Scenario, out_path: str) -> None:
     """Write 're,im' CSV of Liouvillian eigenvalues, (Re desc, Im asc)."""
-    modes = damping_basis(scenario.generator())
-    rows = [[m.eigenvalue.real, m.eigenvalue.imag] for m in modes]
-    _write_atomic(out_path, _csv(["re", "im"], rows))
+    lam = damping_basis(scenario.generator()).eigenvalues
+    _write_atomic(out_path, _csv(["re", "im"], np.column_stack([lam.real, lam.imag])))
 
 
 def run_steady(scenario: Scenario, out_path: str) -> DensityMatrix:
@@ -179,19 +191,15 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     if args.dt is not None:
         overrides["dt"] = args.dt
     if overrides:
-        from dataclasses import replace
-
         scenario = replace(scenario, **overrides)
     return scenario
 
 
 def _print_advisories(scenario: Scenario, stream) -> None:
     if scenario.model in ("micro", "single") and scenario.bath is not None:
-        from .bath import rate as bath_rate
-
         gamma_max = max(
-            bath_rate(scenario.omega0 - scenario.rabi, scenario.bath),
-            bath_rate(scenario.omega0 + scenario.rabi, scenario.bath),
+            rate(scenario.omega0 - scenario.rabi, scenario.bath),
+            rate(scenario.omega0 + scenario.rabi, scenario.bath),
         )
         check = rwa_validity(scenario.params, gamma_max)
         print(
@@ -200,8 +208,6 @@ def _print_advisories(scenario: Scenario, stream) -> None:
             file=stream,
         )
     if scenario.model == "dressed":
-        from .generators import dressed_approx_validity
-
         valid, ratio = dressed_approx_validity(scenario.params, scenario.gamma0, scenario.n_max)
         print(
             f"# dressed-projection ratio gamma0/(rabi/(2 nmax^1.5)) = {_fmt(ratio)}"
@@ -255,8 +261,8 @@ def main(argv: list[str] | None = None) -> int:
             return run_verify(tolerance_scale=args.tolerance_scale)
         scenario = _load_scenario(args)
         if args.command == "evolve":
-            _print_advisories(scenario, sys.stdout)
             run_evolve(scenario, args.out)
+            _print_advisories(scenario, sys.stdout)
         elif args.command == "compare":
             if not args.model or "," not in args.model:
                 raise ConfigError("compare needs --model <model_a>,<model_b>")

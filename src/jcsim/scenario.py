@@ -156,7 +156,7 @@ class Scenario:
 
     def initial_state(self) -> DensityMatrix:
         if self.model == "single":
-            raise ConfigError("model = single supports only the spectrum subcommand")
+            raise ConfigError("model = single supports only the steady and spectrum subcommands")
         return pure_state(self._initial_vector(self.space()))
 
     def with_model(self, model: str) -> "Scenario":

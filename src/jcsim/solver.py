@@ -8,6 +8,11 @@ closed form,
 
     rho(t) = sum_k  Tr{rho_check_k rho(0)}  exp(lambda_k t)  rho_k.
 
+:func:`damping_basis` solves each generator once and returns the
+eigensystem as three arrays (:class:`DampingBasis`), with
+``left @ vec(rho)`` giving the coefficients Tr{rho_check_k rho}; the
+trajectory, the frequency summary and the spectrum all read that basis.
+
 The left family is obtained as the matrix inverse of the right eigenvector
 matrix, which *is* the biorthonormal dual basis whenever the Liouvillian
 is diagonalizable; degenerate eigenvalues need no special casing, while a
@@ -48,12 +53,18 @@ class StepSizeError(ValueError):
 
 
 @dataclass(frozen=True)
-class DampingMode:
-    """One spectral mode of the Liouvillian: eigenvalue plus left/right pair."""
+class DampingBasis:
+    """Biorthonormal eigensystem of a Liouvillian, modes in sorted order.
 
-    eigenvalue: complex
-    right: np.ndarray
-    left: np.ndarray
+    Column k of ``right`` is the vec'd right eigenoperator of
+    ``eigenvalues[k]``; row k of ``left`` is its dual functional, so
+    ``left @ vec(rho)`` gives the expansion coefficients and
+    ``left @ right`` is the identity.
+    """
+
+    eigenvalues: np.ndarray  # (D,)
+    right: np.ndarray  # (D, D)
+    left: np.ndarray  # (D, D)
 
 
 @dataclass
@@ -91,14 +102,19 @@ def _format_clusters(values: np.ndarray, cluster_tol: float = 1e-8) -> str:
     return ", ".join(clusters) if clusters else "none"
 
 
-def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> list[DampingMode]:
-    """Full biorthonormal eigensystem of the Liouvillian.
+def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> DampingBasis:
+    """Full biorthonormal eigensystem of the Liouvillian, solved once per generator.
 
-    Modes are sorted by (Re lambda descending, Im lambda ascending), real
-    parts within 1e-9 * max(1, max|lambda|) counting as tied.  The
-    stationary right eigenoperators are normalized to unit trace (which
-    pins their left partners to the identity), decaying ones to unit
-    Frobenius norm with a deterministic phase.
+    Returns a :class:`DampingBasis`: ``eigenvalues`` (D,), ``right``
+    (D x D) with the vec'd right eigenoperators as columns, and ``left``
+    (D x D) with the dual functionals as rows.  The same basis feeds
+    :func:`evolve_spectral`, :func:`dominant_frequency`, the ``spectrum``
+    CSV and acceptance criterion 5.  Modes are sorted by (Re lambda
+    descending, Im lambda ascending), real parts within
+    1e-9 * max(1, max|lambda|) counting as tied.  The stationary right
+    eigenoperators are normalized to unit trace (which pins their left
+    partners to the identity), decaying ones to unit Frobenius norm with a
+    deterministic phase.
     """
     mat = liouvillian.matrix
     dim = liouvillian.dim
@@ -133,47 +149,24 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> li
         )
 
     order = np.lexsort((vals.imag, _tie_ranks(-vals.real, 1e-9 * scale)))
-    return [
-        DampingMode(complex(vals[k]), unvec(right[:, k], dim), unvec(left[k, :], dim).T)
-        for k in order
-    ]
+    return DampingBasis(vals[order], right[:, order], left[order, :])
 
 
-def _mode_matrices(modes: list[DampingMode]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lam = np.array([m.eigenvalue for m in modes])
-    rmat = np.column_stack([vec(m.right) for m in modes])
-    lmat = np.vstack([vec(m.left.T) for m in modes])
-    return lam, rmat, lmat
-
-
-def expansion_coefficients(modes: list[DampingMode], rho0: np.ndarray) -> np.ndarray:
-    """c_k = Tr{rho_check_k rho0} for each damping mode."""
-    _, _, lmat = _mode_matrices(modes)
-    return lmat @ vec(rho0)
-
-
-def evolve_spectral(
-    liouvillian: Superoperator,
-    rho0: DensityMatrix,
-    times: np.ndarray,
-    validate: bool = True,
-) -> TimeSeries:
-    """Closed-form trajectory from the damping-basis expansion."""
+def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray) -> TimeSeries:
+    """Closed-form trajectory from the damping-basis expansion, validated."""
     times = np.asarray(times, dtype=float)
-    modes = damping_basis(liouvillian)
-    lam, rmat, lmat = _mode_matrices(modes)
-    coeff = lmat @ vec(rho0.matrix)
+    dim = rho0.dim
+    coeff = basis.left @ vec(rho0.matrix)
 
-    recon = unvec(rmat @ coeff, liouvillian.dim)
+    recon = unvec(basis.right @ coeff, dim)
     recon_err = np.abs(recon - rho0.matrix).max()
     if recon_err > 1e-10:
         raise DampingBasisError(f"initial-state reconstruction error {recon_err:.3e}")
 
-    propagated = rmat @ (coeff[:, None] * np.exp(np.outer(lam, times)))
-    states = propagated.T.reshape(len(times), liouvillian.dim, liouvillian.dim)
+    propagated = basis.right @ (coeff[:, None] * np.exp(np.outer(basis.eigenvalues, times)))
+    states = propagated.T.reshape(len(times), dim, dim)
     states = np.transpose(states, (0, 2, 1))  # undo row-major reshape: vec is column-major
-    series = TimeSeries(times, states)
-    return series.validate_states() if validate else series
+    return TimeSeries(times, states).validate_states()
 
 
 def _rk4_segment(mat: np.ndarray, v: np.ndarray, span: float, max_step: float) -> np.ndarray:
@@ -193,9 +186,8 @@ def evolve_ode(
     rho0: DensityMatrix,
     times: np.ndarray,
     dt: float,
-    validate: bool = True,
 ) -> TimeSeries:
-    """Fixed-step 4th-order Runge-Kutta trajectory sampled on ``times``.
+    """Fixed-step 4th-order Runge-Kutta trajectory sampled on ``times``, validated.
 
     Each grid interval is covered with uniform substeps no longer than
     ``dt``, so a uniform grid is integrated with one global step size.
@@ -225,28 +217,25 @@ def evolve_ode(
     drift = abs(np.trace(states[-1]) - np.trace(rho0.matrix))
     if drift > 1e-10:
         raise RuntimeError(f"RK4 trace drift {drift:.3e} exceeds 1e-10")
-    series = TimeSeries(times, states)
-    return series.validate_states() if validate else series
+    return TimeSeries(times, states).validate_states()
 
 
-def dominant_frequency(liouvillian: Superoperator, rho0: DensityMatrix) -> float:
+def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:
     """Strongest excited oscillation frequency, read off the spectrum.
 
     Expands the initial state in the damping basis and returns Im(lambda)
-    of the positive-frequency mode with the largest coefficient magnitude,
-    0.0 when no oscillating mode is excited.  This is a spectral
-    statement about the generator, not a fit to any sampled curve.
+    of the positive-frequency mode with the largest coefficient magnitude
+    (the first in mode order on a tie), 0.0 when no oscillating mode is
+    excited.  This is a spectral statement about the generator, not a fit
+    to any sampled curve.
     """
-    modes = damping_basis(liouvillian)
-    coeff = expansion_coefficients(modes, rho0.matrix)
-    c_scale = float(np.abs(coeff).max())
-    freqs = np.array([m.eigenvalue.imag for m in modes])
+    weights = np.abs(basis.left @ vec(rho0.matrix))
+    freqs = basis.eigenvalues.imag
     floor = 1e-9 * max(1.0, float(np.abs(freqs).max()))
-    best_freq, best_weight = 0.0, 0.0
-    for mode, c in zip(modes, coeff):
-        if mode.eigenvalue.imag > floor and abs(c) > max(1e-8 * c_scale, best_weight):
-            best_freq, best_weight = mode.eigenvalue.imag, abs(c)
-    return best_freq
+    excited = (freqs > floor) & (weights > 1e-8 * float(weights.max()))
+    if not excited.any():
+        return 0.0
+    return float(freqs[np.argmax(np.where(excited, weights, -1.0))])
 
 
 def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:

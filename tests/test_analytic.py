@@ -5,7 +5,7 @@ from jcsim.analytic import bell_micro, bell_phen, rabi_micro, rabi_micro_density
 from jcsim.generators import single_excitation_generator
 from jcsim.hilbert import pure_state
 from jcsim.jcmodel import JCParams
-from jcsim.solver import evolve_spectral
+from jcsim.solver import damping_basis, evolve_spectral
 
 RABI = 0.41
 GAMMA = 0.082  # gamma / (2 rabi) = 0.1
@@ -153,7 +153,7 @@ def test_micro_density_matches_sector_solver():
     liouvillian = single_excitation_generator(params, 0.08, 0.12)
     rho0 = pure_state(np.array([0.0, -1.0, 1.0], dtype=complex) / np.sqrt(2.0))
     times = np.linspace(0.0, 35.0, 30)
-    series = evolve_spectral(liouvillian, rho0, times)
+    series = evolve_spectral(damping_basis(liouvillian), rho0, times)
     for k, t in enumerate(times):
         oracle = rabi_micro_density(t, 0.08, 0.12, RABI, 1.0).matrix
         assert np.abs(series.states[k] - oracle).max() < 1e-10

@@ -121,10 +121,17 @@ def test_solver_failure_exits_2(tmp_path):
 
 def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
     cfg = CONFIGS / "rabi_joint_ground.cfg"
-    assert cli.main(["spectrum", "--config", str(cfg), "--nmax", "12",
-                     "--out", str(tmp_path / "s.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "cond(R)" in err and "cluster" in err
+    out = tmp_path / "s.csv"
+    for argv in (
+        ["spectrum"],
+        # the RK4 trajectories pass; the frequency summary's damping basis fails
+        ["compare", "--model", "micro,phen", "--solver", "ode", "--dt", "5e-4",
+         "--tau-max", "0.01", "--steps", "2"],
+    ):
+        assert cli.main(argv + ["--config", str(cfg), "--nmax", "12", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cond(R)" in err and "cluster" in err
+        assert not out.exists()
 
 
 def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):
@@ -142,6 +149,60 @@ def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "diag.cfg", text)
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
     assert len(calls) == 2  # trajectory validation, then the three observables
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["compare", "--model", "micro,phen"], 2),
+    (["compare", "--model", "micro,phen", "--solver", "ode", "--dt", "2e-3",
+      "--tau-max", "5", "--steps", "50"], 2),  # for the frequency summary only
+    (["evolve", "--solver", "ode", "--dt", "2e-3", "--tau-max", "5", "--steps", "50"], 0),
+])
+def test_one_damping_basis_per_generator(tmp_path, monkeypatch, capsys, argv, solves):
+    calls = []
+
+    def counting(liouvillian):
+        calls.append(liouvillian.dim)
+        return damping_basis(liouvillian)
+
+    damping_basis = solver.damping_basis
+    monkeypatch.setattr(solver, "damping_basis", counting)
+    monkeypatch.setattr(cli, "damping_basis", counting)
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(calls) == solves
+
+
+def test_compare_ode_route_matches_spectral(tmp_path, capsys):
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    grid = ["--tau-max", "5", "--steps", "50"]
+    results = {}
+    for route in (["--solver", "spectral"], ["--solver", "ode", "--dt", "2e-3"]):
+        out = tmp_path / f"{route[1]}.csv"
+        assert cli.main(["compare", "--config", str(cfg), "--model", "micro,phen",
+                         "--out", str(out)] + grid + route) == 0
+        frequencies = [line for line in capsys.readouterr().out.splitlines()
+                       if "frequency" in line]
+        results[route[1]] = (_read_csv(out), frequencies)
+    (header_s, data_s), freq_s = results["spectral"]
+    (header_o, data_o), freq_o = results["ode"]
+    assert header_s == header_o and data_s.shape == data_o.shape == (50, 7)
+    assert np.abs(data_s - data_o).max() < 1e-8
+    assert len(freq_s) == 4 and freq_s == freq_o
+
+
+def test_single_model_runs_steady_only_besides_spectrum(tmp_path, capsys):
+    cfg = _write(tmp_path, "single.cfg", BASE.replace("model = micro", "model = single"))
+    out = tmp_path / "steady.csv"
+    assert cli.main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, data = _read_csv(out)
+    assert header == ["row", "col", "re", "im"] and data.shape == (9, 4)
+    for argv in (["evolve"], ["compare", "--model", "single,micro"]):
+        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steady and spectrum" in captured.err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_compare_bell_contrast(tmp_path, capsys):

@@ -7,7 +7,7 @@ from jcsim.generators import microscopic_generator, phenomenological_generator
 from jcsim.hilbert import DensityMatrix, build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, dressed_states
 from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate, population
-from jcsim.solver import evolve_ode, evolve_spectral
+from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
 
 
 def _doublet_plus(space, params):
@@ -57,7 +57,7 @@ def test_atomic_ground_at_half_rabi_period():
     gamma0 = 0.04
     liouvillian = microscopic_generator(params, space, BathSpec(0.0, FlatSpectrum(gamma0)))
     t_half = np.pi / (2.0 * params.rabi)
-    series = evolve_spectral(liouvillian, pure_state(space.basis_state(0, "e")),
+    series = evolve_spectral(damping_basis(liouvillian), pure_state(space.basis_state(0, "e")),
                              np.array([0.0, t_half]))
     got = evaluate("atomic_ground", series.states, space)[1]
     _, _, pg = rabi_micro(t_half, gamma0, gamma0, params.rabi)
@@ -138,7 +138,7 @@ def _trajectories():
     phen = phenomenological_generator(params, space, 0.082, 0.0)
     times = np.linspace(0.0, 20.0, 200)
     return space, {
-        "spectral": evolve_spectral(micro, rho0, times).states,
+        "spectral": evolve_spectral(damping_basis(micro), rho0, times).states,
         "ode": evolve_ode(phen, rho0, times[:20], 2e-3).states,
     }
 

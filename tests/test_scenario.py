@@ -178,8 +178,9 @@ def test_single_model_is_spectrum_only():
     mapping["model"] = "single"
     scenario = scenario_from_config(serialize_config(mapping))
     assert scenario.generator().dim == 3
-    with pytest.raises(ConfigError, match="spectrum"):
+    with pytest.raises(ConfigError, match="spectrum") as excinfo:
         scenario.initial_state()
+    assert "steady" in str(excinfo.value)
 
 
 def test_with_model_revalidates():

@@ -12,6 +12,7 @@ from jcsim.generators import (
     phenomenological_generator,
     single_excitation_generator,
     unvec,
+    vec,
 )
 from jcsim.hilbert import (
     DensityMatrix,
@@ -30,7 +31,6 @@ from jcsim.solver import (
     dominant_frequency,
     evolve_ode,
     evolve_spectral,
-    expansion_coefficients,
     steady_state,
 )
 
@@ -62,39 +62,36 @@ def _expected_sector_eigenvalues(gamma_a, gamma_b):
 
 @pytest.mark.parametrize("rates", [(GAMMA_A, GAMMA_B), (0.1, 0.1)])
 def test_sector_spectrum_closed_form(rates):
-    modes = damping_basis(single_excitation_generator(PARAMS, *rates))
-    got = np.array([m.eigenvalue for m in modes])
+    got = damping_basis(single_excitation_generator(PARAMS, *rates)).eigenvalues
     expected = _expected_sector_eigenvalues(*rates)
     order = np.lexsort((expected.imag, -expected.real))
     assert np.abs(got - expected[order]).max() < 1e-10
 
 
 def test_damping_basis_biorthonormality_and_sorting():
-    modes = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
-    gram = np.array([[np.trace(mi.left @ mj.right) for mj in modes] for mi in modes])
-    assert np.abs(gram - np.eye(len(modes))).max() < 1e-10
-    reals = [m.eigenvalue.real for m in modes]
+    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
+    assert basis.eigenvalues.shape == (9,)
+    assert basis.right.shape == basis.left.shape == (9, 9)
+    assert np.abs(basis.left @ basis.right - np.eye(9)).max() < 1e-10
+    reals = list(basis.eigenvalues.real)
     assert reals == sorted(reals, reverse=True)
 
 
 def test_zero_mode_pair():
-    modes = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
-    zero = next(m for m in modes if abs(m.eigenvalue) < 1e-12)
-    assert np.abs(zero.left - np.eye(3)).max() < 1e-12
-    assert np.abs(zero.right - np.diag([1.0, 0.0, 0.0])).max() < 1e-12
+    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
+    (zero,) = np.flatnonzero(np.abs(basis.eigenvalues) < 1e-12)
+    # the left functional is the trace: Tr{1 rho} = vec(1) . vec(rho)
+    assert np.abs(basis.left[zero] - vec(np.eye(3))).max() < 1e-12
+    assert np.abs(basis.right[:, zero] - vec(np.diag([1.0, 0.0, 0.0]))).max() < 1e-12
 
 
 def test_damping_modes_satisfy_eigenproblems():
     liouvillian = microscopic_generator(PARAMS, build_space(2), BathSpec(0.0, FlatSpectrum(0.04)))
-    from jcsim.generators import vec
-
-    for mode in damping_basis(liouvillian):
-        right_res = np.abs(liouvillian.matrix @ vec(mode.right)
-                           - mode.eigenvalue * vec(mode.right)).max()
-        left_res = np.abs(vec(mode.left.T) @ liouvillian.matrix
-                          - mode.eigenvalue * vec(mode.left.T)).max()
-        assert right_res < 1e-10
-        assert left_res < 1e-10
+    basis = damping_basis(liouvillian)
+    for k, lam in enumerate(basis.eigenvalues):
+        right, left = basis.right[:, k], basis.left[k]
+        assert np.abs(liouvillian.matrix @ right - lam * right).max() < 1e-10
+        assert np.abs(left @ liouvillian.matrix - lam * left).max() < 1e-10
 
 
 def test_contractivity_of_built_generators():
@@ -104,20 +101,20 @@ def test_contractivity_of_built_generators():
         phenomenological_generator(PARAMS, build_space(2), 0.04, 0.3),
     ]
     for liouvillian in cases:
-        assert max(m.eigenvalue.real for m in damping_basis(liouvillian)) <= 1e-10
+        assert damping_basis(liouvillian).eigenvalues.real.max() <= 1e-10
 
 
 def test_spectral_reproduces_initial_state():
     liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
     rho0 = _sector_state_excited_atom()
-    series = evolve_spectral(liouvillian, rho0, np.array([0.0, 1.0]))
+    series = evolve_spectral(damping_basis(liouvillian), rho0, np.array([0.0, 1.0]))
     assert np.abs(series.states[0] - rho0.matrix).max() < 1e-12
 
 
 def test_spectral_matches_closed_form_density():
     liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
     times = np.linspace(0.0, 30.0, 40)
-    series = evolve_spectral(liouvillian, _sector_state_excited_atom(), times)
+    series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(), times)
     for k, t in enumerate(times):
         oracle = rabi_micro_density(t, GAMMA_A, GAMMA_B, RABI, OMEGA0).matrix
         assert np.abs(series.states[k] - oracle).max() < 1e-10
@@ -127,7 +124,7 @@ def test_spectral_bell_decay_has_two_modes_only():
     liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
     rho0 = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
     times = np.linspace(0.0, 50.0, 60)
-    series = evolve_spectral(liouvillian, rho0, times)
+    series = evolve_spectral(damping_basis(liouvillian), rho0, times)
     for k, t in enumerate(times):
         decay = np.exp(-GAMMA_B * t / 2.0)
         expected = np.diag([1.0 - decay, 0.0, decay]).astype(complex)
@@ -136,15 +133,15 @@ def test_spectral_bell_decay_has_two_modes_only():
 
 def test_expansion_completeness_random_states():
     liouvillian = microscopic_generator(PARAMS, build_space(2), BathSpec(0.0, FlatSpectrum(0.04)))
-    modes = damping_basis(liouvillian)
+    basis = damping_basis(liouvillian)
     rng = np.random.default_rng(11)
     dim = liouvillian.dim
     for _ in range(5):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = x @ x.conj().T
         rho /= np.trace(rho)
-        coeff = expansion_coefficients(modes, rho)
-        recon = sum(c * m.right for c, m in zip(coeff, modes))
+        coeff = basis.left @ vec(rho)
+        recon = unvec(basis.right @ coeff, dim)
         assert np.abs(recon - rho).max() < 1e-9
 
 
@@ -153,7 +150,7 @@ def test_ode_matches_spectral():
     liouvillian = microscopic_generator(PARAMS, space, BathSpec(0.0, FlatSpectrum(0.04)))
     rho0 = pure_state(space.basis_state(0, "e"))
     times = np.linspace(0.0, 40.0, 80)
-    spectral = evolve_spectral(liouvillian, rho0, times)
+    spectral = evolve_spectral(damping_basis(liouvillian), rho0, times)
     ode = evolve_ode(liouvillian, rho0, times, dt=2e-3)
     assert np.abs(spectral.states - ode.states).max() < 1e-8
 
@@ -322,25 +319,25 @@ def test_mode_order_survives_last_bit_changes():
     scaled = Superoperator(comm + gamma0 * dissipator_superoperator([a], [1.0]))
     folded = Superoperator(comm + dissipator_superoperator([a], [gamma0]))
     assert np.abs(scaled.matrix - folded.matrix).max() > 0.0
-    lam_scaled = np.array([m.eigenvalue for m in damping_basis(scaled)])
-    lam_folded = np.array([m.eigenvalue for m in damping_basis(folded)])
+    lam_scaled = damping_basis(scaled).eigenvalues
+    lam_folded = damping_basis(folded).eigenvalues
     assert np.abs(lam_scaled - lam_folded).max() <= 1e-12
 
 
 def test_dominant_frequency_selects_excited_mode():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
     # excited bare atom beats at twice the coupling
-    assert dominant_frequency(liouvillian, _sector_state_excited_atom()) == pytest.approx(
+    assert dominant_frequency(basis, _sector_state_excited_atom()) == pytest.approx(
         2.0 * RABI, abs=1e-12
     )
     # the pure upper doublet state excites no oscillating mode at all
     bell = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    assert dominant_frequency(liouvillian, bell) == 0.0
+    assert dominant_frequency(basis, bell) == 0.0
 
 
 def test_trajectory_states_validated():
     liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
-    series = evolve_spectral(liouvillian, _sector_state_excited_atom(),
+    series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(),
                              np.linspace(0.0, 10.0, 20))
     series.validate_states(1e-8)
 
@@ -355,8 +352,8 @@ _CORRUPTIONS = {
 @pytest.mark.parametrize("defect", list(_CORRUPTIONS))
 def test_validate_states_names_the_corrupted_sample(defect):
     liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
-    series = evolve_spectral(liouvillian, _sector_state_excited_atom(),
-                             np.linspace(0.0, 50.0, 2000), validate=False)
+    series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(),
+                             np.linspace(0.0, 50.0, 2000))
     series.validate_states()
     for k in (1234, 1900):  # the error names the first of them
         series.states[k] = _CORRUPTIONS[defect](series.states[k])
