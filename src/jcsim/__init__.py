@@ -10,10 +10,8 @@ from .bath import (
     rate,
 )
 from .generators import (
-    JumpChannel,
     Superoperator,
     dressed_approx_generator,
-    dressed_approx_validity,
     eigenoperators,
     microscopic_channels,
     microscopic_generator,
@@ -36,8 +34,6 @@ from .jcmodel import (
     complete_eigensystem,
     dressed_states,
     hamiltonian,
-    rwa_validity,
-    truncation_edge_state,
 )
 from .observables import ObservableSet, population
 from .scenario import ConfigError, Scenario, parse_config, scenario_from_config, serialize_config

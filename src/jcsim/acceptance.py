@@ -11,8 +11,7 @@ pins rabi to the window (0.40, 0.414) and we use 0.41.
 
 ``tolerance_scale`` multiplies every "<" threshold (and divides every
 ">" one), so scaling it down corrupts the tolerances and must make the
-suite fail; it exists as a hook for the negative test of the verify
-command.
+suite fail; it exists as a hook for the battery's negative test.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
   for a flat zero-temperature bath, built from the Bohr-frequency
   components of a and a† at their photon-loss and photon-gain rates.
 
+``secular_margin`` measures how close the micro or dressed jump channels
+a run reaches come to breaking the secular approximation behind both.
+
 Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
 vectorized operators: vec(A X B) = (B^T kron A) vec(X).  The vectorization
 order is frozen; every matrix literal in the tests relies on it.
@@ -41,19 +44,6 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class JumpChannel:
-    """One Bohr-frequency-resolved jump: operator plus nonnegative rate."""
-
-    bohr_frequency: float
-    operator: np.ndarray
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"jump rate must be nonnegative, got {self.rate}")
-
-
-@dataclass(frozen=True)
 class Superoperator:
     """Dense Liouvillian matrix on column-major vectorized operators."""
 
@@ -71,10 +61,6 @@ class Superoperator:
     @property
     def dim(self) -> int:
         return int(round(np.sqrt(self.matrix.shape[0])))
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action on an operator: unvec(matrix @ vec(rho))."""
-        return unvec(self.matrix @ vec(rho), self.dim)
 
 
 def commutator_superoperator(h: np.ndarray) -> np.ndarray:
@@ -112,7 +98,7 @@ def eigenoperators(
     eigensystem and groups the pieces by transition frequency (the energy
     lost to the bath in the jump), merging frequencies closer than
     ``freq_tol``.  Returns (omega, operator) channel skeletons sorted by
-    frequency; rates are attached by the generator builders.
+    frequency; the channel builders attach the rates.
 
     The channels satisfy sum_omega A(omega) = P a P with P the projector
     onto the spanned subspace, and A(-omega) = A(omega)†.
@@ -153,10 +139,14 @@ def eigenoperators(
     return channels
 
 
-def _require_positive_rate(g: float, omega: float) -> float:
-    if g < 0:
-        raise ValueError(f"negative rate {g} at Bohr frequency {omega}")
-    return g
+def _closest_coupled_pair(eigensystem: list[DressedState], op: np.ndarray) -> str:
+    """The two eigenstates with the closest energies that ``op`` couples, for messages."""
+    pairs = [(s, t) for s in eigensystem for t in eigensystem
+             if s is not t and abs(s.coefficients.conj() @ op @ t.coefficients) > 0]
+    s, t = min(pairs, key=lambda st: abs(st[0].energy - st[1].energy))
+    names = [st.label if isinstance(st.label, str) else "({}, {:+d})".format(*st.label)
+             for st in (s, t)]
+    return f"{names[0]} at energy {s.energy} and {names[1]} at energy {t.energy}"
 
 
 def microscopic_channels(
@@ -164,20 +154,25 @@ def microscopic_channels(
     space: StateSpace,
     bath: BathSpec,
     freq_tol: float | None = None,
-) -> list[JumpChannel]:
-    """Rate-carrying jump channels of the dressed-state master equation."""
+) -> list[tuple[float, np.ndarray, float]]:
+    """(omega, operator, rate) jump channels of the dressed-state master equation."""
     if space.n_max < 2:
         raise ValueError("microscopic generator needs n_max >= 2")
     if freq_tol is None:
         freq_tol = 1e-9 * params.omega0
     a, a_dag = ladder_operators(space)
-    skeletons = eigenoperators(a + a_dag, complete_eigensystem(params, space), freq_tol)
+    eigensystem = complete_eigensystem(params, space)
     channels = []
-    for omega, op in skeletons:
+    for omega, op in eigenoperators(a + a_dag, eigensystem, freq_tol):
         if abs(omega) <= freq_tol:
-            raise ValueError(f"zero-frequency jump channel at omega = {omega}")
-        g = _require_positive_rate(rate(omega, bath), omega)
-        channels.append(JumpChannel(omega, op, g))
+            raise ValueError(
+                f"zero-frequency jump channel at omega = {omega} between the degenerate "
+                f"states {_closest_coupled_pair(eigensystem, op)}"
+            )
+        g = rate(omega, bath)
+        if g < 0:
+            raise ValueError(f"negative rate {g} at Bohr frequency {omega}")
+        channels.append((omega, op, g))
     return channels
 
 
@@ -204,7 +199,7 @@ def microscopic_generator(
     stationary.  No Lamb-shift correction is added to the commutator.
     """
     channels = microscopic_channels(params, space, bath, freq_tol)
-    return _lindblad(hamiltonian(params, space), [(ch.operator, ch.rate) for ch in channels])
+    return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
 
 
 def _photon_loss(space: StateSpace, gamma0: float, nbar: float) -> list[tuple[np.ndarray, float]]:
@@ -227,6 +222,25 @@ def phenomenological_generator(
     return _lindblad(hamiltonian(params, space), _photon_loss(space, gamma0, nbar))
 
 
+def dressed_channels(
+    params: JCParams,
+    space: StateSpace,
+    gamma0: float,
+    nbar: float,
+    freq_tol: float | None = None,
+) -> list[tuple[float, np.ndarray, float]]:
+    """(omega, operator, rate) jump channels of :func:`dressed_approx_generator`.
+
+    The Bohr-frequency components A(omega) of a, each at the photon-loss
+    rate gamma0(nbar+1), then those of a† at the photon-gain rate gamma0*nbar.
+    """
+    if freq_tol is None:
+        freq_tol = 1e-9 * params.omega0
+    eigensystem = complete_eigensystem(params, space)
+    return [(omega, op, g) for jump, g in _photon_loss(space, gamma0, nbar)
+            for omega, op in eigenoperators(jump, eigensystem, freq_tol)]
+
+
 def dressed_approx_generator(
     params: JCParams,
     space: StateSpace,
@@ -238,31 +252,43 @@ def dressed_approx_generator(
 
     The projection keeps the dissipator's matrix elements between dressed
     coherences whose free-evolution frequencies agree within ``freq_tol``.
-    That is again a Lindblad form: its jumps are the Bohr-frequency
-    components A(omega) of a and a† (see :func:`eigenoperators`), each at
-    the rate of its bare photon-loss or photon-gain jump.  The commutator
-    part is kept in full.
+    That is again a Lindblad form, over the jumps of :func:`dressed_channels`;
+    the commutator part is kept in full.
     """
-    if freq_tol is None:
-        freq_tol = 1e-9 * params.omega0
-    bare = _photon_loss(space, gamma0, nbar)
-    eigensystem = complete_eigensystem(params, space)
-    jumps = [(op, g) for jump, g in bare for _, op in eigenoperators(jump, eigensystem, freq_tol)]
-    return _lindblad(hamiltonian(params, space), jumps)
+    channels = dressed_channels(params, space, gamma0, nbar, freq_tol)
+    return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
 
 
-def dressed_approx_validity(params: JCParams, gamma0: float, n_max: int) -> tuple[bool, float]:
-    """Diagnostic for the secular projection: gamma0 << rabi / (2 N^{3/2}).
+def secular_margin(
+    channels: list[tuple[float, np.ndarray, float]],
+    h: np.ndarray,
+    rho0: np.ndarray,
+) -> tuple[float, float, tuple[float, float] | None]:
+    """How close a run's jump channels come to breaking the secular approximation.
 
-    Evaluated at the largest retained manifold N = n_max with the same
-    factor-of-10 reading of "much less than" as :func:`rwa_validity`;
-    reported, never enforced.
+    Only the live channels (rate > 0) that act on the states reachable
+    from ``rho0`` count.  Those states are the closure of rho0's diagonal
+    support under the nonzero patterns of ``h`` and of the live jumps, so
+    the rule covers zero and finite temperature and crossed manifolds
+    alike.  Returns the largest rate over the smallest spacing between
+    their distinct Bohr frequencies, the largest rate over the smallest
+    |omega|, and the closest pair of frequencies (None with fewer than
+    two; a ratio with nothing to compare is 0).
     """
-    if params.rabi == 0:
-        return False, np.inf
-    bound = params.rabi / (2.0 * n_max**1.5)
-    ratio = gamma0 / bound
-    return ratio <= 0.1, ratio
+    live = [(omega, op, g) for omega, op, g in channels if g > 0]
+    step = np.logical_or.reduce([h != 0] + [op != 0 for _, op, _ in live])
+    reached = np.diag(rho0) != 0
+    for _ in range(len(reached)):  # each pass adds a state until none is left to add
+        reached = reached | step[:, reached].any(axis=1)
+    kept = [(omega, g) for omega, op, g in live if op[:, reached].any()]
+    g_max = max((g for _, g in kept), default=0.0)
+    omegas = np.array(sorted({omega for omega, _ in kept}))
+    nearest = np.abs(omegas).min(initial=np.inf)
+    omega_ratio = g_max / nearest if nearest > 0 else np.inf
+    if len(omegas) < 2:
+        return 0.0, omega_ratio, None
+    k = int(np.argmin(np.diff(omegas)))
+    return g_max / (omegas[k + 1] - omegas[k]), omega_ratio, (omegas[k], omegas[k + 1])
 
 
 def single_excitation_generator(

@@ -14,14 +14,13 @@ numerical diagonalization, so truncation noise never leaks into the jump
 channels derived from it; numerical diagonalization is used only as a
 test oracle.  One bare state, |n_max, e>, has its dressed partner outside
 the truncated space.  It is still an exact eigenstate of the truncated
-Hamiltonian (the coupling out of it is cut off), and is exposed
-separately as the truncation-edge state.
+Hamiltonian (the coupling out of it is cut off), and closes
+:func:`complete_eigensystem` as the truncation-edge state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -93,37 +92,13 @@ def dressed_states(params: JCParams, space: StateSpace) -> list[DressedState]:
     return states
 
 
-def truncation_edge_state(params: JCParams, space: StateSpace) -> DressedState:
-    """The bare eigenstate |n_max, e> at energy (n_max + 1/2) omega0."""
-    energy = (space.n_max + 0.5) * params.omega0
-    return DressedState(BARE_TOP, energy, space.basis_state(space.n_max, "e"))
-
-
 def complete_eigensystem(params: JCParams, space: StateSpace) -> list[DressedState]:
     """Full orthonormal eigenbasis of the truncated Hamiltonian.
 
-    dressed_states() plus the truncation-edge state: exactly ``dim``
-    states, so projector sums over it resolve the identity.
+    dressed_states() plus, last, the truncation-edge state |n_max, e> at
+    energy (n_max + 1/2) omega0: exactly ``dim`` states, so projector sums
+    over it resolve the identity.
     """
-    return dressed_states(params, space) + [truncation_edge_state(params, space)]
-
-
-class RwaValidity(NamedTuple):
-    valid: bool
-    ratio: float
-
-
-def rwa_validity(params: JCParams, gamma_max: float) -> RwaValidity:
-    """Check the secular condition gamma_max << 2*rabi for the jump expansion.
-
-    The smallest Bohr-frequency gap on resonance is 2*rabi, so the rate
-    must sit well below it; "much smaller" is pinned at a factor of 10.
-    The ratio gamma_max / (2*rabi) is returned as a diagnostic rather
-    than enforced.
-    """
-    if gamma_max < 0:
-        raise ValueError(f"gamma_max must be nonnegative, got {gamma_max}")
-    if params.rabi == 0:
-        return RwaValidity(False, np.inf)
-    ratio = gamma_max / (2.0 * params.rabi)
-    return RwaValidity(ratio <= 0.1, ratio)
+    energy = (space.n_max + 0.5) * params.omega0
+    edge = DressedState(BARE_TOP, energy, space.basis_state(space.n_max, "e"))
+    return dressed_states(params, space) + [edge]

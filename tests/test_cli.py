@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,60 @@ def test_evolve_output_is_byte_identical(tmp_path):
     cli.main(["evolve", "--config", str(cfg), "--out", str(out_a)])
     cli.main(["evolve", "--config", str(cfg), "--out", str(out_b)])
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    out = tmp_path / "rabi.csv"
+    previous = os.umask(0o022)
+    try:
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    assert out.stat().st_mode & 0o777 == 0o644
+
+
+OK_MARGIN = ("# secular margin: max rate / min Bohr spacing = 0.1 (ok),"
+             " max rate / min |omega| = 0.139")
+
+
+@pytest.mark.parametrize("model", ["micro", "dressed"])
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_secular_margin_on_bundled_configs(tmp_path, capsys, config, model):
+    # only the (1, +-) -> ground channels at 0.59 and 1.41 are reached
+    assert cli.main(["evolve", "--config", str(CONFIGS / config), "--model", model,
+                     "--steps", "10", "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().out.splitlines() == [OK_MARGIN]
+
+
+@pytest.mark.parametrize("model, ratio, pair, freq_tol", [
+    # the live (2,+) -> (3,-) channel at 0.29 carries micro into manifold 3
+    ("micro", "2.08", "0.8302 and 0.8697", "0.0396"),
+    ("dressed", "0.341", "1.17 and 1.41", "0.241"),
+])
+def test_secular_margin_fails_beyond_one_excitation(tmp_path, capsys, model, ratio, pair,
+                                                    freq_tol):
+    text = (BASE.replace("rabi = 0.2", "rabi = 0.41").replace("0.04", "0.082")
+            .replace("nmax = 2", "nmax = 3").replace("fock:0,e", "fock:1,e"))
+    cfg = _write(tmp_path, "f1e.cfg", text)
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model,
+                     "--out", str(tmp_path / "x.csv")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"# secular margin: max rate / min Bohr spacing = {ratio} (NOT satisfied: "
+        f"omega = {pair} are closest; merging them takes freq_tol >= {freq_tol}), "
+        f"max rate / min |omega| = 8.06"
+    ]
+
+
+def test_secular_margin_skips_phen_and_reads_zero_without_loss(tmp_path, capsys):
+    cfg = _write(tmp_path, "rabi.cfg", BASE.replace("\ngamma0 = 0.04", "\ngamma0 = 0.0"))
+    out = str(tmp_path / "x.csv")
+    assert cli.main(["evolve", "--config", str(cfg), "--model", "phen", "--out", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert cli.main(["evolve", "--config", str(cfg), "--model", "dressed", "--out", out]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "# secular margin: max rate / min Bohr spacing = 0 (ok), max rate / min |omega| = 0"
+    ]
 
 
 def test_evolve_flag_overrides(tmp_path):
@@ -347,7 +402,7 @@ def test_verify_reporting_and_exit_codes(monkeypatch, capsys):
         CriterionResult(1, "alpha", True, ["ok   measured vs threshold"]),
         CriterionResult(2, "beta", True, []),
     ]
-    monkeypatch.setattr(cli, "run_all_criteria", lambda tolerance_scale: passing)
+    monkeypatch.setattr(cli, "run_all_criteria", lambda: passing)
     assert cli.main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "PASS  criterion 1: alpha" in out
@@ -357,7 +412,7 @@ def test_verify_reporting_and_exit_codes(monkeypatch, capsys):
         CriterionResult(1, "alpha", True, []),
         CriterionResult(2, "beta", False, ["FAIL measured vs threshold"]),
     ]
-    monkeypatch.setattr(cli, "run_all_criteria", lambda tolerance_scale: failing)
+    monkeypatch.setattr(cli, "run_all_criteria", lambda: failing)
     assert cli.main(["verify"]) == 2
     out = capsys.readouterr().out
     assert "FAIL  criterion 2: beta" in out

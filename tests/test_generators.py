@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from jcsim import generators
 from jcsim.bath import BathSpec, FlatSpectrum, occupation
 from jcsim.generators import (
-    JumpChannel,
     Superoperator,
     commutator_superoperator,
     dissipator_superoperator,
     dressed_approx_generator,
-    dressed_approx_validity,
     eigenoperators,
     microscopic_channels,
     microscopic_generator,
     phenomenological_generator,
+    secular_margin,
     single_excitation_generator,
     unvec,
     vec,
@@ -92,7 +92,8 @@ def test_microscopic_action_on_upper_doublet():
     proj_plus = np.outer(states[(1, +1)].coefficients, states[(1, +1)].coefficients.conj())
     proj_ground = np.outer(states["ground"].coefficients, states["ground"].coefficients.conj())
     expected = (GAMMA0 / 2.0) * (proj_ground - proj_plus)
-    assert np.abs(liouvillian.apply(proj_plus) - expected).max() < 1e-14
+    image = unvec(liouvillian.matrix @ vec(proj_plus), space.dim)
+    assert np.abs(image - expected).max() < 1e-14
 
 
 @pytest.mark.parametrize("builder", ["micro", "phen", "dressed"])
@@ -123,7 +124,7 @@ def test_hermiticity_preservation(builder):
     for _ in range(5):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         x = x + x.conj().T
-        image = liouvillian.apply(x)
+        image = unvec(liouvillian.matrix @ vec(x), dim)
         assert np.abs(image - image.conj().T).max() < 1e-12
 
 
@@ -162,7 +163,7 @@ def test_structured_bath_channel_rates_vary_with_frequency():
 
     # a narrow reservoir line damps the two sideband transitions unequally
     bath = BathSpec(0.0, LorentzianSpectrum(0.05, 1.2, 0.1))
-    channels = {round(c.bohr_frequency, 9): c.rate for c in
+    channels = {round(omega, 9): g for omega, _, g in
                 microscopic_channels(PARAMS, build_space(2), bath)}
     lower = channels[round(OMEGA0 - RABI, 9)]
     upper = channels[round(OMEGA0 + RABI, 9)]
@@ -284,9 +285,11 @@ def test_single_excitation_trace_preservation():
     assert np.abs(vec(np.eye(3)) @ liouvillian.matrix).max() < 1e-14
 
 
-def test_negative_rates_are_refused():
-    with pytest.raises(ValueError):
-        JumpChannel(1.0, np.eye(2, dtype=complex), -0.1)
+def test_negative_rates_are_refused(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(generators, "rate", lambda omega, bath: -0.1)
+        with pytest.raises(ValueError, match="negative rate"):
+            microscopic_channels(PARAMS, build_space(2), COLD_BATH)
     with pytest.raises(ValueError):
         phenomenological_generator(PARAMS, build_space(2), -0.1, 0.0)
     with pytest.raises(ValueError):
@@ -298,23 +301,61 @@ def test_negative_rates_are_refused():
 def test_channel_rates_follow_the_bath():
     bath = BathSpec(0.5, FlatSpectrum(GAMMA0))
     channels = microscopic_channels(PARAMS, build_space(2), bath)
-    for channel in channels:
-        n = occupation(abs(channel.bohr_frequency), 0.5)
-        expected = GAMMA0 * (n + 1.0) if channel.bohr_frequency > 0 else GAMMA0 * n
-        assert channel.rate == pytest.approx(expected, rel=1e-12)
+    for omega, _, g in channels:
+        n = occupation(abs(omega), 0.5)
+        expected = GAMMA0 * (n + 1.0) if omega > 0 else GAMMA0 * n
+        assert g == pytest.approx(expected, rel=1e-12)
     # emission/absorption pairing with conjugate-transposed operators
-    for channel in channels:
-        partner = next(
-            c for c in channels if abs(c.bohr_frequency + channel.bohr_frequency) < 1e-9
-        )
-        assert np.abs(partner.operator - channel.operator.conj().T).max() < 1e-12
+    for omega, op, _ in channels:
+        partner = next(p_op for p_omega, p_op, _ in channels if abs(p_omega + omega) < 1e-9)
+        assert np.abs(partner - op.conj().T).max() < 1e-12
 
 
-def test_dressed_approx_validity_diagnostic():
-    valid, ratio = dressed_approx_validity(JCParams(1.0, 0.5), 0.001, 4)
-    assert valid and ratio == pytest.approx(0.001 / (0.5 / 16.0))
-    valid, ratio = dressed_approx_validity(JCParams(1.0, 0.5), 0.1, 4)
-    assert not valid
+def test_zero_frequency_channel_names_the_degenerate_states():
+    # at rabi 0.2 and nmax 25, (25, +1) and |25, e> both sit at 25.5 omega0
+    with pytest.raises(ValueError, match="zero-frequency") as info:
+        microscopic_channels(JCParams(1.0, 0.2), build_space(25), COLD_BATH)
+    assert "(25, +1) at energy 25.5" in str(info.value)
+    assert "bare_top at energy 25.5" in str(info.value)
+
+
+def _projector(i, j, dim=3):
+    op = np.zeros((dim, dim), dtype=complex)
+    op[i, j] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("start, expected", [
+    # |1> reaches |0> only; the 0.95 channel acts on |2> and the absorption is dead
+    (1, (0.0, 0.1, None)),
+    # |2> decays through |1>: both emission channels count, 0.05 apart
+    (2, (2.0, 0.1 / 0.95, (0.95, 1.0))),
+    # |0> reaches nothing: the only jump out of it has rate 0
+    (0, (0.0, 0.0, None)),
+])
+def test_secular_margin_counts_only_reachable_live_channels(start, expected):
+    channels = [
+        (1.0, _projector(0, 1), 0.1),
+        (0.95, _projector(1, 2), 0.1),
+        (-1.0, _projector(1, 0), 0.0),
+    ]
+    spacing_ratio, omega_ratio, pair = secular_margin(
+        channels, np.diag([0.0, 1.0, 1.95]).astype(complex), _projector(start, start)
+    )
+    assert spacing_ratio == pytest.approx(expected[0])
+    assert omega_ratio == pytest.approx(expected[1])
+    assert pair == (pytest.approx(expected[2]) if expected[2] else None)
+
+
+def test_secular_margin_follows_hamiltonian_and_thermal_jumps():
+    # the coupling |0> <-> |1> carries |0> into |1>; a live absorption reaches |2>
+    h = np.diag([0.0, 1.0, 1.95]).astype(complex)
+    h[0, 1] = h[1, 0] = 0.3
+    channels = [(1.0, _projector(0, 1), 0.1), (-0.95, _projector(2, 1), 0.02),
+                (0.95, _projector(1, 2), 0.1)]
+    spacing_ratio, omega_ratio, pair = secular_margin(channels, h, _projector(0, 0))
+    assert pair == (pytest.approx(0.95), pytest.approx(1.0))
+    assert spacing_ratio == pytest.approx(2.0) and omega_ratio == pytest.approx(0.1 / 0.95)
 
 
 def test_superoperator_shape_validation():

@@ -7,8 +7,6 @@ from jcsim.jcmodel import (
     complete_eigensystem,
     dressed_states,
     hamiltonian,
-    rwa_validity,
-    truncation_edge_state,
 )
 
 
@@ -94,18 +92,6 @@ def test_numerical_diagonalization_oracle():
     assert np.abs(np.array(numeric_matched) - np.array(analytic)).max() < 1e-10
 
 
-def test_rwa_validity_threshold():
-    params = JCParams(1.0, 0.5)
-    assert rwa_validity(params, 0.1) == (True, pytest.approx(0.1))
-    assert rwa_validity(params, 0.0) == (True, 0.0)
-    valid, ratio = rwa_validity(params, 0.5)
-    assert not valid and ratio == pytest.approx(0.5)
-    valid, ratio = rwa_validity(JCParams(1.0, 0.0), 0.1)
-    assert not valid and ratio == np.inf
-    with pytest.raises(ValueError):
-        rwa_validity(params, -0.1)
-
-
 def test_params_validation():
     with pytest.raises(ValueError):
         JCParams(0.0, 0.1)
@@ -118,4 +104,4 @@ def test_edge_state_partner_is_outside_space():
     params = JCParams(1.0, 0.2)
     labels = [s.label for s in dressed_states(params, space)]
     assert "bare_top" not in labels
-    assert truncation_edge_state(params, space).label == "bare_top"
+    assert complete_eigensystem(params, space)[-1].label == "bare_top"
