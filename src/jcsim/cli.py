@@ -182,16 +182,9 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
         raise ConfigError(f"--model takes a pair only with compare, got {args.model!r}")
     if args.model and "," not in args.model:
         overrides["model"] = args.model
-    if args.nmax is not None:
-        overrides["n_max"] = args.nmax
-    if args.tau_max is not None:
-        overrides["tau_max"] = args.tau_max
-    if args.steps is not None:
-        overrides["steps"] = args.steps
-    if args.solver is not None:
-        overrides["solver"] = args.solver
-    if args.dt is not None:
-        overrides["dt"] = args.dt
+    for field in ("n_max", "tau_max", "steps", "solver", "dt"):
+        if getattr(args, field) is not None:
+            overrides[field] = getattr(args, field)
     if overrides:
         scenario = replace(scenario, **overrides)
     return scenario
@@ -212,7 +205,7 @@ def _print_advisories(scenario: Scenario) -> None:
     # judged as printed: rounding makes 0.082/0.82 come out as 0.10000000000000002
     verdict = "ok"
     if float(f"{spacing_ratio:.3g}") > 0.1:
-        # no freq_tol below their spacing (rounded up here) can group them together
+        # freq_tol groups them from their spacing on (rounded up here), and not below it
         gap = pair[1] - pair[0]
         scale = 10.0 ** (np.floor(np.log10(gap)) - 2)
         verdict = (
@@ -249,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--config", required=True, help="path to key=value config file")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument("--model", help="override model (compare: pair 'a,b')")
-        cmd.add_argument("--nmax", type=int)
+        cmd.add_argument("--nmax", dest="n_max", metavar="NMAX", type=int)
         cmd.add_argument("--tau-max", dest="tau_max", type=float)
         cmd.add_argument("--steps", type=int)
         cmd.add_argument("--solver", choices=("spectral", "ode"))

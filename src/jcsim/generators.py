@@ -18,8 +18,10 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
 a run reaches come to breaking the secular approximation behind both.
 
 Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
-vectorized operators: vec(A X B) = (B^T kron A) vec(X).  The vectorization
-order is frozen; every matrix literal in the tests relies on it.
+vectorized operators, vec(X)[i + d*j] = X[i, j].  Row i + d*j and column
+k + d*l of L are entry [j, i, l, k] of L.reshape(d, d, d, d): the weight
+of X[k, l] in (L X)[i, j].  The vectorization order is frozen; every
+matrix literal in the tests relies on it.
 """
 
 from __future__ import annotations
@@ -63,30 +65,6 @@ class Superoperator:
         return int(round(np.sqrt(self.matrix.shape[0])))
 
 
-def commutator_superoperator(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i [h, rho]."""
-    idm = np.eye(h.shape[0], dtype=complex)
-    return -1j * (np.kron(idm, h) - np.kron(h.T, idm))
-
-
-def dissipator_superoperator(operators: list[np.ndarray], rates: list[float]) -> np.ndarray:
-    """Matrix of rho -> sum_c rate_c (A_c rho A_c† - (1/2){A_c†A_c, rho}).
-
-    Assembled with one batched contraction over the channels rather than
-    per-channel dim^2 Kronecker products, which dominate the build time
-    once the manifold count grows.
-    """
-    stack = np.array(operators, dtype=complex)
-    g = np.asarray(rates, dtype=float)
-    d = stack.shape[1]
-    sandwich = np.einsum(
-        "c,cij,ckl->ikjl", g, stack.conj(), stack, optimize=True
-    ).reshape(d * d, d * d)
-    weighted_ada = np.einsum("c,cij->ij", g, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
-    idm = np.eye(d, dtype=complex)
-    return sandwich - 0.5 * np.kron(idm, weighted_ada) - 0.5 * np.kron(weighted_ada.T, idm)
-
-
 def eigenoperators(
     a: np.ndarray,
     eigensystem: list[DressedState],
@@ -96,9 +74,10 @@ def eigenoperators(
 
     Sandwiches ``a`` between eigenprojectors of the provided (orthonormal)
     eigensystem and groups the pieces by transition frequency (the energy
-    lost to the bath in the jump), merging frequencies closer than
-    ``freq_tol``.  Returns (omega, operator) channel skeletons sorted by
-    frequency; the channel builders attach the rates.
+    lost to the bath in the jump): sorted frequencies stay in one group
+    while each lies within ``freq_tol`` of the one before it.  Returns
+    (omega, operator) channel skeletons sorted by frequency; the channel
+    builders attach the rates.
 
     The channels satisfy sum_omega A(omega) = P a P with P the projector
     onto the spanned subspace, and A(-omega) = A(omega)†.
@@ -126,8 +105,8 @@ def eigenoperators(
     channels: list[tuple[float, np.ndarray]] = []
     i = 0
     while i < len(entries):
-        j = i
-        while j < len(entries) and entries[j][0] - entries[i][0] <= freq_tol:
+        j = i + 1
+        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= freq_tol:
             j += 1
         members = entries[i:j]
         omega = float(np.mean([m[0] for m in members]))
@@ -139,14 +118,16 @@ def eigenoperators(
     return channels
 
 
-def _closest_coupled_pair(eigensystem: list[DressedState], op: np.ndarray) -> str:
-    """The two eigenstates with the closest energies that ``op`` couples, for messages."""
+def _closest_coupled_pair(eigensystem: list[DressedState], op: np.ndarray) -> tuple[float, str]:
+    """Energy gap and description of the closest-lying eigenstates ``op`` couples."""
     pairs = [(s, t) for s in eigensystem for t in eigensystem
              if s is not t and abs(s.coefficients.conj() @ op @ t.coefficients) > 0]
     s, t = min(pairs, key=lambda st: abs(st[0].energy - st[1].energy))
     names = [st.label if isinstance(st.label, str) else "({}, {:+d})".format(*st.label)
              for st in (s, t)]
-    return f"{names[0]} at energy {s.energy} and {names[1]} at energy {t.energy}"
+    return abs(s.energy - t.energy), (
+        f"{names[0]} at energy {s.energy} and {names[1]} at energy {t.energy}"
+    )
 
 
 def microscopic_channels(
@@ -165,10 +146,13 @@ def microscopic_channels(
     channels = []
     for omega, op in eigenoperators(a + a_dag, eigensystem, freq_tol):
         if abs(omega) <= freq_tol:
-            raise ValueError(
-                f"zero-frequency jump channel at omega = {omega} between the degenerate "
-                f"states {_closest_coupled_pair(eigensystem, op)}"
-            )
+            gap, pair = _closest_coupled_pair(eigensystem, op)
+            if gap <= 1e-9 * params.omega0:
+                cause = f"between the degenerate states {pair}"
+            else:
+                cause = (f"because freq_tol = {freq_tol} merged the channels at omega ="
+                         f" {gap:.3g} and {-gap:.3g} between the states {pair} into omega = 0")
+            raise ValueError(f"zero-frequency jump channel at omega = {omega} {cause}")
         g = rate(omega, bath)
         if g < 0:
             raise ValueError(f"negative rate {g} at Bohr frequency {omega}")
@@ -177,12 +161,29 @@ def microscopic_channels(
 
 
 def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoperator:
-    """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate."""
-    mat = commutator_superoperator(h)
+    """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate.
+
+    Filled as -i h_eff rho + i rho h_eff† + sum_c rate_c A_c rho A_c†, with
+    h_eff = h - (i/2) sum_c rate_c A_c†A_c, through the (d, d, d, d) view
+    of L described in the module docstring.
+    """
+    d = h.shape[0]
     active = [(op, g) for op, g in jumps if g != 0.0]
     if active:
-        mat += dissipator_superoperator(*zip(*active))
-    return Superoperator(mat)
+        stack = np.array([op for op, _ in active], dtype=complex)
+        rates = np.array([g for _, g in active], dtype=float)
+        t = np.einsum("c,cjl,cik->jilk", rates, stack.conj(), stack, optimize=True)
+        weighted_ada = np.einsum("c,cij->ij", rates, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
+        h_eff = h - 0.5j * weighted_ada
+    else:
+        t = np.zeros((d, d, d, d), dtype=complex)
+        h_eff = h
+    idx = np.arange(d)
+    # t[m, i, m, k] weighs X[k, m] in (h_eff X)[i, m];
+    # t[j, m, l, m] weighs X[m, l] in (X h_eff†)[m, j]
+    t[idx, :, idx, :] += -1j * h_eff
+    t[:, idx, :, idx] += 1j * h_eff.conj()
+    return Superoperator(t.reshape(d * d, d * d))
 
 
 def microscopic_generator(

@@ -5,9 +5,9 @@ from jcsim import generators
 from jcsim.bath import BathSpec, FlatSpectrum, occupation
 from jcsim.generators import (
     Superoperator,
-    commutator_superoperator,
-    dissipator_superoperator,
+    _lindblad,
     dressed_approx_generator,
+    dressed_channels,
     eigenoperators,
     microscopic_channels,
     microscopic_generator,
@@ -17,7 +17,7 @@ from jcsim.generators import (
     unvec,
     vec,
 )
-from jcsim.hilbert import build_space, ladder_operators
+from jcsim.hilbert import atomic_operators, build_space, ladder_operators
 from jcsim.jcmodel import DressedState, JCParams, complete_eigensystem, dressed_states, hamiltonian
 
 OMEGA0 = 1.0
@@ -25,6 +25,24 @@ RABI = 0.2  # keeps every downward transition below every upward one for n_max <
 GAMMA0 = 0.04
 PARAMS = JCParams(OMEGA0, RABI)
 COLD_BATH = BathSpec(0.0, FlatSpectrum(GAMMA0))
+
+
+def _kron_lindblad(h, jumps):
+    # reference assembly from dim^2 x dim^2 Kronecker products:
+    # vec(A X B) = (B^T kron A) vec(X) for column-major vec
+    idm = np.eye(h.shape[0], dtype=complex)
+    mat = -1j * (np.kron(idm, h) - np.kron(h.T, idm))
+    active = [(op, g) for op, g in jumps if g != 0.0]
+    if active:
+        stack = np.array([op for op, _ in active], dtype=complex)
+        rates = np.array([g for _, g in active], dtype=float)
+        d = stack.shape[1]
+        sandwich = np.einsum(
+            "c,cij,ckl->ikjl", rates, stack.conj(), stack, optimize=True
+        ).reshape(d * d, d * d)
+        weighted_ada = np.einsum("c,cij->ij", rates, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
+        mat += sandwich - 0.5 * np.kron(idm, weighted_ada) - 0.5 * np.kron(weighted_ada.T, idm)
+    return mat
 
 
 def _dressed_transform(params, space):
@@ -73,6 +91,21 @@ def test_eigenoperator_completeness_and_conjugation():
     for omega, op in channels:
         partner = next(o for w, o in channels if abs(w + omega) < 1e-9)
         assert np.abs(partner - op.conj().T).max() < 1e-12
+
+
+def test_eigenoperators_group_runs_of_close_frequencies():
+    # fock:1,e parameters: the dressed advisory names 1.1698 and 1.41, 0.2402 apart, as the
+    # closest pair; 1.1303 lies 0.28 below 1.41, so counting from a group's first member
+    # would keep the pair apart at freq_tol = 0.241
+    params, space = JCParams(1.0, 0.41), build_space(3)
+    states = {s.label: s for s in complete_eigensystem(params, space)}
+
+    def amplitude(op, lower, upper):
+        return abs(states[lower].coefficients.conj() @ op @ states[upper].coefficients)
+
+    channels = dressed_channels(params, space, 0.082, 0.0, 0.241)
+    (op,) = [op for _, op, _ in channels if amplitude(op, "ground", (1, +1)) > 0.5]  # omega 1.41
+    assert amplitude(op, (1, +1), (2, +1)) > 0.5  # omega 1.1698
 
 
 def test_eigenoperators_reject_non_orthonormal():
@@ -170,11 +203,60 @@ def test_structured_bath_channel_rates_vary_with_frequency():
     assert upper > 5.0 * lower  # the line sits near omega0 + rabi
 
 
+def _model_generator(model, n_max, temperature):
+    space = build_space(n_max)
+    nbar = occupation(OMEGA0, temperature)
+    if model == "micro":
+        return microscopic_generator(PARAMS, space, BathSpec(temperature, FlatSpectrum(GAMMA0)))
+    if model == "phen":
+        return phenomenological_generator(PARAMS, space, GAMMA0, nbar)
+    if model == "dressed":
+        return dressed_approx_generator(PARAMS, space, GAMMA0, nbar)
+    if model == "lossless":
+        return phenomenological_generator(PARAMS, space, 0.0, 0.0)
+    if model == "single":
+        return single_excitation_generator(PARAMS, 0.05, 0.08)
+    # sigma_minus + sigma_plus flips the atom alone and breaks the excitation count
+    a, _ = ladder_operators(space)
+    sm, sp, _ = atomic_operators(space)
+    return generators._lindblad(hamiltonian(PARAMS, space), [(a, 0.05), (sm + sp, 0.01)])
+
+
+@pytest.mark.parametrize("model, n_max, temperature", [
+    *[(model, n_max, temperature) for model in ("micro", "phen", "dressed")
+      for n_max in (2, 3, 8) for temperature in (0.0, 0.22)],
+    ("single", 2, 0.0),
+    ("lossless", 3, 0.0),
+    ("u1-breaking", 3, 0.0),
+])
+def test_lindblad_matches_kron_reference(model, n_max, temperature, monkeypatch):
+    calls = []
+    lindblad = generators._lindblad
+
+    def recording(h, jumps):
+        calls.append((h, jumps))
+        return lindblad(h, jumps)
+
+    monkeypatch.setattr(generators, "_lindblad", recording)
+    built = _model_generator(model, n_max, temperature)
+    (h, jumps), = calls
+    assert np.array_equal(built.matrix, _kron_lindblad(h, jumps))
+
+
+def test_generators_never_call_kron(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.kron called")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    for model in ("micro", "phen", "dressed", "single"):
+        assert np.isfinite(_model_generator(model, 3, 0.22).matrix).all()
+
+
 def test_phenomenological_reduces_to_zero_temperature_form():
     space = build_space(2)
     a, _ = ladder_operators(space)
-    zero_t = commutator_superoperator(hamiltonian(PARAMS, space)) \
-        + GAMMA0 * dissipator_superoperator([a], [1.0])
+    h = hamiltonian(PARAMS, space)
+    zero_t = _kron_lindblad(h, []) + GAMMA0 * _kron_lindblad(np.zeros_like(h), [(a, 1.0)])
     built = phenomenological_generator(PARAMS, space, GAMMA0, 0.0)
     assert np.array_equal(built.matrix, zero_t)
 
@@ -182,7 +264,7 @@ def test_phenomenological_reduces_to_zero_temperature_form():
 def test_photon_loss_dissipator_action():
     space = build_space(2)
     a, _ = ladder_operators(space)
-    dissipator = dissipator_superoperator([a], [GAMMA0])
+    dissipator = _lindblad(np.zeros((space.dim, space.dim)), [(a, GAMMA0)]).matrix
     one_g = np.outer(space.basis_state(1, "g"), space.basis_state(1, "g").conj())
     zero_g = np.outer(space.basis_state(0, "g"), space.basis_state(0, "g").conj())
     got = unvec(dissipator @ vec(one_g), space.dim)
@@ -194,7 +276,7 @@ def test_photon_loss_dissipator_action():
 
 def test_dressed_approx_zero_damping_is_pure_commutator():
     space = build_space(3)
-    comm = commutator_superoperator(hamiltonian(PARAMS, space))
+    comm = _kron_lindblad(hamiltonian(PARAMS, space), [])
     for built in (
         phenomenological_generator(PARAMS, space, 0.0, 0.0),
         dressed_approx_generator(PARAMS, space, 0.0, 0.0),
@@ -213,7 +295,7 @@ def test_dressed_approx_differs_from_phenomenological_at_first_order():
 def _secular_projection_reference(params, space, gamma0, nbar, freq_tol=1e-9):
     # the definition: phenomenological dissipator in the dressed basis, every element
     # between coherences of different free frequency zeroed, transformed back
-    comm = commutator_superoperator(hamiltonian(params, space))
+    comm = _kron_lindblad(hamiltonian(params, space), [])
     dissipator = phenomenological_generator(params, space, gamma0, nbar).matrix - comm
     system, to_dressed, to_bare = _dressed_transform(params, space)
     energies = np.array([st.energy for st in system])
@@ -315,8 +397,20 @@ def test_zero_frequency_channel_names_the_degenerate_states():
     # at rabi 0.2 and nmax 25, (25, +1) and |25, e> both sit at 25.5 omega0
     with pytest.raises(ValueError, match="zero-frequency") as info:
         microscopic_channels(JCParams(1.0, 0.2), build_space(25), COLD_BATH)
-    assert "(25, +1) at energy 25.5" in str(info.value)
+    assert "between the degenerate states (25, +1) at energy 25.5" in str(info.value)
     assert "bare_top at energy 25.5" in str(info.value)
+
+
+def test_zero_frequency_channel_merged_by_freq_tol_names_freq_tol():
+    # fock:1,e parameters: (1, +1) and (2, -1) lie 0.0102 apart, so freq_tol = 0.04
+    # merges their two channels into omega = 0 although no states are degenerate
+    with pytest.raises(ValueError, match="zero-frequency") as info:
+        microscopic_channels(JCParams(1.0, 0.41), build_space(3), COLD_BATH, 0.04)
+    message = str(info.value)
+    assert "degenerate" not in message
+    assert "freq_tol = 0.04 merged the channels at omega = 0.0102 and -0.0102" in message
+    assert "between the states (1, +1) at energy 0.9" in message
+    assert "and (2, -1) at energy 0.92017" in message
 
 
 def _projector(i, j, dim=3):

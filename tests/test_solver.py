@@ -5,8 +5,7 @@ from jcsim.analytic import rabi_micro_density
 from jcsim.bath import BathSpec, FlatSpectrum, occupation
 from jcsim.generators import (
     Superoperator,
-    commutator_superoperator,
-    dissipator_superoperator,
+    _lindblad,
     dressed_approx_generator,
     microscopic_generator,
     phenomenological_generator,
@@ -251,8 +250,7 @@ def _u1_breaking_generator(n_max: int) -> Superoperator:
     space = build_space(n_max)
     a, _ = ladder_operators(space)
     sm, sp, _ = atomic_operators(space)
-    comm = commutator_superoperator(hamiltonian(PARAMS, space))
-    return Superoperator(comm + dissipator_superoperator([a, sm + sp], [0.05, 0.01]))
+    return _lindblad(hamiltonian(PARAMS, space), [(a, 0.05), (sm + sp, 0.01)])
 
 
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed", "u1-breaking"])
@@ -315,9 +313,10 @@ def test_mode_order_survives_last_bit_changes():
     # trade places where real parts tie exactly (bell_atomic_ground, phen model)
     space, gamma0 = build_space(3), 0.082
     a, _ = ladder_operators(space)
-    comm = commutator_superoperator(hamiltonian(JCParams(1.0, 0.41), space))
-    scaled = Superoperator(comm + gamma0 * dissipator_superoperator([a], [1.0]))
-    folded = Superoperator(comm + dissipator_superoperator([a], [gamma0]))
+    h = hamiltonian(JCParams(1.0, 0.41), space)
+    dissipator = _lindblad(np.zeros_like(h), [(a, 1.0)]).matrix
+    scaled = Superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
+    folded = _lindblad(h, [(a, gamma0)])
     assert np.abs(scaled.matrix - folded.matrix).max() > 0.0
     lam_scaled = damping_basis(scaled).eigenvalues
     lam_folded = damping_basis(folded).eigenvalues
