@@ -35,6 +35,7 @@ from .solver import (
     dominant_frequency,
     evolve_ode,
     evolve_spectral,
+    rk4_step_limit,
     steady_state,
 )
 
@@ -85,9 +86,27 @@ def run_trajectory(scenario: Scenario) -> tuple[Superoperator, DampingBasis | No
     return liouvillian, basis, series
 
 
+def _ode_step_bound(liouvillian: Superoperator) -> str:
+    """:func:`rk4_step_limit` rounded down to 3 significant digits, as printed."""
+    limit = rk4_step_limit(liouvillian)
+    scale = 10.0 ** (np.floor(np.log10(limit)) - 2)
+    steps = np.floor(limit / scale)
+    while float(f"{steps * scale:.3g}") > limit:  # the decimal may parse a bit above
+        steps -= 1
+    return f"{steps * scale:.3g}"
+
+
 def run_evolve(scenario: Scenario, out_path: str) -> None:
-    """Write 'tau,<observables>' CSV for one scenario."""
-    _, _, series = run_trajectory(scenario)
+    """Write 'tau,<observables>' CSV for one scenario.
+
+    A damping basis that fails on the spectral route names the RK4 route
+    and a step it accepts; the route is never switched silently.
+    """
+    try:
+        _, _, series = run_trajectory(scenario)
+    except DampingBasisError as exc:
+        bound = _ode_step_bound(scenario.generator())
+        raise DampingBasisError(f"{exc}; rerun with --solver ode --dt {bound}") from exc
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
     columns = [tau] + [series.observables[n] for n in scenario.observables.names]
@@ -190,6 +209,17 @@ def _load_scenario(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
+def _merges_into_zero(scenario: Scenario, freq_tol: float) -> bool:
+    """Whether the micro channels at ``freq_tol`` hit the zero-frequency rejection."""
+    try:
+        microscopic_channels(scenario.params, scenario.space(), scenario.bath, freq_tol)
+    except ValueError as exc:
+        if "zero-frequency" in str(exc):
+            return True
+        raise
+    return False
+
+
 def _print_advisories(scenario: Scenario) -> None:
     """The secular margin of the micro or dressed channels over the states rho0 reaches."""
     if scenario.model not in ("micro", "dressed"):
@@ -208,10 +238,16 @@ def _print_advisories(scenario: Scenario) -> None:
         # freq_tol groups them from their spacing on (rounded up here), and not below it
         gap = pair[1] - pair[0]
         scale = 10.0 ** (np.floor(np.log10(gap)) - 2)
-        verdict = (
-            f"NOT satisfied: omega = {pair[0]:.4g} and {pair[1]:.4g} are closest;"
-            f" merging them takes freq_tol >= {np.ceil(gap / scale) * scale:.3g}"
-        )
+        remedy = float(f"{np.ceil(gap / scale) * scale:.3g}")
+        verdict = f"NOT satisfied: omega = {pair[0]:.4g} and {pair[1]:.4g} are closest;"
+        if scenario.model == "micro" and _merges_into_zero(scenario, remedy):
+            nearest = min(abs(omega) for omega, _, _ in channels)
+            verdict += (
+                f" micro cannot merge them: freq_tol >= {remedy:.3g} also merges"
+                f" omega = {nearest:.3g} and {-nearest:.3g} into omega = 0"
+            )
+        else:
+            verdict += f" merging them takes freq_tol >= {remedy:.3g}"
     print(
         f"# secular margin: max rate / min Bohr spacing = {spacing_ratio:.3g} ({verdict}),"
         f" max rate / min |omega| = {omega_ratio:.3g}"

@@ -20,14 +20,21 @@ defective matrix surfaces as a residual failure and raises with the
 offending eigenvalue cluster named.
 
 The fixed-step RK4 integrator is an independent verification path: it
-never touches the eigendecomposition, so agreement between the two
-solvers checks both.
+never touches an eigendecomposition, so agreement between the two
+solvers checks both.  On the linear ODE one RK4 step of size h is the
+matrix P(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a grid
+interval of n uniform substeps is the power P(hL)^n.  It is formed by
+repeated squaring once per distinct interval length (a linspace grid has
+a dozen or so), only on the decoupled blocks where rho(0) has weight,
+and with the identity kept apart so that rounding against it cannot
+accumulate over the substeps.
 
-The steady state needs only the kernel, so it never diagonalizes the
-whole Liouvillian: the generator splits into decoupled blocks (the
-connected components of its nonzero pattern; for the Jaynes-Cummings
-generators, the sectors of fixed excitation difference N_row - N_col),
-and the kernel is found block by block.
+The generator splits into decoupled blocks, the connected components of
+its nonzero pattern; for the Jaynes-Cummings generators these are the
+sectors of fixed excitation difference N_row - N_col, and a coupling
+that breaks the symmetry merges them.  The RK4 propagator is built block
+by block, and the steady state, which needs only the kernel, is found
+block by block without diagonalizing the whole Liouvillian.
 """
 
 from __future__ import annotations
@@ -169,16 +176,28 @@ def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray)
     return TimeSeries(times, states).validate_states()
 
 
-def _rk4_segment(mat: np.ndarray, v: np.ndarray, span: float, max_step: float) -> np.ndarray:
-    n_sub = max(1, int(np.ceil(span / max_step - 1e-12)))
-    h = span / n_sub
-    for _ in range(n_sub):
-        k1 = mat @ v
-        k2 = mat @ (v + 0.5 * h * k1)
-        k3 = mat @ (v + 0.5 * h * k2)
-        k4 = mat @ (v + h * k3)
-        v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
+def rk4_step_limit(liouvillian: Superoperator) -> float:
+    """Longest RK4 step :func:`evolve_ode` accepts: 0.01 / max|diag L|."""
+    return 0.01 / max(float(np.abs(np.diag(liouvillian.matrix)).max()), 1e-300)
+
+
+def _rk4_step_increment(block: np.ndarray, h: float) -> np.ndarray:
+    """P(hL) - I for one classical RK4 step of v' = block v: hL + ... + (hL)^4/24."""
+    eye = np.eye(block.shape[0])
+    hl = h * block
+    return hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
+
+
+def _power_increment(q: np.ndarray, n: int) -> np.ndarray:
+    """(I + q)^n - I by repeated squaring, never rounding q against the identity."""
+    result, square = np.zeros_like(q), q
+    while True:
+        if n & 1:
+            result = result + square + result @ square
+        n >>= 1
+        if not n:
+            return result
+        square = 2.0 * square + square @ square
 
 
 def evolve_ode(
@@ -189,30 +208,43 @@ def evolve_ode(
 ) -> TimeSeries:
     """Fixed-step 4th-order Runge-Kutta trajectory sampled on ``times``, validated.
 
-    Each grid interval is covered with uniform substeps no longer than
-    ``dt``, so a uniform grid is integrated with one global step size.
-    ``dt`` must resolve the fastest scale of the generator:
-    dt <= 0.01 / max|diag L|, the diagonal carrying every Bohr frequency
-    and decay rate.
+    Each grid interval (the first one from t = 0) is covered with
+    n_sub = ceil(span / dt) uniform substeps of h = span / n_sub, so a
+    uniform grid is integrated with one global step size.  One RK4 step
+    is multiplication by P(hL), the 4th-order Taylor polynomial of
+    exp(hL), so each interval applies P(hL)^n_sub - I, formed once per
+    distinct interval length, as v <- v + (P^n_sub - I) v.  Both are
+    built on each decoupled block of L in which rho0 has weight; the
+    other blocks stay exactly zero.  ``dt`` must resolve the fastest
+    scale of the generator: dt <= :func:`rk4_step_limit`, the diagonal of
+    L carrying every Bohr frequency and decay rate.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be a nonempty strictly increasing grid with t >= 0")
-    mat = liouvillian.matrix
-    scale = float(np.abs(np.diag(mat)).max())
-    limit = 0.01 / max(scale, 1e-300)
+    limit = rk4_step_limit(liouvillian)
     if dt > limit:
         raise StepSizeError(f"dt = {dt:.3e} exceeds 0.01/max|diag L| = {limit:.3e}")
 
+    mat = liouvillian.matrix
     dim = liouvillian.dim
-    states = np.empty((times.size, dim, dim), dtype=complex)
-    v = vec(rho0.matrix)
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        if t > t_prev:
-            v = _rk4_segment(mat, v, t - t_prev, dt)
-            t_prev = t
-        states[k] = unvec(v, dim)
+    v0 = vec(rho0.matrix)
+    lengths, interval = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
+    n_sub = np.maximum(1, np.ceil(lengths / dt - 1e-12).astype(int))
+    flat = np.zeros((times.size, dim * dim), dtype=complex)
+    for block in _coupled_blocks(mat):
+        if not v0[block].any():
+            continue
+        sub = mat[np.ix_(block, block)]
+        increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
+                      for span, n in zip(lengths, n_sub)]
+        v = v0[block]
+        trajectory = np.empty((times.size, block.size), dtype=complex)
+        for k, j in enumerate(interval):
+            v = v + increments[j] @ v
+            trajectory[k] = v
+        flat[:, block] = trajectory
+    states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
 
     drift = abs(np.trace(states[-1]) - np.trace(rho0.matrix))
     if drift > 1e-10:

@@ -1,12 +1,15 @@
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jcsim import cli, observables, solver
+from jcsim import analytic, cli, observables, solver
 from jcsim.acceptance import CriterionResult, run_criterion
 from jcsim.analytic import rabi_micro
+from jcsim.generators import Superoperator
+from jcsim.scenario import scenario_from_config
 
 BASE = """
 model = micro
@@ -127,11 +130,31 @@ def test_secular_margin_fails_beyond_one_excitation(tmp_path, capsys, model, rat
     cfg = _write(tmp_path, "f1e.cfg", text)
     assert cli.main(["evolve", "--config", str(cfg), "--model", model,
                      "--out", str(tmp_path / "x.csv")]) == 0
+    # micro's ±0.0102 channels of (1, +)/(2, -) would merge into omega = 0 at that freq_tol
+    remedy = {
+        "micro": f"micro cannot merge them: freq_tol >= {freq_tol} also merges"
+                 " omega = 0.0102 and -0.0102 into omega = 0",
+        "dressed": f"merging them takes freq_tol >= {freq_tol}",
+    }[model]
     assert capsys.readouterr().out.splitlines() == [
         f"# secular margin: max rate / min Bohr spacing = {ratio} (NOT satisfied: "
-        f"omega = {pair} are closest; merging them takes freq_tol >= {freq_tol}), "
-        f"max rate / min |omega| = 8.06"
+        f"omega = {pair} are closest; {remedy}), max rate / min |omega| = 8.06"
     ]
+
+
+@pytest.mark.parametrize("model, freq_tol, code", [("micro", "0.0396", 2), ("dressed", "0.241", 0)])
+def test_secular_remedy_is_offered_only_where_the_build_takes_it(tmp_path, capsys, model,
+                                                                 freq_tol, code):
+    text = (BASE.replace("rabi = 0.2", "rabi = 0.41").replace("0.04", "0.082")
+            .replace("nmax = 2", "nmax = 3").replace("fock:0,e", "fock:1,e"))
+    cfg = _write(tmp_path, "f1e.cfg", text + f"freq_tol = {freq_tol}\n")
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model,
+                     "--out", str(tmp_path / "x.csv")]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert "zero-frequency jump channel" in captured.err
+    else:  # the pair the advisory named now shares one channel
+        assert "omega = 1.17 and 1.41 are closest" not in captured.out
 
 
 def test_secular_margin_skips_phen_and_reads_zero_without_loss(tmp_path, capsys):
@@ -186,7 +209,51 @@ def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
         assert cli.main(argv + ["--config", str(cfg), "--nmax", "12", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cond(R)" in err and "cluster" in err
+        assert "--solver ode" not in err  # both still need the damping basis
         assert not out.exists()
+
+
+def test_spectral_failure_names_the_rk4_remedy(tmp_path, capsys):
+    cfg, out = CONFIGS / "bell_atomic_ground.cfg", tmp_path / "e.csv"
+    argv = ["evolve", "--config", str(cfg), "--model", "phen", "--nmax", "12", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "cond(R)" in err and not out.exists()
+    liouvillian = replace(scenario_from_config(cfg.read_text()), model="phen", n_max=12).generator()
+    limit = solver.rk4_step_limit(liouvillian)
+    bound = cli._ode_step_bound(liouvillian)
+    assert err.rstrip().endswith(f"; rerun with --solver ode --dt {bound}")
+    assert 0.99 * limit <= float(bound) <= limit
+    assert cli.main(argv + ["--solver", "ode", "--dt", bound]) == 0
+
+
+@pytest.mark.parametrize("ode_step, limit",
+                         [(0.001, 0.001), (0.000769, 0.01 / 13), (0.00333, 0.01 / 3)])
+def test_ode_step_bound_rounds_down(ode_step, limit):
+    liouvillian = Superoperator(np.diag([0.0, -0.01 / limit, 0.0, 0.0]))
+    assert cli._ode_step_bound(liouvillian) == repr(ode_step)
+    assert float(cli._ode_step_bound(liouvillian)) <= solver.rk4_step_limit(liouvillian)
+
+
+_PHEN_ORACLES = {"fock": analytic.rabi_phen, "dressed": analytic.bell_phen}
+_POPULATIONS = ("pop_0g", "pop_1g", "atomic_ground")
+
+
+@pytest.mark.parametrize("nmax", [12, 16])
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_phen_ode_route_meets_the_closed_forms_beyond_the_damping_basis(tmp_path, config, nmax):
+    # from one excitation at T = 0 the phen closed forms hold at any nmax
+    scenario = replace(scenario_from_config((CONFIGS / config).read_text()),
+                       model="phen", n_max=nmax)
+    dt = cli._ode_step_bound(scenario.generator())
+    out = tmp_path / "phen.csv"
+    assert cli.main(["evolve", "--config", str(CONFIGS / config), "--model", "phen",
+                     "--nmax", str(nmax), "--solver", "ode", "--dt", dt, "--out", str(out)]) == 0
+    header, data = _read_csv(out)
+    oracle = _PHEN_ORACLES[scenario.initial[0]](data[:, 0] / (2.0 * scenario.rabi),
+                                                 scenario.gamma0, scenario.rabi)
+    for column, name in enumerate(header[1:], start=1):
+        assert np.abs(data[:, column] - oracle[_POPULATIONS.index(name)]).max() < 1e-6
 
 
 def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jcsim.acceptance import DT, _SharedRuns
 from jcsim.analytic import rabi_micro_density
 from jcsim.bath import BathSpec, FlatSpectrum, occupation
 from jcsim.generators import (
@@ -30,6 +31,7 @@ from jcsim.solver import (
     dominant_frequency,
     evolve_ode,
     evolve_spectral,
+    rk4_step_limit,
     steady_state,
 )
 
@@ -176,6 +178,85 @@ def test_ode_trace_conservation():
     plus = next(s for s in states if s.label == (1, +1))
     series = evolve_ode(liouvillian, pure_state(plus.coefficients),
                         np.linspace(0.0, 60.0, 50), dt=2e-3)
+    assert abs(np.trace(series.states[-1]) - 1.0) < 1e-10
+
+
+def _rk4_loop_reference(mat: np.ndarray, rho0: np.ndarray, times: np.ndarray,
+                        dt: float) -> np.ndarray:
+    # evolve_ode's states from four mat-vecs per RK4 substep, with the same h and n_sub
+    dim = rho0.shape[0]
+    states = np.empty((times.size, dim, dim), dtype=complex)
+    v = vec(rho0)
+    t_prev = 0.0
+    for k, t in enumerate(times):
+        if t > t_prev:
+            n_sub = max(1, int(np.ceil((t - t_prev) / dt - 1e-12)))
+            h = (t - t_prev) / n_sub
+            for _ in range(n_sub):
+                k1 = mat @ v
+                k2 = mat @ (v + 0.5 * h * k1)
+                k3 = mat @ (v + 0.5 * h * k2)
+                k4 = mat @ (v + h * k3)
+                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_prev = t
+        states[k] = unvec(v, dim)
+    return states
+
+
+@pytest.mark.parametrize("key", ["micro_rabi", "phen_rabi", "phen_bell"])
+def test_ode_matches_loop_reference_on_battery_scenarios(key):
+    scenario = _SharedRuns().scenario(key)
+    liouvillian, rho0 = scenario.generator(), scenario.initial_state()
+    times = scenario.time_grid()[:80]
+    got = evolve_ode(liouvillian, rho0, times, DT).states
+    reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, DT)
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+def test_ode_matches_loop_reference_from_a_later_first_time():
+    space = build_space(3)
+    liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.1)
+    rho0 = pure_state(space.basis_state(1, "e"))
+    times = np.linspace(0.7, 9.0, 37)  # the first interval runs from t = 0 to 0.7
+    got = evolve_ode(liouvillian, rho0, times, 2e-3).states
+    reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, 2e-3)
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+def test_ode_matches_loop_reference_on_merged_blocks():
+    liouvillian = _u1_breaking_generator(3)
+    blocks = _coupled_blocks(liouvillian.matrix)
+    space = build_space(3)
+    psi = space.basis_state(0, "g") + space.basis_state(0, "e") + space.basis_state(2, "g")
+    rho0 = pure_state(psi / np.linalg.norm(psi))
+    v0 = vec(rho0.matrix)
+    assert len(blocks) == 2 and all(v0[b].any() for b in blocks)
+    times = np.linspace(0.0, 12.0, 25)
+    dt = rk4_step_limit(liouvillian)
+    got = evolve_ode(liouvillian, rho0, times, dt).states
+    reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, dt)
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+def test_ode_keeps_unweighted_blocks_exactly_zero():
+    space = build_space(3)
+    liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
+    rho0 = pure_state(space.basis_state(1, "g"))  # diagonal: weight in the k = 0 block only
+    series = evolve_ode(liouvillian, rho0, np.linspace(0.0, 5.0, 11), 2e-3)
+    n_exc = np.array([n + (s == "e") for n in range(4) for s in ("g", "e")])
+    assert not series.states[:, n_exc[:, None] != n_exc[None, :]].any()
+
+
+def test_ode_never_diagonalizes(monkeypatch):
+    scenario = _SharedRuns().scenario("phen_bell")
+    liouvillian, rho0 = scenario.generator(), scenario.initial_state()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the RK4 route must not diagonalize")
+
+    monkeypatch.setattr(np.linalg, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    series = evolve_ode(liouvillian, rho0, scenario.time_grid()[:200], DT)
     assert abs(np.trace(series.states[-1]) - 1.0) < 1e-10
 
 
