@@ -1,23 +1,31 @@
 """Solvers for rho' = L rho: spectral (damping basis), RK4, and steady state.
 
-The damping-basis route diagonalizes the Liouvillian once: right
-eigenoperators rho_k with L rho_k = lambda_k rho_k, left eigenoperators
-rho_check_k with rho_check_k L = lambda_k rho_check_k, normalized so that
-Tr{rho_check_k rho_j} = delta_kj.  Any initial state then evolves in
-closed form,
+The generator splits into decoupled blocks, the connected components of
+its nonzero pattern; for the Jaynes-Cummings generators these are the
+sectors of fixed excitation difference N_row - N_col, and a coupling
+that breaks the symmetry merges them.  Every solver here works block by
+block and never diagonalizes or propagates the whole Liouvillian.
 
-    rho(t) = sum_k  Tr{rho_check_k rho(0)}  exp(lambda_k t)  rho_k.
+The damping-basis route diagonalizes each block of the Liouvillian:
+right eigenoperators rho_k with L rho_k = lambda_k rho_k, left
+eigenoperators rho_check_k with rho_check_k L = lambda_k rho_check_k,
+normalized so that Tr{rho_check_k rho_j} = delta_kj.  Any initial state
+then evolves in closed form,
 
+    rho(t) = sum_k  Tr{rho_check_k rho(0)}  exp(lambda_k t)  rho_k,
+
+where only the modes of the blocks rho(0) touches have nonzero weight.
 :func:`damping_basis` solves each generator once and returns the
 eigensystem as three arrays (:class:`DampingBasis`), with
 ``left @ vec(rho)`` giving the coefficients Tr{rho_check_k rho}; the
 trajectory, the frequency summary and the spectrum all read that basis.
 
-The left family is obtained as the matrix inverse of the right eigenvector
-matrix, which *is* the biorthonormal dual basis whenever the Liouvillian
-is diagonalizable; degenerate eigenvalues need no special casing, while a
-defective matrix surfaces as a residual failure and raises with the
-offending eigenvalue cluster named.
+The left family of a block is obtained as the matrix inverse of its right
+eigenvector matrix, which *is* the biorthonormal dual basis whenever the
+block is diagonalizable.  A repeated eigenvalue whose eigenvectors come
+back near-parallel is given its eigenspace from an SVD instead, while a
+defective block surfaces as a residual failure and raises with the
+block and its eigenvalue clusters named.
 
 The fixed-step RK4 integrator is an independent verification path: it
 never touches an eigendecomposition, so agreement between the two
@@ -27,14 +35,8 @@ interval of n uniform substeps is the power P(hL)^n.  It is formed by
 repeated squaring once per distinct interval length (a linspace grid has
 a dozen or so), only on the decoupled blocks where rho(0) has weight,
 and with the identity kept apart so that rounding against it cannot
-accumulate over the substeps.
-
-The generator splits into decoupled blocks, the connected components of
-its nonzero pattern; for the Jaynes-Cummings generators these are the
-sectors of fixed excitation difference N_row - N_col, and a coupling
-that breaks the symmetry merges them.  The RK4 propagator is built block
-by block, and the steady state, which needs only the kernel, is found
-block by block without diagonalizing the whole Liouvillian.
+accumulate over the substeps.  The steady state, which needs only the
+kernel, is read off the one block that holds it.
 """
 
 from __future__ import annotations
@@ -101,62 +103,126 @@ def _tie_ranks(values: np.ndarray, tol: float) -> np.ndarray:
     return ranks
 
 
-def _format_clusters(values: np.ndarray, cluster_tol: float = 1e-8) -> str:
-    cells = np.column_stack([_tie_ranks(values.real, cluster_tol),
-                             _tie_ranks(values.imag, cluster_tol)])
-    _, first, counts = np.unique(cells, axis=0, return_index=True, return_counts=True)
-    clusters = [f"{values[k]:.6g} (x{n})" for k, n in zip(first, counts) if n > 1]
+def _clusters(values: np.ndarray, tol: float = 1e-8) -> list[np.ndarray]:
+    """Index sets of the repeated values: members chained within ``tol`` in both parts."""
+    cells = _tie_ranks(values.real, tol) * values.size + _tie_ranks(values.imag, tol)
+    _, labels, counts = np.unique(cells, return_inverse=True, return_counts=True)
+    return [np.flatnonzero(labels == c) for c in np.flatnonzero(counts > 1)]
+
+
+def _format_clusters(values: np.ndarray) -> str:
+    clusters = [f"{values[members[0]]:.6g} (x{members.size})" for members in _clusters(values)]
     return ", ".join(clusters) if clusters else "none"
 
 
+def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                               residual_tol: float) -> None:
+    """Give each repeated eigenvalue of a near-singular ``eig`` basis its eigenspace, in place.
+
+    ``blocks``, ``vals`` and ``vecs`` are stacks of equal-width blocks and
+    their ``eig`` output.  ``eig`` can return the unit eigenvectors of a
+    repeated, non-defective eigenvalue as near-parallel columns.  A block
+    whose columns have smallest singular value s below eps /
+    ``residual_tol`` has cond(R) >= 1/s, too large for its inverse to meet
+    the pairing gate.  In such a block, for each cluster of m eigenvalues
+    with mean lam, the right singular vectors of (block - lam I) with
+    singular values <= ``residual_tol`` * max(1, max|lambda|) span the
+    eigenspace; when there are exactly m of them they become the cluster's
+    eigenvectors and lam its eigenvalue.  A defective cluster has fewer
+    and is left as ``eig`` returned it, for the pairing check to reject.
+    Other blocks keep ``eig``'s vectors, which share one backward error
+    and so keep the inverse's residual small; recomputing them from an SVD
+    can break the gate.
+    """
+    singular = np.linalg.svd(vecs, compute_uv=False)[:, -1] * residual_tol < np.finfo(float).eps
+    for k in np.flatnonzero(singular):
+        null_tol = residual_tol * max(1.0, float(np.abs(vals[k]).max()))
+        for members in _clusters(vals[k]):
+            lam = vals[k, members].mean()
+            _, sing, vh = np.linalg.svd(blocks[k] - lam * np.eye(vals.shape[1]))
+            if np.count_nonzero(sing <= null_tol) == members.size:
+                vals[k, members] = lam
+                vecs[k][:, members] = vh[-members.size:].conj().T
+
+
 def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> DampingBasis:
-    """Full biorthonormal eigensystem of the Liouvillian, solved once per generator.
+    """Full biorthonormal eigensystem of the Liouvillian, solved per decoupled block.
 
     Returns a :class:`DampingBasis`: ``eigenvalues`` (D,), ``right``
     (D x D) with the vec'd right eigenoperators as columns, and ``left``
     (D x D) with the dual functionals as rows.  The same basis feeds
     :func:`evolve_spectral`, :func:`dominant_frequency`, the ``spectrum``
-    CSV and acceptance criterion 5.  Modes are sorted by (Re lambda
-    descending, Im lambda ascending), real parts within
-    1e-9 * max(1, max|lambda|) counting as tied.  The stationary right
-    eigenoperators are normalized to unit trace (which pins their left
-    partners to the identity), decaying ones to unit Frobenius norm with a
-    deterministic phase.
+    CSV and acceptance criterion 5.  Each block of :func:`_coupled_blocks`
+    is diagonalized and inverted on its own (blocks of equal width in one
+    stacked call), so every mode lives on one block and is exactly zero
+    off it.  Modes are sorted by (Re lambda descending, Im lambda
+    ascending), real parts within 1e-9 * max(1, max|lambda|) counting as
+    tied.  The stationary right eigenoperators are normalized to unit
+    trace (which pins their left partners to the identity), decaying ones
+    to unit Frobenius norm with a deterministic phase.  The left/right
+    residuals of every block must lie within ``residual_tol`` *
+    max(1, max|lambda|); L vanishes off the blocks, so this is the
+    residual of the whole eigensystem.
     """
     mat = liouvillian.matrix
-    dim = liouvillian.dim
-    vals, right = np.linalg.eig(mat)
+    trace_row = vec(np.eye(liouvillian.dim)).real  # Tr{rho} = vec(1) . vec(rho)
+    blocks = _coupled_blocks(mat)
+    widths = np.array([block.size for block in blocks])
+    groups = {}  # width -> block numbers, stacked indices, eigenvalues, right, left
+    residuals = np.empty((len(blocks), 2))
+    for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
+        members = np.flatnonzero(widths == width)
+        index = np.stack([blocks[b] for b in members])
+        subs = mat[index[:, :, None], index[:, None, :]]
+        vals, right = np.linalg.eig(subs)
+        _span_repeated_eigenvalues(subs, vals, right, residual_tol)
 
-    for k in range(vals.size):
-        col = right[:, k]
-        tr = np.trace(unvec(col, dim))
-        if abs(vals[k]) < 1e-10 and abs(tr) > 1e-8:
-            right[:, k] = col / tr
-        else:
-            col = col / np.linalg.norm(col)
-            pivot = col[np.argmax(np.abs(col))]
-            right[:, k] = col * (abs(pivot) / pivot)
+        traces = np.einsum("bi,bij->bj", trace_row[index], right)
+        pivot_rows = np.argmax(np.abs(right), axis=1)[:, None, :]
+        pivots = np.take_along_axis(right, pivot_rows, axis=1)[:, 0]
+        factors = np.abs(pivots) / pivots / np.linalg.norm(right, axis=1)
+        stationary = (np.abs(vals) < 1e-10) & (np.abs(traces) > 1e-8)
+        factors[stationary] = 1.0 / traces[stationary]
+        right *= factors[:, None, :]
+        try:
+            left = np.linalg.inv(right)
+        except np.linalg.LinAlgError as exc:
+            k = int(np.argmax(np.linalg.cond(right)))
+            raise DampingBasisError(
+                f"right eigenoperators of decoupled block {members[k]} of {len(blocks)} "
+                f"({width} wide) are linearly dependent; eigenvalue clusters in that "
+                "block: " + _format_clusters(vals[k])
+            ) from exc
+        residuals[members, 0] = np.abs(subs @ right - right * vals[:, None, :]).max(axis=(1, 2))
+        residuals[members, 1] = np.abs(left @ subs - vals[:, :, None] * left).max(axis=(1, 2))
+        groups[width] = (members, index, vals, right, left)
 
+    vals = np.concatenate([group[2].ravel() for group in groups.values()])
     scale = max(1.0, float(np.abs(vals).max()))
-    try:
-        left = np.linalg.inv(right)
-    except np.linalg.LinAlgError as exc:
+    worst = int(np.argmax(residuals.max(axis=1)))
+    if residuals[worst].max() > residual_tol * scale:
+        members, _, block_vals, block_right, _ = groups[widths[worst]]
+        k = np.searchsorted(members, worst)
         raise DampingBasisError(
-            "right eigenoperators are linearly dependent; eigenvalue clusters: "
-            + _format_clusters(vals)
-        ) from exc
-
-    right_res = np.abs(mat @ right - right * vals[None, :]).max()
-    left_res = np.abs(left @ mat - vals[:, None] * left).max()
-    if max(right_res, left_res) > residual_tol * scale:
-        raise DampingBasisError(
-            f"left/right pairing failed (residuals {right_res:.3e}/{left_res:.3e}, "
-            f"eigenvector matrix cond(R) = {np.linalg.cond(right):.3e}); "
-            "near-defective eigenvalue clusters: " + _format_clusters(vals)
+            f"left/right pairing failed in decoupled block {worst} of {len(blocks)} "
+            f"({widths[worst]} wide; residuals {residuals[worst, 0]:.3e}/"
+            f"{residuals[worst, 1]:.3e}, its eigenvector matrix cond(R) = "
+            f"{np.linalg.cond(block_right[k]):.3e}); near-defective eigenvalue clusters "
+            "in that block: " + _format_clusters(block_vals[k])
         )
 
     order = np.lexsort((vals.imag, _tie_ranks(-vals.real, 1e-9 * scale)))
-    return DampingBasis(vals[order], right[:, order], left[order, :])
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    right_all = np.zeros((vals.size, vals.size), dtype=complex)
+    left_all = np.zeros_like(right_all)
+    start = 0
+    for _, index, _, right, left in groups.values():
+        modes = position[start:start + index.size].reshape(index.shape)
+        right_all[index[:, :, None], modes[:, None, :]] = right
+        left_all[modes[:, :, None], index[:, None, :]] = left
+        start += index.size
+    return DampingBasis(vals[order], right_all, left_all)
 
 
 def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray) -> TimeSeries:
@@ -164,13 +230,15 @@ def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray)
     times = np.asarray(times, dtype=float)
     dim = rho0.dim
     coeff = basis.left @ vec(rho0.matrix)
+    live = np.flatnonzero(coeff)  # modes off rho0's blocks have exactly zero weight
+    coeff, right = coeff[live], basis.right[:, live]
 
-    recon = unvec(basis.right @ coeff, dim)
+    recon = unvec(right @ coeff, dim)
     recon_err = np.abs(recon - rho0.matrix).max()
     if recon_err > 1e-10:
         raise DampingBasisError(f"initial-state reconstruction error {recon_err:.3e}")
 
-    propagated = basis.right @ (coeff[:, None] * np.exp(np.outer(basis.eigenvalues, times)))
+    propagated = right @ (coeff[:, None] * np.exp(np.outer(basis.eigenvalues[live], times)))
     states = propagated.T.reshape(len(times), dim, dim)
     states = np.transpose(states, (0, 2, 1))  # undo row-major reshape: vec is column-major
     return TimeSeries(times, states).validate_states()

@@ -206,7 +206,7 @@ def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
         ["compare", "--model", "micro,phen", "--solver", "ode", "--dt", "5e-4",
          "--tau-max", "0.01", "--steps", "2"],
     ):
-        assert cli.main(argv + ["--config", str(cfg), "--nmax", "12", "--out", str(out)]) == 2
+        assert cli.main(argv + ["--config", str(cfg), "--nmax", "13", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "cond(R)" in err and "cluster" in err
         assert "--solver ode" not in err  # both still need the damping basis
@@ -215,11 +215,11 @@ def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
 
 def test_spectral_failure_names_the_rk4_remedy(tmp_path, capsys):
     cfg, out = CONFIGS / "bell_atomic_ground.cfg", tmp_path / "e.csv"
-    argv = ["evolve", "--config", str(cfg), "--model", "phen", "--nmax", "12", "--out", str(out)]
+    argv = ["evolve", "--config", str(cfg), "--model", "phen", "--nmax", "13", "--out", str(out)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "cond(R)" in err and not out.exists()
-    liouvillian = replace(scenario_from_config(cfg.read_text()), model="phen", n_max=12).generator()
+    liouvillian = replace(scenario_from_config(cfg.read_text()), model="phen", n_max=13).generator()
     limit = solver.rk4_step_limit(liouvillian)
     bound = cli._ode_step_bound(liouvillian)
     assert err.rstrip().endswith(f"; rerun with --solver ode --dt {bound}")
