@@ -30,7 +30,6 @@ from .solver import (
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
-    TimeSeries,
     damping_basis,
     dominant_frequency,
     evolve_ode,
@@ -67,11 +66,14 @@ def _csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_trajectory(scenario: Scenario) -> tuple[Superoperator, DampingBasis | None, TimeSeries]:
+def run_trajectory(
+    scenario: Scenario,
+) -> tuple[Superoperator, DampingBasis | None, dict[str, np.ndarray]]:
     """Solve the scenario with its configured solver.
 
     Returns the generator, its damping basis (None on the ode route, which
-    never diagonalizes) and the trajectory.
+    never diagonalizes) and the scenario's observables on the time grid;
+    the trajectory's states are dropped once those are read off.
     """
     liouvillian = scenario.generator()
     rho0 = scenario.initial_state()
@@ -82,8 +84,7 @@ def run_trajectory(scenario: Scenario) -> tuple[Superoperator, DampingBasis | No
     else:
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
-    series.observables = scenario.observables.evaluate(series.states, scenario.space())
-    return liouvillian, basis, series
+    return liouvillian, basis, scenario.observables.evaluate(series.states, scenario.space())
 
 
 def _ode_step_bound(liouvillian: Superoperator) -> str:
@@ -103,13 +104,13 @@ def run_evolve(scenario: Scenario, out_path: str) -> None:
     and a step it accepts; the route is never switched silently.
     """
     try:
-        _, _, series = run_trajectory(scenario)
+        _, _, observables = run_trajectory(scenario)
     except DampingBasisError as exc:
         bound = _ode_step_bound(scenario.generator())
         raise DampingBasisError(f"{exc}; rerun with --solver ode --dt {bound}") from exc
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
-    columns = [tau] + [series.observables[n] for n in scenario.observables.names]
+    columns = [tau] + [observables[n] for n in scenario.observables.names]
     _write_atomic(out_path, _csv(header, np.column_stack(columns)))
 
 
@@ -124,8 +125,8 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    liouvillian_a, basis_a, series_a = run_trajectory(scenario_a)
-    liouvillian_b, basis_b, series_b = run_trajectory(scenario_b)
+    liouvillian_a, basis_a, observables_a = run_trajectory(scenario_a)
+    liouvillian_b, basis_b, observables_b = run_trajectory(scenario_b)
     if basis_a is None:  # the ode route solves each generator for the frequencies only
         basis_a, basis_b = damping_basis(liouvillian_a), damping_basis(liouvillian_b)
     freq_a = dominant_frequency(basis_a, scenario_a.initial_state())
@@ -135,7 +136,7 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     names = scenario_a.observables.names
     summary = {
         "max_abs_delta": {
-            name: float(np.abs(series_a.observables[name] - series_b.observables[name]).max())
+            name: float(np.abs(observables_a[name] - observables_b[name]).max())
             for name in names
         },
         f"frequency_{scenario_a.model}": freq_a,
@@ -147,7 +148,7 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     header, columns = ["tau"], [scenario_a.tau_grid()]
     for name in names:
         header += [f"{name}_{scenario_a.model}", f"{name}_{scenario_b.model}", f"delta_{name}"]
-        va, vb = series_a.observables[name], series_b.observables[name]
+        va, vb = observables_a[name], observables_b[name]
         columns += [va, vb, va - vb]
     _write_atomic(out_path, _csv(header, np.column_stack(columns)))
     return summary
@@ -298,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("compare needs --model <model_a>,<model_b>")
             model_a, model_b = (m.strip() for m in args.model.split(",", 1))
             summary = run_compare(
-                scenario.with_model(model_a), scenario.with_model(model_b), args.out
+                replace(scenario, model=model_a), replace(scenario, model=model_b), args.out
             )
             for key, value in summary.items():
                 if isinstance(value, dict):

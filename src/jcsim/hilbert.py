@@ -19,6 +19,8 @@ import numpy as np
 
 ATOM_LABELS = ("g", "e")
 
+STATE_TOL = 1e-8  # bound on each density-matrix defect: hermiticity, trace, -min eigenvalue
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -41,12 +43,6 @@ class StateSpace:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"photon number {n} outside [0, {self.n_max}]")
         return 2 * n + ATOM_LABELS.index(s)
-
-    def label(self, i: int) -> tuple[int, str]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= i < self.dim:
-            raise ValueError(f"index {i} outside [0, {self.dim})")
-        return i // 2, ATOM_LABELS[i % 2]
 
     def basis_state(self, n: int, s: str) -> np.ndarray:
         """Unit column vector for the bare basis state ``|n, s>``."""
@@ -101,17 +97,14 @@ def excitation_number(space: StateSpace) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator with testable slack.
+    """Hermitian, unit-trace, positive-semidefinite operator.
 
-    The tolerances are part of the value: :meth:`validate` raises as soon
-    as one of the three defects exceeds its bound, and :meth:`diagnostics`
-    returns the measured defects for reporting.
+    :meth:`validate` raises as soon as one of the three defects exceeds
+    :data:`STATE_TOL`, and :meth:`diagnostics` returns the measured
+    defects for reporting.
     """
 
     matrix: np.ndarray
-    tol_herm: float = 1e-8
-    tol_trace: float = 1e-8
-    tol_pos: float = 1e-8
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -128,7 +121,7 @@ class DensityMatrix:
         return tuple(float(defect) for defect in density_diagnostics(self.matrix))
 
     def validate(self) -> "DensityMatrix":
-        message = defect_message(*self.diagnostics(), self.tol_herm, self.tol_trace, self.tol_pos)
+        message = defect_message(*self.diagnostics())
         if message:
             raise ValueError(message)
         return self
@@ -156,22 +149,22 @@ def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return trace_defect, herm_defect, min_eig
 
 
-def defect_message(trace_defect, herm_defect, min_eig, tol_herm, tol_trace, tol_pos) -> str | None:
-    """The first defect over its bound, checked as hermiticity, trace, positivity; else None."""
-    if herm_defect > tol_herm:
-        return f"hermiticity defect {herm_defect:.3e} > {tol_herm:.3e}"
-    if trace_defect > tol_trace:
-        return f"trace defect {trace_defect:.3e} > {tol_trace:.3e}"
-    if min_eig < -tol_pos:
-        return f"min eigenvalue {min_eig:.3e} < -{tol_pos:.3e}"
+def defect_message(trace_defect, herm_defect, min_eig) -> str | None:
+    """The first defect over STATE_TOL, checked as hermiticity, trace, positivity; else None."""
+    if herm_defect > STATE_TOL:
+        return f"hermiticity defect {herm_defect:.3e} > {STATE_TOL:.3e}"
+    if trace_defect > STATE_TOL:
+        return f"trace defect {trace_defect:.3e} > {STATE_TOL:.3e}"
+    if min_eig < -STATE_TOL:
+        return f"min eigenvalue {min_eig:.3e} < -{STATE_TOL:.3e}"
     return None
 
 
-def pure_state(vector: np.ndarray, **tolerances) -> DensityMatrix:
+def pure_state(vector: np.ndarray) -> DensityMatrix:
     """Projector |v><v| onto a (normalized) state vector."""
     v = np.asarray(vector, dtype=complex)
     norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("cannot build a density matrix from the zero vector")
     v = v / norm
-    return DensityMatrix(np.outer(v, v.conj()), **tolerances)
+    return DensityMatrix(np.outer(v, v.conj()))

@@ -19,10 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    DensityMatrix, StateSpace, density_diagnostics, excitation_number, ladder_operators,
-)
-from .jcmodel import DressedState
+from .hilbert import StateSpace, density_diagnostics, excitation_number, ladder_operators
 
 _IMAG_TOL = 1e-12
 
@@ -33,19 +30,6 @@ def _real(values):
     if imag > _IMAG_TOL:
         raise ValueError(f"population has imaginary part {imag:.3e}")
     return np.real(values)
-
-
-def population(rho: DensityMatrix, label, space: StateSpace | None = None) -> float:
-    """Diagonal matrix element of rho on a bare (n, s) label or a dressed state."""
-    m = rho.matrix
-    if isinstance(label, DressedState):
-        v = label.coefficients
-        return float(_real(complex(v.conj() @ m @ v)))
-    n, s = label
-    if space is None:
-        space = StateSpace(m.shape[0] // 2 - 1)
-    i = space.index(n, s)
-    return float(_real(complex(m[i, i])))
 
 
 OBSERVABLE_NAMES = (

@@ -7,8 +7,8 @@ grid in the dimensionless units tau = 2 * rabi * t, and the observables
 to record.
 
 Config files are flat ``key = value`` text: ``#`` starts a comment,
-bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``, ...),
-and parsing then re-serializing a file is idempotent.  Example::
+and bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``,
+...).  Example::
 
     model = micro
     omega0 = 1.0
@@ -26,7 +26,7 @@ and parsing then re-serializing a file is idempotent.  Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,9 +159,6 @@ class Scenario:
             raise ConfigError("model = single supports only the steady and spectrum subcommands")
         return pure_state(self._initial_vector(self.space()))
 
-    def with_model(self, model: str) -> "Scenario":
-        return replace(self, model=model)
-
 
 _BATH_KEYS = {
     "flat": ("gamma0",),
@@ -193,11 +190,6 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         mapping[key] = value
     return mapping
-
-
-def serialize_config(mapping: dict[str, str]) -> str:
-    """Canonical text form of a parsed config; parse(serialize(m)) == m."""
-    return "".join(f"{key} = {value}\n" for key, value in mapping.items())
 
 
 def _get(mapping: dict[str, str], key: str, convert, default=None):

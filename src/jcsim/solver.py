@@ -41,12 +41,15 @@ kernel, is read off the one block that holds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .generators import Superoperator, unvec, vec
-from .hilbert import DensityMatrix, defect_message, density_diagnostics
+from .hilbert import STATE_TOL, DensityMatrix, defect_message, density_diagnostics
+
+RESIDUAL_TOL = 1e-10  # eigenpair residual bound of a damping basis, relative to max(1, max|lambda|)
+KERNEL_TOL = 1e-10  # |lambda| below which a Liouvillian eigenvalue counts as zero
 
 
 class DampingBasisError(RuntimeError):
@@ -76,21 +79,22 @@ class DampingBasis:
     left: np.ndarray  # (D, D)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory: time grid, density matrices, named observables."""
+    """Sampled trajectory: time grid and density matrices."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim, dim)
-    observables: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def validate_states(self, tol: float = 1e-8) -> "TimeSeries":
-        """Check every stored state against the density-matrix invariants."""
+    def validate_states(self) -> "TimeSeries":
+        """Check every stored state against the density-matrix invariants at STATE_TOL."""
         trace_defect, herm_defect, min_eig = density_diagnostics(self.states)
-        bad = np.flatnonzero((herm_defect > tol) | (trace_defect > tol) | (min_eig < -tol))
+        bad = np.flatnonzero(
+            (herm_defect > STATE_TOL) | (trace_defect > STATE_TOL) | (min_eig < -STATE_TOL)
+        )
         if bad.size:
             k = bad[0]
-            message = defect_message(trace_defect[k], herm_defect[k], min_eig[k], tol, tol, tol)
+            message = defect_message(trace_defect[k], herm_defect[k], min_eig[k])
             raise ValueError(f"sample {k} (t = {self.times[k]:.6g}): {message}")
         return self
 
@@ -115,18 +119,17 @@ def _format_clusters(values: np.ndarray) -> str:
     return ", ".join(clusters) if clusters else "none"
 
 
-def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                               residual_tol: float) -> None:
+def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
     """Give each repeated eigenvalue of a near-singular ``eig`` basis its eigenspace, in place.
 
     ``blocks``, ``vals`` and ``vecs`` are stacks of equal-width blocks and
     their ``eig`` output.  ``eig`` can return the unit eigenvectors of a
     repeated, non-defective eigenvalue as near-parallel columns.  A block
     whose columns have smallest singular value s below eps /
-    ``residual_tol`` has cond(R) >= 1/s, too large for its inverse to meet
-    the pairing gate.  In such a block, for each cluster of m eigenvalues
-    with mean lam, the right singular vectors of (block - lam I) with
-    singular values <= ``residual_tol`` * max(1, max|lambda|) span the
+    :data:`RESIDUAL_TOL` has cond(R) >= 1/s, too large for its inverse to
+    meet the pairing gate.  In such a block, for each cluster of m
+    eigenvalues with mean lam, the right singular vectors of (block - lam I)
+    with singular values <= RESIDUAL_TOL * max(1, max|lambda|) span the
     eigenspace; when there are exactly m of them they become the cluster's
     eigenvectors and lam its eigenvalue.  A defective cluster has fewer
     and is left as ``eig`` returned it, for the pairing check to reject.
@@ -134,9 +137,9 @@ def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.nd
     and so keep the inverse's residual small; recomputing them from an SVD
     can break the gate.
     """
-    singular = np.linalg.svd(vecs, compute_uv=False)[:, -1] * residual_tol < np.finfo(float).eps
+    singular = np.linalg.svd(vecs, compute_uv=False)[:, -1] * RESIDUAL_TOL < np.finfo(float).eps
     for k in np.flatnonzero(singular):
-        null_tol = residual_tol * max(1.0, float(np.abs(vals[k]).max()))
+        null_tol = RESIDUAL_TOL * max(1.0, float(np.abs(vals[k]).max()))
         for members in _clusters(vals[k]):
             lam = vals[k, members].mean()
             _, sing, vh = np.linalg.svd(blocks[k] - lam * np.eye(vals.shape[1]))
@@ -145,7 +148,7 @@ def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.nd
                 vecs[k][:, members] = vh[-members.size:].conj().T
 
 
-def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> DampingBasis:
+def damping_basis(liouvillian: Superoperator) -> DampingBasis:
     """Full biorthonormal eigensystem of the Liouvillian, solved per decoupled block.
 
     Returns a :class:`DampingBasis`: ``eigenvalues`` (D,), ``right``
@@ -156,11 +159,13 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> Da
     is diagonalized and inverted on its own (blocks of equal width in one
     stacked call), so every mode lives on one block and is exactly zero
     off it.  Modes are sorted by (Re lambda descending, Im lambda
-    ascending), real parts within 1e-9 * max(1, max|lambda|) counting as
-    tied.  The stationary right eigenoperators are normalized to unit
+    ascending), parts within 1e-9 * max(1, max|lambda|) counting as tied,
+    and modes tied in both by exact Re lambda descending, so the noise in
+    a real mode's Im lambda never decides the order.  The stationary right
+    eigenoperators (|lambda| < :data:`KERNEL_TOL`) are normalized to unit
     trace (which pins their left partners to the identity), decaying ones
     to unit Frobenius norm with a deterministic phase.  The left/right
-    residuals of every block must lie within ``residual_tol`` *
+    residuals of every block must lie within :data:`RESIDUAL_TOL` *
     max(1, max|lambda|); L vanishes off the blocks, so this is the
     residual of the whole eigensystem.
     """
@@ -175,13 +180,13 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> Da
         index = np.stack([blocks[b] for b in members])
         subs = mat[index[:, :, None], index[:, None, :]]
         vals, right = np.linalg.eig(subs)
-        _span_repeated_eigenvalues(subs, vals, right, residual_tol)
+        _span_repeated_eigenvalues(subs, vals, right)
 
         traces = np.einsum("bi,bij->bj", trace_row[index], right)
         pivot_rows = np.argmax(np.abs(right), axis=1)[:, None, :]
         pivots = np.take_along_axis(right, pivot_rows, axis=1)[:, 0]
         factors = np.abs(pivots) / pivots / np.linalg.norm(right, axis=1)
-        stationary = (np.abs(vals) < 1e-10) & (np.abs(traces) > 1e-8)
+        stationary = (np.abs(vals) < KERNEL_TOL) & (np.abs(traces) > 1e-8)
         factors[stationary] = 1.0 / traces[stationary]
         right *= factors[:, None, :]
         try:
@@ -200,7 +205,7 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> Da
     vals = np.concatenate([group[2].ravel() for group in groups.values()])
     scale = max(1.0, float(np.abs(vals).max()))
     worst = int(np.argmax(residuals.max(axis=1)))
-    if residuals[worst].max() > residual_tol * scale:
+    if residuals[worst].max() > RESIDUAL_TOL * scale:
         members, _, block_vals, block_right, _ = groups[widths[worst]]
         k = np.searchsorted(members, worst)
         raise DampingBasisError(
@@ -211,7 +216,8 @@ def damping_basis(liouvillian: Superoperator, residual_tol: float = 1e-10) -> Da
             "in that block: " + _format_clusters(block_vals[k])
         )
 
-    order = np.lexsort((vals.imag, _tie_ranks(-vals.real, 1e-9 * scale)))
+    tie = 1e-9 * scale
+    order = np.lexsort((-vals.real, _tie_ranks(vals.imag, tie), _tie_ranks(-vals.real, tie)))
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
     right_all = np.zeros((vals.size, vals.size), dtype=complex)
@@ -363,25 +369,26 @@ def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def steady_state(liouvillian: Superoperator, kernel_tol: float = 1e-10) -> DensityMatrix:
+def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    The kernel is found block by block over the decoupled blocks of the
-    Liouvillian; its element, taken from the one block that holds it, is
-    hermitized and normalized to unit trace.  A kernel of any other
-    dimension raises :class:`KernelMultiplicityError`.
+    The kernel, the eigenvalues with |lambda| < :data:`KERNEL_TOL`, is
+    found block by block over the decoupled blocks of the Liouvillian; its
+    element, taken from the one block that holds it, is hermitized and
+    normalized to unit trace.  A kernel of any other dimension raises
+    :class:`KernelMultiplicityError`.
     """
     mat = liouvillian.matrix
     blocks = _coupled_blocks(mat)
     block_vals = [np.linalg.eigvals(mat[np.ix_(b, b)]) for b in blocks]
     vals = np.concatenate(block_vals)
-    null = np.where(np.abs(vals) < kernel_tol)[0]
+    null = np.where(np.abs(vals) < KERNEL_TOL)[0]
     if null.size != 1:
         raise KernelMultiplicityError(
-            f"kernel dimension {null.size} at tolerance {kernel_tol:.1e}; "
+            f"kernel dimension {null.size} at tolerance {KERNEL_TOL:.1e}; "
             f"smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
-    block = next(b for b, v in zip(blocks, block_vals) if np.abs(v).min() < kernel_tol)
+    block = next(b for b, v in zip(blocks, block_vals) if np.abs(v).min() < KERNEL_TOL)
     sub_vals, sub_vecs = np.linalg.eig(mat[np.ix_(block, block)])
     kernel = np.zeros(mat.shape[0], dtype=complex)
     kernel[block] = sub_vecs[:, np.argmin(np.abs(sub_vals))]

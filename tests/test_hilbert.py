@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jcsim.hilbert import (
+    STATE_TOL,
     DensityMatrix,
     atomic_operators,
     build_space,
@@ -24,7 +25,6 @@ def test_index_map_is_frozen_bijection():
         for k, s in enumerate("ge"):
             i = space.index(n, s)
             assert i == 2 * n + k
-            assert space.label(i) == (n, s)
             seen.add(i)
     assert seen == set(range(space.dim))
 
@@ -35,8 +35,6 @@ def test_index_map_rejects_out_of_range():
         space.index(3, "g")
     with pytest.raises(ValueError):
         space.index(0, "x")
-    with pytest.raises(ValueError):
-        space.label(space.dim)
 
 
 def test_build_space_rejects_negative():
@@ -88,8 +86,8 @@ def test_excitation_number_diagonal_integers():
     assert np.array_equal(n_exc - np.diag(np.diag(n_exc)), np.zeros_like(n_exc))
     diag = np.diag(n_exc).real
     for i in range(space.dim):
-        n, s = space.label(i)
-        assert diag[i] == pytest.approx(n + "ge".index(s), abs=1e-13)
+        n, s = divmod(i, 2)
+        assert diag[i] == pytest.approx(n + s, abs=1e-13)
     assert set(np.rint(diag).astype(int)) == set(range(space.n_max + 2))
     assert diag[space.index(0, "g")] == 0
     assert diag[space.index(0, "e")] == 1
@@ -121,6 +119,13 @@ def test_density_matrix_diagnostics_and_validation():
 
     with pytest.raises(ValueError, match="min eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
+
+
+def test_trace_defect_bound_is_state_tol():
+    assert STATE_TOL == 1e-8
+    DensityMatrix(np.diag([0.5 + 0.9e-8, 0.5]).astype(complex)).validate()
+    with pytest.raises(ValueError, match=r"trace defect 1\.100e-08 > 1\.000e-08"):
+        DensityMatrix(np.diag([0.5 + 1.1e-8, 0.5]).astype(complex)).validate()
 
 
 def test_pure_state_normalizes_and_rejects_zero():

@@ -4,41 +4,14 @@ import pytest
 from jcsim.analytic import rabi_micro
 from jcsim.bath import BathSpec, FlatSpectrum
 from jcsim.generators import microscopic_generator, phenomenological_generator
-from jcsim.hilbert import DensityMatrix, build_space, ladder_operators, pure_state
+from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, dressed_states
-from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate, population
+from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate
 from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
 
 
 def _doublet_plus(space, params):
     return next(s for s in dressed_states(params, space) if s.label == (1, +1))
-
-
-def test_population_bare_labels():
-    space = build_space(1)
-    rho = pure_state(space.basis_state(0, "g"))
-    assert population(rho, (0, "g"), space) == 1.0
-    assert population(rho, (1, "g"), space) == 0.0
-    mixed = DensityMatrix(np.eye(4, dtype=complex) / 4.0)
-    for n in range(2):
-        for s in "ge":
-            assert population(mixed, (n, s), space) == pytest.approx(0.25)
-
-
-def test_population_of_doublet_state():
-    space = build_space(2)
-    params = JCParams(1.0, 0.2)
-    plus = _doublet_plus(space, params)
-    rho = pure_state(plus.coefficients)
-    assert population(rho, (1, "g"), space) == pytest.approx(0.5)
-    assert population(rho, plus) == pytest.approx(1.0)
-
-
-def test_population_rejects_bad_label():
-    space = build_space(1)
-    rho = pure_state(space.basis_state(0, "g"))
-    with pytest.raises(ValueError):
-        population(rho, (5, "g"), space)
 
 
 def test_atomic_ground_population():
@@ -75,15 +48,6 @@ def test_ground_plus_excited_is_unity():
     total = evaluate("atomic_ground", rho, space) + evaluate("atomic_excited", rho, space)
     assert total.shape == (5,)
     assert np.abs(total - 1.0).max() < 1e-12
-
-
-def test_population_sums_to_trace():
-    space = build_space(2)
-    rho = DensityMatrix(np.eye(space.dim, dtype=complex) / space.dim)
-    total = sum(
-        population(rho, (n, s), space) for n in range(space.n_max + 1) for s in "ge"
-    )
-    assert total == pytest.approx(np.trace(rho.matrix).real)
 
 
 def test_diagnostics_examples():
