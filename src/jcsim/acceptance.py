@@ -24,10 +24,11 @@ import numpy as np
 from .analytic import bell_phen, rabi_phen
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum, occupation, rate
 from .generators import (
+    microscopic_channels,
     microscopic_generator,
     phenomenological_generator,
     dressed_approx_generator,
-    single_excitation_generator,
+    restricted_lindblad,
 )
 from .hilbert import build_space, density_diagnostics
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
@@ -227,15 +228,17 @@ def _criterion_4(runs: _SharedRuns, scale: float) -> CriterionResult:
     return check.result(4, "frequency-shift")
 
 
-def _expected_sector_eigenvalues(gamma_a: float, gamma_b: float) -> np.ndarray:
-    """Spectrum of the three-level generator forced by its jump structure.
+def _expected_sector_eigenvalues(bath: BathSpec) -> np.ndarray:
+    """Spectrum of micro's one-excitation sector forced by its jump structure.
 
-    Populations of the two doublet states relax at gamma_a/2 and
-    gamma_b/2; each coherence decays at the mean of its endpoint
-    population rates, giving gamma/4 for the ground coherences and
-    (gamma_a + gamma_b)/4 for the intra-doublet one.
+    Populations of the two doublet states relax at gamma_a/2 and gamma_b/2,
+    with gamma_a and gamma_b the bath rates at omega0 -+ rabi; each
+    coherence decays at the mean of its endpoint population rates, giving
+    gamma/4 for the ground coherences and (gamma_a + gamma_b)/4 for the
+    intra-doublet one.
     """
     w_minus, w_plus = OMEGA0 - RABI, OMEGA0 + RABI
+    gamma_a, gamma_b = rate(w_minus, bath), rate(w_plus, bath)
     return np.array([
         0.0,
         -gamma_a / 2.0,
@@ -251,10 +254,15 @@ def _expected_sector_eigenvalues(gamma_a: float, gamma_b: float) -> np.ndarray:
 
 def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
-    params = JCParams(OMEGA0, RABI)
-    for gamma_a, gamma_b, tag in ((0.08, 0.12, "distinct"), (GAMMA, GAMMA, "degenerate")):
-        basis = damping_basis(single_excitation_generator(params, gamma_a, gamma_b))
-        expected = _expected_sector_eigenvalues(gamma_a, gamma_b)
+    scenario = _micro_rabi_scenario()  # |0,e> at nmax 2 reaches |0,g>, |0,e> and |1,g>
+    params, space, rho0 = scenario.params, scenario.space(), scenario.initial_state().matrix
+    for spectrum, tag in ((OhmicSpectrum(0.15, 2.0 * OMEGA0), "distinct"),
+                          (FlatSpectrum(GAMMA), "degenerate")):
+        bath = BathSpec(0.0, spectrum)
+        jumps = [(op, g) for _, op, g in microscopic_channels(params, space, bath)]
+        liouvillian, _ = restricted_lindblad(hamiltonian(params, space), jumps, rho0)
+        basis = damping_basis(liouvillian)
+        expected = _expected_sector_eigenvalues(bath)
         order = np.lexsort((expected.imag, -expected.real))
         dev = np.abs(basis.eigenvalues - expected[order]).max()
         check.less(f"eigenvalues ({tag} rates)", dev, 1e-10)

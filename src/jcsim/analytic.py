@@ -119,11 +119,11 @@ def rabi_micro_density(t: float, gamma_a: float, gamma_b: float, rabi: float,
                        omega0: float) -> DensityMatrix:
     """Full dressed-basis density matrix for the initial state |0,e>.
 
-    Basis order [ground, (1,-), (1,+)], matching the single-excitation
-    generator.  The populations relax at the channel rates while the
-    intra-doublet coherence precesses at twice the coupling under the mean
-    decay rate; omega0 does not enter because no ground-excited coherence
-    is ever populated from this initial state.
+    The basis is micro's one-excitation sector in the dressed basis, in
+    the order [ground, (1,-), (1,+)].  The populations relax at the channel
+    rates while the intra-doublet coherence precesses at twice the coupling
+    under the mean decay rate; omega0 does not enter because no
+    ground-excited coherence is ever populated from this initial state.
     """
     _check_rates(gamma_a, gamma_b, rabi)
     if omega0 <= 0:

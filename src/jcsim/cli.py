@@ -257,8 +257,6 @@ def _print_advisories(scenario: Scenario) -> None:
 
 def _print_edge_population(scenario: Scenario, rho: DensityMatrix) -> None:
     """Population of the top Fock level, the cutoff check for a stationary state."""
-    if scenario.model == "single":
-        return  # the three-level sector has no Fock ladder
     space = scenario.space()
     top = [space.index(scenario.n_max, s) for s in ("g", "e")]
     edge = float(rho.matrix[top, top].real.sum())

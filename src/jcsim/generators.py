@@ -14,8 +14,10 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
   for a flat zero-temperature bath, built from the Bohr-frequency
   components of a and a† at their photon-loss and photon-gain rates.
 
-``secular_margin`` measures how close the micro or dressed jump channels
-a run reaches come to breaking the secular approximation behind both.
+``restricted_lindblad`` builds a generator exactly on the states
+(``reachable_states``) a run can populate, and ``secular_margin``
+measures how close the micro or dressed jump channels a run reaches come
+to breaking the secular approximation behind both.
 
 Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
 vectorized operators, vec(X)[i + d*j] = X[i, j].  Row i + d*j and column
@@ -260,6 +262,34 @@ def dressed_approx_generator(
     return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
 
 
+def reachable_states(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
+                     rho0: np.ndarray) -> np.ndarray:
+    """Sorted basis indices S of the states a trajectory from ``rho0`` can populate.
+
+    S is the closure of rho0's diagonal support under the nonzero patterns
+    of ``h``, of each live jump A (rate > 0) and of A†A, so -i[h, .],
+    A . A† and -{A†A, .}/2 all map operators over S to operators over S.
+    """
+    live = [op != 0 for op, g in jumps if g > 0]
+    step = np.logical_or.reduce([h != 0] + live + [nz.T @ nz for nz in live])
+    reached = np.diag(rho0) != 0
+    for _ in range(len(reached)):  # each pass adds a state until none is left to add
+        reached = reached | step[:, reached].any(axis=1)
+    return np.flatnonzero(reached)
+
+
+def restricted_lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
+                        rho0: np.ndarray) -> tuple[Superoperator, np.ndarray]:
+    """:func:`_lindblad` of ``h`` and the live jumps, both sliced to S, and S.
+
+    S is :func:`reachable_states`; the trajectory of the sliced generator
+    from rho0[S, S] is the full trajectory's S x S block, which holds all of it.
+    """
+    states = reachable_states(h, jumps, rho0)
+    cut = np.ix_(states, states)
+    return _lindblad(h[cut], [(op[cut], g) for op, g in jumps if g > 0]), states
+
+
 def secular_margin(
     channels: list[tuple[float, np.ndarray, float]],
     h: np.ndarray,
@@ -267,21 +297,16 @@ def secular_margin(
 ) -> tuple[float, float, tuple[float, float] | None]:
     """How close a run's jump channels come to breaking the secular approximation.
 
-    Only the live channels (rate > 0) that act on the states reachable
-    from ``rho0`` count.  Those states are the closure of rho0's diagonal
-    support under the nonzero patterns of ``h`` and of the live jumps, so
-    the rule covers zero and finite temperature and crossed manifolds
-    alike.  Returns the largest rate over the smallest spacing between
-    their distinct Bohr frequencies, the largest rate over the smallest
-    |omega|, and the closest pair of frequencies (None with fewer than
-    two; a ratio with nothing to compare is 0).
+    Only the live channels (rate > 0) that act on the states
+    :func:`reachable_states` finds from ``rho0`` count, so the rule covers
+    zero and finite temperature and crossed manifolds alike.  Returns the
+    largest rate over the smallest spacing between their distinct Bohr
+    frequencies, the largest rate over the smallest |omega|, and the
+    closest pair of frequencies (None with fewer than two; a ratio with
+    nothing to compare is 0).
     """
-    live = [(omega, op, g) for omega, op, g in channels if g > 0]
-    step = np.logical_or.reduce([h != 0] + [op != 0 for _, op, _ in live])
-    reached = np.diag(rho0) != 0
-    for _ in range(len(reached)):  # each pass adds a state until none is left to add
-        reached = reached | step[:, reached].any(axis=1)
-    kept = [(omega, g) for omega, op, g in live if op[:, reached].any()]
+    reached = reachable_states(h, [(op, g) for _, op, g in channels], rho0)
+    kept = [(omega, g) for omega, op, g in channels if g > 0 and op[:, reached].any()]
     g_max = max((g for _, g in kept), default=0.0)
     omegas = np.array(sorted({omega for omega, _ in kept}))
     nearest = np.abs(omegas).min(initial=np.inf)
@@ -290,27 +315,3 @@ def secular_margin(
         return 0.0, omega_ratio, None
     k = int(np.argmin(np.diff(omegas)))
     return g_max / (omegas[k + 1] - omegas[k]), omega_ratio, (omegas[k], omegas[k + 1])
-
-
-def single_excitation_generator(
-    params: JCParams,
-    gamma_a: float,
-    gamma_b: float,
-) -> Superoperator:
-    """Generator restricted to span{ground, lower doublet, upper doublet}.
-
-    Basis order is [ground, (1,-), (1,+)].  The two dressed states decay
-    to the ground state with population rates gamma_a/2 and gamma_b/2,
-    where gamma_a and gamma_b are the bath rates at the lower and upper
-    transition frequencies omega0 -+ rabi.
-    """
-    for name, g in (("gamma_a", gamma_a), ("gamma_b", gamma_b)):
-        if g < 0:
-            raise ValueError(f"{name} must be nonnegative, got {g}")
-    w0, om = params.omega0, params.rabi
-    h = np.diag([-w0 / 2.0, w0 / 2.0 - om, w0 / 2.0 + om]).astype(complex)
-    jump_minus = np.zeros((3, 3), dtype=complex)
-    jump_minus[0, 1] = 1.0
-    jump_plus = np.zeros((3, 3), dtype=complex)
-    jump_plus[0, 2] = 1.0
-    return _lindblad(h, [(jump_minus, gamma_a / 2.0), (jump_plus, gamma_b / 2.0)])

@@ -1,10 +1,9 @@
 """Declarative experiment descriptions and the line-oriented config format.
 
-A scenario names one model (``micro``, ``phen``, ``dressed``, or the
-three-level ``single`` sector generator used for spectra), the system
-parameters, a bath or loss-rate description, an initial state, a time
-grid in the dimensionless units tau = 2 * rabi * t, and the observables
-to record.
+A scenario names one model (``micro``, ``phen`` or ``dressed``), the
+system parameters, a bath or loss-rate description, an initial state, a
+time grid in the dimensionless units tau = 2 * rabi * t, and the
+observables to record.
 
 Config files are flat ``key = value`` text: ``#`` starts a comment,
 and bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``,
@@ -30,19 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum, rate
+from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
 from .generators import (
     Superoperator,
     dressed_approx_generator,
     microscopic_generator,
     phenomenological_generator,
-    single_excitation_generator,
 )
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
 from .jcmodel import JCParams, dressed_states
 from .observables import ObservableSet
 
-MODELS = ("micro", "phen", "dressed", "single")
+MODELS = ("micro", "phen", "dressed")
 SOLVERS = ("spectral", "ode")
 
 
@@ -83,7 +81,7 @@ class Scenario:
             raise ConfigError(f"time grid needs at least 2 points, got steps = {self.steps}")
         if self.tau_max <= 0:
             raise ConfigError(f"tau_max must be positive, got {self.tau_max}")
-        if self.model in ("micro", "single"):
+        if self.model == "micro":
             if self.bath is None:
                 raise ConfigError(f"model = {self.model} requires a bath.* block")
         else:
@@ -146,17 +144,11 @@ class Scenario:
             return microscopic_generator(self.params, self.space(), self.bath, self.freq_tol)
         if self.model == "phen":
             return phenomenological_generator(self.params, self.space(), self.gamma0, self.nbar)
-        if self.model == "dressed":
-            return dressed_approx_generator(
-                self.params, self.space(), self.gamma0, self.nbar, self.freq_tol
-            )
-        gamma_a = rate(self.omega0 - self.rabi, self.bath)
-        gamma_b = rate(self.omega0 + self.rabi, self.bath)
-        return single_excitation_generator(self.params, gamma_a, gamma_b)
+        return dressed_approx_generator(
+            self.params, self.space(), self.gamma0, self.nbar, self.freq_tol
+        )
 
     def initial_state(self) -> DensityMatrix:
-        if self.model == "single":
-            raise ConfigError("model = single supports only the steady and spectrum subcommands")
         return pure_state(self._initial_vector(self.space()))
 
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from jcsim.analytic import bell_micro, bell_phen, rabi_micro, rabi_micro_density, rabi_phen
-from jcsim.generators import single_excitation_generator
-from jcsim.hilbert import pure_state
-from jcsim.jcmodel import JCParams
+from jcsim.bath import BathSpec, OhmicSpectrum, rate
+from jcsim.generators import microscopic_channels, restricted_lindblad
+from jcsim.hilbert import build_space, pure_state
+from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
 
 RABI = 0.41
@@ -149,13 +150,20 @@ def test_micro_density_unit_trace_and_positivity():
 
 
 def test_micro_density_matches_sector_solver():
-    params = JCParams(1.0, RABI)
-    liouvillian = single_excitation_generator(params, 0.08, 0.12)
-    rho0 = pure_state(np.array([0.0, -1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+    # micro restricted to the states |0,e> reaches, [|0,g>, |0,e>, |1,g>], against the
+    # oracle carried there from the dressed basis [ground, (1,-), (1,+)]
+    params, space = JCParams(1.0, RABI), build_space(2)
+    bath = BathSpec(0.0, OhmicSpectrum(0.15, 2.0))
+    gamma_a, gamma_b = rate(1.0 - RABI, bath), rate(1.0 + RABI, bath)
+    jumps = [(op, g) for _, op, g in microscopic_channels(params, space, bath)]
+    rho0 = pure_state(space.basis_state(0, "e"))
+    liouvillian, states = restricted_lindblad(hamiltonian(params, space), jumps, rho0.matrix)
+    assert states.tolist() == [0, 1, 2]
+    u = np.column_stack([st.coefficients[:3] for st in dressed_states(params, build_space(1))])
     times = np.linspace(0.0, 35.0, 30)
-    series = evolve_spectral(damping_basis(liouvillian), rho0, times)
+    series = evolve_spectral(damping_basis(liouvillian), pure_state(np.eye(3)[1]), times)
     for k, t in enumerate(times):
-        oracle = rabi_micro_density(t, 0.08, 0.12, RABI, 1.0).matrix
+        oracle = u @ rabi_micro_density(t, gamma_a, gamma_b, RABI, 1.0).matrix @ u.conj().T
         assert np.abs(series.states[k] - oracle).max() < 1e-10
 
 

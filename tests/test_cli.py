@@ -8,8 +8,9 @@ import pytest
 from jcsim import analytic, cli, observables, solver
 from jcsim.acceptance import CriterionResult, run_criterion
 from jcsim.analytic import rabi_micro
+from jcsim.bath import rate
 from jcsim.generators import Superoperator
-from jcsim.scenario import scenario_from_config
+from jcsim.scenario import MODELS, scenario_from_config
 
 BASE = """
 model = micro
@@ -181,12 +182,16 @@ def test_evolve_flag_overrides(tmp_path):
     assert data[-1, 0] == pytest.approx(10.0)
 
 
-def test_config_errors_exit_1(tmp_path):
+def test_config_errors_exit_1(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(["evolve", "--config", str(tmp_path / "missing.cfg"),
                      "--out", str(out)]) == 1
     bad = _write(tmp_path, "bad.cfg", BASE.replace("steps = 400", "steps = 0"))
     assert cli.main(["evolve", "--config", str(bad), "--out", str(out)]) == 1
+    capsys.readouterr()
+    single = _write(tmp_path, "single.cfg", BASE.replace("model = micro", "model = single"))
+    assert cli.main(["steady", "--config", str(single), "--out", str(out)]) == 1
+    assert "config error: model must be one of" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -312,21 +317,6 @@ def test_compare_ode_route_matches_spectral(tmp_path, capsys):
     assert len(freq_s) == 4 and freq_s == freq_o
 
 
-def test_single_model_runs_steady_only_besides_spectrum(tmp_path, capsys):
-    cfg = _write(tmp_path, "single.cfg", BASE.replace("model = micro", "model = single"))
-    out = tmp_path / "steady.csv"
-    assert cli.main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
-    capsys.readouterr()
-    header, data = _read_csv(out)
-    assert header == ["row", "col", "re", "im"] and data.shape == (9, 4)
-    for argv in (["evolve"], ["compare", "--model", "single,micro"]):
-        assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "steady and spectrum" in captured.err
-        assert not (tmp_path / "x.csv").exists()
-
-
 def test_compare_bell_contrast(tmp_path, capsys):
     cfg = _write(tmp_path, "bell.cfg", BELL)
     out = tmp_path / "bell.csv"
@@ -391,22 +381,35 @@ def test_compare_requires_model_pair(tmp_path):
 
 
 def test_spectrum_single_excitation_closed_form(tmp_path):
-    cfg = _write(tmp_path, "single.cfg", BASE.replace("model = micro", "model = single"))
+    # micro's one-excitation sector, |0,g>, |0,e> and |1,g>, contributes 9 of the 36 modes;
+    # an Ohmic bath gives its two sideband channels unequal rates
+    text = BASE.replace("bath.kind = flat", "bath.kind = ohmic\nbath.alpha = 0.15").replace(
+        "bath.gamma0 = 0.04", "bath.cutoff = 2.0")
+    cfg = _write(tmp_path, "ohmic.cfg", text)
     out = tmp_path / "spec.csv"
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     header, data = _read_csv(out)
-    assert header == ["re", "im"]
+    assert header == ["re", "im"] and data.shape == (36, 2)
     got = data[:, 0] + 1j * data[:, 1]
-    gamma = 0.04
+    bath = scenario_from_config(text).bath
+    gamma_a, gamma_b = rate(0.8, bath), rate(1.2, bath)
     expected = np.array([
         0.0,
-        -gamma / 2.0, -gamma / 2.0,
-        1j * 0.8 - gamma / 4.0, -1j * 0.8 - gamma / 4.0,
-        1j * 1.2 - gamma / 4.0, -1j * 1.2 - gamma / 4.0,
-        2j * 0.2 - gamma / 2.0, -2j * 0.2 - gamma / 2.0,
+        -gamma_a / 2.0, -gamma_b / 2.0,
+        1j * 0.8 - gamma_a / 4.0, -1j * 0.8 - gamma_a / 4.0,
+        1j * 1.2 - gamma_b / 4.0, -1j * 1.2 - gamma_b / 4.0,
+        2j * 0.2 - (gamma_a + gamma_b) / 4.0, -2j * 0.2 - (gamma_a + gamma_b) / 4.0,
     ])
-    order = np.lexsort((expected.imag, -expected.real))
-    assert np.abs(got - expected[order]).max() < 1e-10
+    assert np.abs(got[None, :] - expected[:, None]).min(axis=1).max() < 1e-10
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_no_model_is_limited_to_some_subcommands(model, tmp_path):
+    for command in ("evolve", "steady", "spectrum"):
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", str(CONFIGS / "rabi_joint_ground.cfg"),
+                         "--model", model, "--nmax", "3", "--out", str(out)]) == 0
+        assert out.exists()
 
 
 def test_spectrum_unitary_limit_is_imaginary(tmp_path):

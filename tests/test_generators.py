@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jcsim import generators
-from jcsim.bath import BathSpec, FlatSpectrum, occupation
+from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation
 from jcsim.generators import (
     Superoperator,
     _lindblad,
@@ -12,19 +12,32 @@ from jcsim.generators import (
     microscopic_channels,
     microscopic_generator,
     phenomenological_generator,
+    reachable_states,
+    restricted_lindblad,
     secular_margin,
-    single_excitation_generator,
     unvec,
     vec,
 )
-from jcsim.hilbert import atomic_operators, build_space, ladder_operators
+from jcsim.hilbert import atomic_operators, build_space, ladder_operators, pure_state
 from jcsim.jcmodel import DressedState, JCParams, complete_eigensystem, dressed_states, hamiltonian
+from jcsim.solver import damping_basis, evolve_spectral
 
 OMEGA0 = 1.0
 RABI = 0.2  # keeps every downward transition below every upward one for n_max <= 4
 GAMMA0 = 0.04
 PARAMS = JCParams(OMEGA0, RABI)
 COLD_BATH = BathSpec(0.0, FlatSpectrum(GAMMA0))
+SECTOR_BATH = BathSpec(0.0, OhmicSpectrum(0.15, 2.0 * OMEGA0))  # unequal sideband rates
+
+
+def _single_excitation_sector(n_max=2):
+    # micro restricted to the states |0,e> reaches: the basis [|0,g>, |0,e>, |1,g>]
+    space = build_space(n_max)
+    jumps = [(op, g) for _, op, g in microscopic_channels(PARAMS, space, SECTOR_BATH)]
+    excited = np.outer(space.basis_state(0, "e"), space.basis_state(0, "e").conj())
+    liouvillian, states = restricted_lindblad(hamiltonian(PARAMS, space), jumps, excited)
+    assert states.tolist() == [0, 1, 2]
+    return liouvillian
 
 
 def _kron_lindblad(h, jumps):
@@ -151,7 +164,7 @@ def test_hermiticity_preservation(builder):
     elif builder == "dressed":
         liouvillian = dressed_approx_generator(PARAMS, space, GAMMA0, 0.1)
     else:
-        liouvillian = single_excitation_generator(PARAMS, 0.05, 0.08)
+        liouvillian = _single_excitation_sector()
     dim = liouvillian.dim
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -215,7 +228,7 @@ def _model_generator(model, n_max, temperature):
     if model == "lossless":
         return phenomenological_generator(PARAMS, space, 0.0, 0.0)
     if model == "single":
-        return single_excitation_generator(PARAMS, 0.05, 0.08)
+        return _single_excitation_sector(n_max)
     # sigma_minus + sigma_plus flips the atom alone and breaks the excitation count
     a, _ = ladder_operators(space)
     sm, sp, _ = atomic_operators(space)
@@ -352,18 +365,20 @@ def test_manifold_population_decay_rates():
 
 
 def test_single_excitation_matches_restricted_microscopic():
-    space = build_space(2)
-    micro = microscopic_generator(PARAMS, space, COLD_BATH)
-    _, to_dressed, to_bare = _dressed_transform(PARAMS, space)
-    matrix = to_dressed @ micro.matrix @ to_bare
-    sector = [i + space.dim * j for j in range(3) for i in range(3)]
-    restricted = matrix[np.ix_(sector, sector)]
-    three_level = single_excitation_generator(PARAMS, GAMMA0, GAMMA0)
-    assert np.abs(restricted - three_level.matrix).max() < 1e-12
+    # the sector generator is the full micro generator on operators over
+    # [|0,g>, |0,e>, |1,g>], and the full one carries nothing from there elsewhere
+    space = build_space(3)
+    full = microscopic_generator(PARAMS, space, SECTOR_BATH).matrix
+    inside = np.zeros((space.dim, space.dim))
+    inside[:3, :3] = 1.0
+    sector = vec(inside).real > 0
+    restricted = _single_excitation_sector(3).matrix
+    assert np.abs(full[np.ix_(sector, sector)] - restricted).max() <= 1e-15
+    assert not full[np.ix_(~sector, sector)].any()
 
 
 def test_single_excitation_trace_preservation():
-    liouvillian = single_excitation_generator(PARAMS, 0.05, 0.08)
+    liouvillian = _single_excitation_sector()
     assert np.abs(vec(np.eye(3)) @ liouvillian.matrix).max() < 1e-14
 
 
@@ -374,8 +389,6 @@ def test_negative_rates_are_refused(monkeypatch):
             microscopic_channels(PARAMS, build_space(2), COLD_BATH)
     with pytest.raises(ValueError):
         phenomenological_generator(PARAMS, build_space(2), -0.1, 0.0)
-    with pytest.raises(ValueError):
-        single_excitation_generator(PARAMS, -0.1, 0.1)
     with pytest.raises(ValueError):
         microscopic_generator(PARAMS, build_space(1), COLD_BATH)  # needs n_max >= 2
 
@@ -450,6 +463,21 @@ def test_secular_margin_follows_hamiltonian_and_thermal_jumps():
     spacing_ratio, omega_ratio, pair = secular_margin(channels, h, _projector(0, 0))
     assert pair == (pytest.approx(0.95), pytest.approx(1.0))
     assert spacing_ratio == pytest.approx(2.0) and omega_ratio == pytest.approx(0.1 / 0.95)
+
+
+def test_secular_margin_follows_the_anticommutator():
+    # A maps |1> and |2> both onto |0>, so -{A†A, rho}/2 feeds |2> from |1>
+    # and the channel at 1.7, which acts on |2> alone, is live for the run
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    channels = [(1.0, _projector(0, 1) + _projector(0, 2), 0.1), (1.7, _projector(0, 2), 0.3)]
+    jumps = [(op, g) for _, op, g in channels]
+    assert reachable_states(h, jumps, _projector(1, 1)).tolist() == [0, 1, 2]
+    basis = damping_basis(_lindblad(h, jumps))
+    rho = evolve_spectral(basis, pure_state(np.eye(3)[1]), np.array([5.0])).states[0]
+    assert rho[2, 2].real > 1e-3
+    spacing_ratio, omega_ratio, pair = secular_margin(channels, h, _projector(1, 1))
+    assert pair == (pytest.approx(1.0), pytest.approx(1.7))
+    assert spacing_ratio == pytest.approx(0.3 / 0.7) and omega_ratio == pytest.approx(0.3)
 
 
 def test_superoperator_shape_validation():

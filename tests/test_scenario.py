@@ -94,6 +94,7 @@ def test_phen_scenario_construction():
     ({"omega0": "0"}, "omega0"),
     ({"solver": "ode"}, "dt"),
     ({"rabi": "nonsense"}, "bad value"),
+    ({"model": "single"}, "model"),  # the one-excitation sector is micro's, not a model
 ])
 def test_scenario_validation_errors(mutation, match):
     mapping = parse_config(MICRO_TEXT)
@@ -165,16 +166,6 @@ def test_structured_bath_blocks():
     mapping["bath.kind"] = "ohmic"  # lorentzian keys left over, alpha missing
     with pytest.raises(ConfigError, match="invalid bath block"):
         scenario_from_mapping(mapping)
-
-
-def test_single_model_is_spectrum_only():
-    mapping = parse_config(MICRO_TEXT)
-    mapping["model"] = "single"
-    scenario = scenario_from_mapping(mapping)
-    assert scenario.generator().dim == 3
-    with pytest.raises(ConfigError, match="spectrum") as excinfo:
-        scenario.initial_state()
-    assert "steady" in str(excinfo.value)
 
 
 def test_with_model_revalidates():

@@ -7,14 +7,18 @@ import pytest
 
 from jcsim.acceptance import DT, _SharedRuns
 from jcsim.analytic import rabi_micro_density
-from jcsim.bath import BathSpec, FlatSpectrum, occupation
+from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
 from jcsim.generators import (
     Superoperator,
     _lindblad,
+    _photon_loss,
     dressed_approx_generator,
+    dressed_channels,
+    microscopic_channels,
     microscopic_generator,
     phenomenological_generator,
-    single_excitation_generator,
+    reachable_states,
+    restricted_lindblad,
     unvec,
     vec,
 )
@@ -49,13 +53,33 @@ from jcsim.solver import (
 OMEGA0 = 1.0
 RABI = 0.2
 PARAMS = JCParams(OMEGA0, RABI)
-GAMMA_A, GAMMA_B = 0.08, 0.12
+SECTOR_BATH = BathSpec(0.0, OhmicSpectrum(0.15, 2.0 * OMEGA0))  # unequal sideband rates
+GAMMA_A, GAMMA_B = rate(OMEGA0 - RABI, SECTOR_BATH), rate(OMEGA0 + RABI, SECTOR_BATH)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def _sector_generator(bath: BathSpec = SECTOR_BATH) -> Superoperator:
+    # micro restricted to the states |0,e> reaches: the basis [|0,g>, |0,e>, |1,g>]
+    space = build_space(2)
+    jumps = [(op, g) for _, op, g in microscopic_channels(PARAMS, space, bath)]
+    excited = pure_state(space.basis_state(0, "e")).matrix
+    liouvillian, states = restricted_lindblad(hamiltonian(PARAMS, space), jumps, excited)
+    assert states.tolist() == [0, 1, 2]
+    return liouvillian
+
+
 def _sector_state_excited_atom() -> DensityMatrix:
-    # |0,e> in the sector basis [ground, (1,-), (1,+)]
-    return pure_state(np.array([0.0, -1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+    return pure_state(np.array([0.0, 1.0, 0.0], dtype=complex))
+
+
+def _sector_state_upper_doublet() -> DensityMatrix:
+    return pure_state(np.array([0.0, 1.0, 1.0], dtype=complex) / np.sqrt(2.0))
+
+
+def _dressed_to_sector(rho: np.ndarray) -> np.ndarray:
+    # from the dressed basis [ground, (1,-), (1,+)] to [|0,g>, |0,e>, |1,g>]
+    u = np.column_stack([st.coefficients[:3] for st in dressed_states(PARAMS, build_space(1))])
+    return u @ rho @ u.conj().T
 
 
 def _expected_sector_eigenvalues(gamma_a, gamma_b):
@@ -73,25 +97,31 @@ def _expected_sector_eigenvalues(gamma_a, gamma_b):
     ])
 
 
-@pytest.mark.parametrize("rates", [(GAMMA_A, GAMMA_B), (0.1, 0.1)])
-def test_sector_spectrum_closed_form(rates):
-    got = damping_basis(single_excitation_generator(PARAMS, *rates)).eigenvalues
-    expected = _expected_sector_eigenvalues(*rates)
+@pytest.mark.parametrize("bath", [SECTOR_BATH, BathSpec(0.0, FlatSpectrum(0.1))],
+                         ids=["distinct", "degenerate"])
+def test_sector_spectrum_closed_form(bath):
+    got = damping_basis(_sector_generator(bath)).eigenvalues
+    expected = _expected_sector_eigenvalues(rate(OMEGA0 - RABI, bath), rate(OMEGA0 + RABI, bath))
     order = np.lexsort((expected.imag, -expected.real))
     assert np.abs(got - expected[order]).max() < 1e-10
 
 
 def test_damping_basis_biorthonormality_and_sorting():
-    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
+    basis = damping_basis(_sector_generator())
     assert basis.eigenvalues.shape == (9,)
     assert basis.right.shape == basis.left.shape == (9, 9)
     assert np.abs(basis.left @ basis.right - np.eye(9)).max() < 1e-10
-    reals = list(basis.eigenvalues.real)
-    assert reals == sorted(reals, reverse=True)
+    # Re lambda descending, then Im lambda ascending among real parts tied within
+    # 1e-9 * max(1, max|lambda|): a conjugate pair's real parts differ in the last bits
+    lam = basis.eigenvalues
+    tie = 1e-9 * max(1.0, float(np.abs(lam).max()))
+    step = np.diff(lam)
+    assert np.all(step.real <= tie)
+    assert np.all(step.imag[np.abs(step.real) <= tie] > 0.0)
 
 
 def test_zero_mode_pair():
-    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
+    basis = damping_basis(_sector_generator())
     (zero,) = np.flatnonzero(np.abs(basis.eigenvalues) < 1e-12)
     # the left functional is the trace: Tr{1 rho} = vec(1) . vec(rho)
     assert np.abs(basis.left[zero] - vec(np.eye(3))).max() < 1e-12
@@ -109,7 +139,7 @@ def test_damping_modes_satisfy_eigenproblems():
 
 def test_contractivity_of_built_generators():
     cases = [
-        single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B),
+        _sector_generator(),
         microscopic_generator(PARAMS, build_space(2), BathSpec(0.25, FlatSpectrum(0.04))),
         phenomenological_generator(PARAMS, build_space(2), 0.04, 0.3),
     ]
@@ -118,29 +148,28 @@ def test_contractivity_of_built_generators():
 
 
 def test_spectral_reproduces_initial_state():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     rho0 = _sector_state_excited_atom()
     series = evolve_spectral(damping_basis(liouvillian), rho0, np.array([0.0, 1.0]))
     assert np.abs(series.states[0] - rho0.matrix).max() < 1e-12
 
 
 def test_spectral_matches_closed_form_density():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     times = np.linspace(0.0, 30.0, 40)
     series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(), times)
     for k, t in enumerate(times):
-        oracle = rabi_micro_density(t, GAMMA_A, GAMMA_B, RABI, OMEGA0).matrix
+        oracle = _dressed_to_sector(rabi_micro_density(t, GAMMA_A, GAMMA_B, RABI, OMEGA0).matrix)
         assert np.abs(series.states[k] - oracle).max() < 1e-10
 
 
 def test_spectral_bell_decay_has_two_modes_only():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
-    rho0 = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
+    liouvillian = _sector_generator()
     times = np.linspace(0.0, 50.0, 60)
-    series = evolve_spectral(damping_basis(liouvillian), rho0, times)
+    series = evolve_spectral(damping_basis(liouvillian), _sector_state_upper_doublet(), times)
     for k, t in enumerate(times):
         decay = np.exp(-GAMMA_B * t / 2.0)
-        expected = np.diag([1.0 - decay, 0.0, decay]).astype(complex)
+        expected = _dressed_to_sector(np.diag([1.0 - decay, 0.0, decay]).astype(complex))
         assert np.abs(series.states[k] - expected).max() < 1e-12
 
 
@@ -273,13 +302,13 @@ def test_ode_never_diagonalizes(monkeypatch):
 
 
 def test_ode_step_size_guard():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     with pytest.raises(StepSizeError):
         evolve_ode(liouvillian, _sector_state_excited_atom(), np.array([0.0, 1.0]), dt=0.5)
 
 
 def test_ode_rejects_bad_grid():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     with pytest.raises(ValueError):
         evolve_ode(liouvillian, _sector_state_excited_atom(), np.array([1.0, 0.5]), dt=1e-3)
 
@@ -361,7 +390,7 @@ def test_steady_state_matches_dense_reference(model):
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed", "single"])
 def test_coupled_blocks_partition_the_generator(model):
     if model == "single":
-        mat = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B).matrix
+        mat = _sector_generator().matrix
     else:
         mat = _thermal_generators(5, 0.3)[model].matrix
     blocks = _coupled_blocks(mat)
@@ -443,7 +472,7 @@ _REFERENCE_CASES += ["dressed-9-0.22", "dressed-10-0.22"]
 @pytest.mark.parametrize("case", _REFERENCE_CASES + ["single", "u1-breaking", "lossless-phen"])
 def test_damping_basis_matches_dense_reference(case):
     if case == "single":
-        liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+        liouvillian = _sector_generator()
     elif case == "u1-breaking":
         liouvillian = _u1_breaking_generator(3)
     elif case == "lossless-phen":  # eig returns its repeated eigenvalues' vectors near-parallel
@@ -473,6 +502,63 @@ def test_damping_basis_diagonalizes_block_by_block(model, monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording)
     damping_basis(liouvillian)
     assert widths and max(widths) <= widest < liouvillian.matrix.shape[0]
+
+
+def _hamiltonian_and_jumps(scenario) -> tuple[np.ndarray, list]:
+    # the h and (operator, rate) jumps that scenario.generator() hands to _lindblad
+    params, space = scenario.params, scenario.space()
+    if scenario.model == "micro":
+        channels = microscopic_channels(params, space, scenario.bath)
+    elif scenario.model == "dressed":
+        channels = dressed_channels(params, space, scenario.gamma0, scenario.nbar)
+    else:
+        channels = [(None, op, g) for op, g in _photon_loss(space, scenario.gamma0, scenario.nbar)]
+    h, jumps = hamiltonian(params, space), [(op, g) for _, op, g in channels]
+    assert np.array_equal(_lindblad(h, jumps).matrix, scenario.generator().matrix)
+    return h, jumps
+
+
+def _joint_ground_scenario(**changes):
+    return replace(scenario_from_config((CONFIGS / "rabi_joint_ground.cfg").read_text()), **changes)
+
+
+# the bundled configs' two initial states, and one in the two-excitation manifold
+_INITIAL_STATES = pytest.mark.parametrize(
+    "initial", [("fock", 0, "e"), ("dressed", 1, +1), ("fock", 1, "e")],
+    ids=["fock:0,e", "dressed:1,+", "fock:1,e"])
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+@_INITIAL_STATES
+def test_restricted_generator_reproduces_the_full_trajectory(initial, model, n_max):
+    scenario = _joint_ground_scenario(initial=initial, model=model, n_max=n_max, steps=201)
+    full, rho0, times = scenario.generator(), scenario.initial_state(), scenario.time_grid()
+    h, jumps = _hamiltonian_and_jumps(scenario)
+    restricted, states = restricted_lindblad(h, jumps, rho0.matrix)
+    if initial != ("fock", 1, "e"):  # the bundled configs' states stay in one excitation
+        assert states.tolist() == [0, 1, 2]
+    cut = np.ix_(states, states)
+    rho0_cut = DensityMatrix(rho0.matrix[cut])
+    dt = rk4_step_limit(full)
+    for route in (lambda gen, rho: evolve_spectral(damping_basis(gen), rho, times),
+                  lambda gen, rho: evolve_ode(gen, rho, times, dt)):
+        reference = route(full, rho0).states
+        embedded = np.zeros_like(reference)
+        embedded[:, states[:, None], states[None, :]] = route(restricted, rho0_cut).states
+        assert np.abs(embedded - reference).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_max", [3, 8])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+@_INITIAL_STATES
+def test_thermal_runs_reach_every_state(initial, model, n_max):
+    scenario = _joint_ground_scenario(initial=initial, model=model, n_max=n_max,
+                                      nbar=occupation(OMEGA0, 0.22))
+    scenario = replace(scenario, bath=BathSpec(0.22, scenario.bath.spectrum))
+    h, jumps = _hamiltonian_and_jumps(scenario)
+    states = reachable_states(h, jumps, scenario.initial_state().matrix)
+    assert states.tolist() == list(range(scenario.space().dim))
 
 
 def test_evolve_spectral_keeps_unweighted_blocks_exactly_zero():
@@ -543,18 +629,17 @@ def test_mode_order_survives_last_bit_changes():
 
 
 def test_dominant_frequency_selects_excited_mode():
-    basis = damping_basis(single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B))
+    basis = damping_basis(_sector_generator())
     # excited bare atom beats at twice the coupling
     assert dominant_frequency(basis, _sector_state_excited_atom()) == pytest.approx(
         2.0 * RABI, abs=1e-12
     )
     # the pure upper doublet state excites no oscillating mode at all
-    bell = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    assert dominant_frequency(basis, bell) == 0.0
+    assert dominant_frequency(basis, _sector_state_upper_doublet()) == 0.0
 
 
 def test_trajectory_states_validated():
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(),
                              np.linspace(0.0, 10.0, 20))
     series.validate_states()
@@ -569,7 +654,7 @@ _CORRUPTIONS = {
 
 @pytest.mark.parametrize("defect", list(_CORRUPTIONS))
 def test_validate_states_names_the_corrupted_sample(defect):
-    liouvillian = single_excitation_generator(PARAMS, GAMMA_A, GAMMA_B)
+    liouvillian = _sector_generator()
     series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(),
                              np.linspace(0.0, 50.0, 2000))
     series.validate_states()
