@@ -6,6 +6,12 @@ significant digits), CSV files are written atomically (temp file +
 rename) with LF line endings and the umask's mode, and repeated runs
 produce byte-identical files.
 
+``evolve`` and ``compare`` solve each trajectory on the states S its
+initial state can reach (the whole space once absorption is live), and
+validate and read the states there; the RK4 step is still held to the
+whole generator's bound.  ``steady`` and ``spectrum`` are statements
+about the whole generator and solve all of it.
+
 Exit codes: 0 success, 1 configuration error, 2 numerical or
 verification failure.
 """
@@ -21,7 +27,14 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_all_criteria
-from .generators import Superoperator, dressed_channels, microscopic_channels, secular_margin
+from .generators import (
+    Superoperator,
+    dressed_channels,
+    lindblad_diagonal,
+    microscopic_channels,
+    restricted_lindblad,
+    secular_margin,
+)
 from .hilbert import DensityMatrix
 from .jcmodel import hamiltonian
 from .scenario import ConfigError, Scenario, scenario_from_config
@@ -30,6 +43,7 @@ from .solver import (
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
+    check_rk4_step,
     damping_basis,
     dominant_frequency,
     evolve_ode,
@@ -61,35 +75,43 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    """Header and rows, each value as :func:`_fmt` writes it: repr of the list, re-separated."""
+    body = repr(np.asarray(rows, dtype=float).tolist())[2:-2]
+    return ",".join(header) + "\n" + body.replace("], [", "\n").replace(", ", ",") + "\n"
 
 
 def run_trajectory(
     scenario: Scenario,
-) -> tuple[Superoperator, DampingBasis | None, dict[str, np.ndarray]]:
-    """Solve the scenario with its configured solver.
+) -> tuple[Superoperator, DensityMatrix, DampingBasis | None, dict[str, np.ndarray], float]:
+    """Solve the scenario with its configured solver on the states S rho0 reaches.
 
-    Returns the generator, its damping basis (None on the ode route, which
-    never diagonalizes) and the scenario's observables on the time grid;
-    the trajectory's states are dropped once those are read off.
+    The trajectory is exactly the full one's S x S block (see
+    :func:`restricted_lindblad`); the RK4 step is held to the full
+    generator's bound.  Returns the generator and the initial state on S,
+    the damping basis (None on the ode route, which never diagonalizes),
+    the observables on the time grid and the top Fock level's largest
+    population along it.
     """
-    liouvillian = scenario.generator()
-    rho0 = scenario.initial_state()
+    h, jumps = scenario.lindblad_terms()
+    full_rho0 = scenario.initial_state().matrix
+    liouvillian, reached = restricted_lindblad(h, jumps, full_rho0)
+    rho0 = DensityMatrix(full_rho0[np.ix_(reached, reached)])
     times = scenario.time_grid()
     basis = None
     if scenario.solver == "ode":
+        check_rk4_step(scenario.dt, lindblad_diagonal(h, jumps))
         series = evolve_ode(liouvillian, rho0, times, scenario.dt)
     else:
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
-    return liouvillian, basis, scenario.observables.evaluate(series.states, scenario.space())
+    observables = scenario.observables.evaluate(series.states, scenario.space(), reached)
+    edge = _edge_population(scenario, series.states, reached)
+    return liouvillian, rho0, basis, observables, edge
 
 
-def _ode_step_bound(liouvillian: Superoperator) -> str:
-    """:func:`rk4_step_limit` rounded down to 3 significant digits, as printed."""
-    limit = rk4_step_limit(liouvillian)
+def _ode_step_bound(diagonal: np.ndarray) -> str:
+    """:func:`rk4_step_limit` of a generator's diagonal, rounded down to 3 significant digits."""
+    limit = rk4_step_limit(diagonal)
     scale = 10.0 ** (np.floor(np.log10(limit)) - 2)
     steps = np.floor(limit / scale)
     while float(f"{steps * scale:.3g}") > limit:  # the decimal may parse a bit above
@@ -97,21 +119,23 @@ def _ode_step_bound(liouvillian: Superoperator) -> str:
     return f"{steps * scale:.3g}"
 
 
-def run_evolve(scenario: Scenario, out_path: str) -> None:
-    """Write 'tau,<observables>' CSV for one scenario.
+def run_evolve(scenario: Scenario, out_path: str) -> float:
+    """Write 'tau,<observables>' CSV for one scenario; return the top Fock level's population.
 
     A damping basis that fails on the spectral route names the RK4 route
-    and a step it accepts; the route is never switched silently.
+    and a step the full generator accepts; the route is never switched
+    silently.
     """
     try:
-        _, _, observables = run_trajectory(scenario)
+        _, _, _, observables, edge = run_trajectory(scenario)
     except DampingBasisError as exc:
-        bound = _ode_step_bound(scenario.generator())
+        bound = _ode_step_bound(lindblad_diagonal(*scenario.lindblad_terms()))
         raise DampingBasisError(f"{exc}; rerun with --solver ode --dt {bound}") from exc
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
     columns = [tau] + [observables[n] for n in scenario.observables.names]
     _write_atomic(out_path, _csv(header, np.column_stack(columns)))
+    return edge
 
 
 def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> dict:
@@ -125,12 +149,12 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    liouvillian_a, basis_a, observables_a = run_trajectory(scenario_a)
-    liouvillian_b, basis_b, observables_b = run_trajectory(scenario_b)
+    liouvillian_a, rho0_a, basis_a, observables_a, _ = run_trajectory(scenario_a)
+    liouvillian_b, rho0_b, basis_b, observables_b, _ = run_trajectory(scenario_b)
     if basis_a is None:  # the ode route solves each generator for the frequencies only
         basis_a, basis_b = damping_basis(liouvillian_a), damping_basis(liouvillian_b)
-    freq_a = dominant_frequency(basis_a, scenario_a.initial_state())
-    freq_b = dominant_frequency(basis_b, scenario_b.initial_state())
+    freq_a = dominant_frequency(basis_a, rho0_a)
+    freq_b = dominant_frequency(basis_b, rho0_b)
     shift = abs(freq_a - freq_b)
     reference = max(abs(freq_a), abs(freq_b))
     names = scenario_a.observables.names
@@ -163,11 +187,10 @@ def run_spectrum(scenario: Scenario, out_path: str) -> None:
 def run_steady(scenario: Scenario, out_path: str) -> DensityMatrix:
     """Write the stationary density matrix as 'row,col,re,im' CSV and return it."""
     rho = steady_state(scenario.generator())
-    rows = []
-    for j in range(rho.dim):
-        for i in range(rho.dim):
-            rows.append([i, j, rho.matrix[i, j].real, rho.matrix[i, j].imag])
-    _write_atomic(out_path, _csv(["row", "col", "re", "im"], rows))
+    col, row = np.indices((rho.dim, rho.dim)).reshape(2, -1)  # column-major, as vec
+    values = rho.matrix[row, col]
+    _write_atomic(out_path, _csv(["row", "col", "re", "im"],
+                                 np.column_stack([row, col, values.real, values.imag])))
     return rho
 
 
@@ -255,11 +278,15 @@ def _print_advisories(scenario: Scenario) -> None:
     )
 
 
-def _print_edge_population(scenario: Scenario, rho: DensityMatrix) -> None:
-    """Population of the top Fock level, the cutoff check for a stationary state."""
+def _edge_population(scenario: Scenario, states: np.ndarray, basis: np.ndarray) -> float:
+    """Largest top Fock level population of states (..., n, n) held on ``basis``; 0 off it."""
     space = scenario.space()
-    top = [space.index(scenario.n_max, s) for s in ("g", "e")]
-    edge = float(rho.matrix[top, top].real.sum())
+    top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
+    return float(np.diagonal(states, axis1=-2, axis2=-1)[..., top].real.sum(axis=-1).max())
+
+
+def _print_edge_population(edge: float) -> None:
+    """The cutoff check: the top Fock level's population, small at or below 1e-10."""
     print(
         f"# top Fock level population = {_fmt(edge)}"
         f" ({'ok' if edge <= 1e-10 else 'NOT small'})"
@@ -290,8 +317,9 @@ def main(argv: list[str] | None = None) -> int:
             return run_verify()
         scenario = _load_scenario(args)
         if args.command == "evolve":
-            run_evolve(scenario, args.out)
+            edge = run_evolve(scenario, args.out)
             _print_advisories(scenario)
+            _print_edge_population(edge)
         elif args.command == "compare":
             if not args.model or "," not in args.model:
                 raise ConfigError("compare needs --model <model_a>,<model_b>")
@@ -306,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     print(f"{key} = {_fmt(value)}")
         elif args.command == "steady":
-            _print_edge_population(scenario, run_steady(scenario, args.out))
+            rho = run_steady(scenario, args.out)
+            _print_edge_population(_edge_population(scenario, rho.matrix, np.arange(rho.dim)))
         elif args.command == "spectrum":
             run_spectrum(scenario, args.out)
         return 0

@@ -15,9 +15,11 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
   components of a and a† at their photon-loss and photon-gain rates.
 
 ``restricted_lindblad`` builds a generator exactly on the states
-(``reachable_states``) a run can populate, and ``secular_margin``
-measures how close the micro or dressed jump channels a run reaches come
-to breaking the secular approximation behind both.
+(``reachable_states``) a run can populate; the CLI solves every
+trajectory on it.  ``lindblad_diagonal`` gives the whole generator's
+diagonal, which bounds the RK4 step, without building L.
+``secular_margin`` measures how close the micro or dressed jump channels
+a run reaches come to breaking the secular approximation behind both.
 
 Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
 vectorized operators, vec(X)[i + d*j] = X[i, j].  Row i + d*j and column
@@ -162,6 +164,15 @@ def microscopic_channels(
     return channels
 
 
+def _effective_hamiltonian(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]):
+    """The jumps with nonzero rate stacked, their rates, and h - (i/2) sum_c rate_c A_c†A_c."""
+    active = [(op, g) for op, g in jumps if g != 0.0]
+    stack = np.array([op for op, _ in active], dtype=complex).reshape(-1, *h.shape)
+    rates = np.array([g for _, g in active], dtype=float)
+    weighted_ada = np.einsum("c,cij->ij", rates, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
+    return stack, rates, h - 0.5j * weighted_ada
+
+
 def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoperator:
     """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate.
 
@@ -170,22 +181,24 @@ def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoper
     of L described in the module docstring.
     """
     d = h.shape[0]
-    active = [(op, g) for op, g in jumps if g != 0.0]
-    if active:
-        stack = np.array([op for op, _ in active], dtype=complex)
-        rates = np.array([g for _, g in active], dtype=float)
-        t = np.einsum("c,cjl,cik->jilk", rates, stack.conj(), stack, optimize=True)
-        weighted_ada = np.einsum("c,cij->ij", rates, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
-        h_eff = h - 0.5j * weighted_ada
-    else:
-        t = np.zeros((d, d, d, d), dtype=complex)
-        h_eff = h
+    stack, rates, h_eff = _effective_hamiltonian(h, jumps)
+    t = np.einsum("c,cjl,cik->jilk", rates, stack.conj(), stack, optimize=True)
     idx = np.arange(d)
     # t[m, i, m, k] weighs X[k, m] in (h_eff X)[i, m];
     # t[j, m, l, m] weighs X[m, l] in (X h_eff†)[m, j]
     t[idx, :, idx, :] += -1j * h_eff
     t[:, idx, :, idx] += 1j * h_eff.conj()
     return Superoperator(t.reshape(d * d, d * d))
+
+
+def lindblad_diagonal(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> np.ndarray:
+    """The diagonal of :func:`_lindblad`'s L, entry i + d*j, without building L."""
+    stack, rates, h_eff = _effective_hamiltonian(h, jumps)
+    ops, e = np.diagonal(stack, axis1=1, axis2=2), np.diag(h_eff)
+    t = np.einsum("c,cj,ci->ji", rates, ops.conj(), ops, optimize=True)  # [j, i], as L's view
+    t += -1j * e
+    t += (1j * e.conj())[:, None]
+    return t.ravel()
 
 
 def microscopic_generator(

@@ -50,16 +50,36 @@ _ATOM_LEVELS = {"atomic_ground": "g", "atomic_excited": "e"}
 _DIAGNOSTICS = ("trace_defect", "herm_defect", "min_eigenvalue")
 
 
-def evaluate(name: str, states: np.ndarray, space: StateSpace) -> np.ndarray:
-    """One named observable on states shaped (..., d, d); returns shape (...)."""
+def _diagnostics(states: np.ndarray, space: StateSpace, basis: np.ndarray):
+    """:func:`density_diagnostics` of the states embedded in ``space`` from ``basis``.
+
+    The embedding only adds zero eigenvalues.
+    """
+    trace_defect, herm_defect, min_eig = density_diagnostics(states)
+    if len(basis) < space.dim:
+        min_eig = np.minimum(min_eig, 0.0)
+    return trace_defect, herm_defect, min_eig
+
+
+def evaluate(name: str, states: np.ndarray, space: StateSpace,
+             basis: np.ndarray | None = None) -> np.ndarray:
+    """One named observable on states shaped (..., n, n); returns shape (...).
+
+    Row k of the states is basis state ``basis[k]`` of ``space`` (by
+    default all of them in order); the others hold nothing and are left
+    out of every sum.
+    """
+    basis = np.arange(space.dim) if basis is None else np.asarray(basis)
     if name in _DIAGNOSTICS:
-        return density_diagnostics(states)[_DIAGNOSTICS.index(name)]
+        return _diagnostics(states, space, basis)[_DIAGNOSTICS.index(name)]
     diag = np.diagonal(states, axis1=-2, axis2=-1)
     if name in _BARE_LABELS:
-        return _real(diag[..., space.index(*_BARE_LABELS[name])])
+        held = np.flatnonzero(basis == space.index(*_BARE_LABELS[name]))
+        return _real(diag[..., held[0]]) if held.size else np.zeros(diag.shape[:-1])
     if name in _ATOM_LEVELS:
-        s = _ATOM_LEVELS[name]
-        return sum(_real(diag[..., space.index(n, s)]) for n in range(space.n_max + 1))
+        level = [space.index(n, _ATOM_LEVELS[name]) for n in range(space.n_max + 1)]
+        held = np.flatnonzero(np.isin(basis, level))
+        return sum((_real(diag[..., k]) for k in held), np.zeros(diag.shape[:-1]))
     if name == "photon_number":
         a, a_dag = ladder_operators(space)
         op = a_dag @ a
@@ -67,7 +87,7 @@ def evaluate(name: str, states: np.ndarray, space: StateSpace) -> np.ndarray:
         op = excitation_number(space)
     else:
         raise ValueError(f"unknown observable {name!r}")
-    return _real(np.trace(op @ states, axis1=-2, axis2=-1))
+    return _real(np.trace(op[np.ix_(basis, basis)] @ states, axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)
@@ -85,10 +105,12 @@ class ObservableSet:
         if unknown:
             raise ValueError(f"unknown observables {unknown}; valid: {OBSERVABLE_NAMES}")
 
-    def evaluate(self, states: np.ndarray, space: StateSpace) -> dict[str, np.ndarray]:
-        """Every selected observable on states shaped (..., d, d); diagnostics share one pass."""
+    def evaluate(self, states: np.ndarray, space: StateSpace,
+                 basis: np.ndarray | None = None) -> dict[str, np.ndarray]:
+        """Every selected observable, as :func:`evaluate`; diagnostics share one pass."""
+        basis = np.arange(space.dim) if basis is None else np.asarray(basis)
         shared = {}
         if not set(self.names).isdisjoint(_DIAGNOSTICS):
-            shared = dict(zip(_DIAGNOSTICS, density_diagnostics(states)))
-        return {name: shared[name] if name in shared else evaluate(name, states, space)
+            shared = dict(zip(_DIAGNOSTICS, _diagnostics(states, space, basis)))
+        return {name: shared[name] if name in shared else evaluate(name, states, space, basis)
                 for name in self.names}

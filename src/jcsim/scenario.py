@@ -32,12 +32,13 @@ import numpy as np
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
 from .generators import (
     Superoperator,
-    dressed_approx_generator,
-    microscopic_generator,
-    phenomenological_generator,
+    _lindblad,
+    _photon_loss,
+    dressed_channels,
+    microscopic_channels,
 )
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
-from .jcmodel import JCParams, dressed_states
+from .jcmodel import JCParams, dressed_states, hamiltonian
 from .observables import ObservableSet
 
 MODELS = ("micro", "phen", "dressed")
@@ -139,14 +140,19 @@ class Scenario:
             raise ConfigError("tau = 2*rabi*t is degenerate at rabi = 0; no time axis")
         return self.tau_grid() / (2.0 * self.rabi)
 
-    def generator(self) -> Superoperator:
-        if self.model == "micro":
-            return microscopic_generator(self.params, self.space(), self.bath, self.freq_tol)
+    def lindblad_terms(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+        """The Hamiltonian and the (operator, rate) jumps of the model's Lindblad form."""
+        params, space = self.params, self.space()
         if self.model == "phen":
-            return phenomenological_generator(self.params, self.space(), self.gamma0, self.nbar)
-        return dressed_approx_generator(
-            self.params, self.space(), self.gamma0, self.nbar, self.freq_tol
-        )
+            return hamiltonian(params, space), _photon_loss(space, self.gamma0, self.nbar)
+        if self.model == "micro":
+            channels = microscopic_channels(params, space, self.bath, self.freq_tol)
+        else:
+            channels = dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
+        return hamiltonian(params, space), [(op, g) for _, op, g in channels]
+
+    def generator(self) -> Superoperator:
+        return _lindblad(*self.lindblad_terms())
 
     def initial_state(self) -> DensityMatrix:
         return pure_state(self._initial_vector(self.space()))

@@ -250,9 +250,16 @@ def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray)
     return TimeSeries(times, states).validate_states()
 
 
-def rk4_step_limit(liouvillian: Superoperator) -> float:
-    """Longest RK4 step :func:`evolve_ode` accepts: 0.01 / max|diag L|."""
-    return 0.01 / max(float(np.abs(np.diag(liouvillian.matrix)).max()), 1e-300)
+def rk4_step_limit(diagonal: np.ndarray) -> float:
+    """Longest RK4 step for a generator with this diagonal: 0.01 / max|diag L|."""
+    return 0.01 / max(float(np.abs(diagonal).max()), 1e-300)
+
+
+def check_rk4_step(dt: float, diagonal: np.ndarray) -> None:
+    """Raise :class:`StepSizeError` if ``dt`` exceeds :func:`rk4_step_limit` of ``diagonal``."""
+    limit = rk4_step_limit(diagonal)
+    if dt > limit:
+        raise StepSizeError(f"dt = {dt:.3e} exceeds 0.01/max|diag L| = {limit:.3e}")
 
 
 def _rk4_step_increment(block: np.ndarray, h: float) -> np.ndarray:
@@ -296,11 +303,8 @@ def evolve_ode(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be a nonempty strictly increasing grid with t >= 0")
-    limit = rk4_step_limit(liouvillian)
-    if dt > limit:
-        raise StepSizeError(f"dt = {dt:.3e} exceeds 0.01/max|diag L| = {limit:.3e}")
-
     mat = liouvillian.matrix
+    check_rk4_step(dt, np.diag(mat))
     dim = liouvillian.dim
     v0 = vec(rho0.matrix)
     lengths, interval = np.unique(np.diff(times, prepend=0.0), return_inverse=True)

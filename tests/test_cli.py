@@ -8,8 +8,8 @@ import pytest
 from jcsim import analytic, cli, observables, solver
 from jcsim.acceptance import CriterionResult, run_criterion
 from jcsim.analytic import rabi_micro
-from jcsim.bath import rate
-from jcsim.generators import Superoperator
+from jcsim.bath import occupation, rate
+from jcsim.generators import restricted_lindblad
 from jcsim.scenario import MODELS, scenario_from_config
 
 BASE = """
@@ -108,6 +108,8 @@ def test_written_files_follow_the_umask(tmp_path):
 
 OK_MARGIN = ("# secular margin: max rate / min Bohr spacing = 0.1 (ok),"
              " max rate / min |omega| = 0.139")
+EDGE = "# top Fock level population = "
+NO_EDGE = EDGE + "0.0 (ok)"  # the states rho0 reaches exclude the top Fock level
 
 
 @pytest.mark.parametrize("model", ["micro", "dressed"])
@@ -116,7 +118,7 @@ def test_secular_margin_on_bundled_configs(tmp_path, capsys, config, model):
     # only the (1, +-) -> ground channels at 0.59 and 1.41 are reached
     assert cli.main(["evolve", "--config", str(CONFIGS / config), "--model", model,
                      "--steps", "10", "--out", str(tmp_path / "x.csv")]) == 0
-    assert capsys.readouterr().out.splitlines() == [OK_MARGIN]
+    assert capsys.readouterr().out.splitlines() == [OK_MARGIN, NO_EDGE]
 
 
 @pytest.mark.parametrize("model, ratio, pair, freq_tol", [
@@ -137,10 +139,16 @@ def test_secular_margin_fails_beyond_one_excitation(tmp_path, capsys, model, rat
                  " omega = 0.0102 and -0.0102 into omega = 0",
         "dressed": f"merging them takes freq_tol >= {freq_tol}",
     }[model]
-    assert capsys.readouterr().out.splitlines() == [
+    margin, edge = capsys.readouterr().out.splitlines()
+    assert margin == (
         f"# secular margin: max rate / min Bohr spacing = {ratio} (NOT satisfied: "
         f"omega = {pair} are closest; {remedy}), max rate / min |omega| = 8.06"
-    ]
+    )
+    if model == "dressed":  # its jumps never raise the excitation number
+        assert edge == NO_EDGE
+    else:  # past the (2,+)/(3,-) crossing micro reaches the top level
+        assert edge.startswith(EDGE) and edge.endswith(" (NOT small)")
+        assert float(edge[len(EDGE):].split(" ")[0]) == pytest.approx(1.1725e-3, rel=1e-4)
 
 
 @pytest.mark.parametrize("model, freq_tol, code", [("micro", "0.0396", 2), ("dressed", "0.241", 0)])
@@ -162,10 +170,11 @@ def test_secular_margin_skips_phen_and_reads_zero_without_loss(tmp_path, capsys)
     cfg = _write(tmp_path, "rabi.cfg", BASE.replace("\ngamma0 = 0.04", "\ngamma0 = 0.0"))
     out = str(tmp_path / "x.csv")
     assert cli.main(["evolve", "--config", str(cfg), "--model", "phen", "--out", out]) == 0
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr().out.splitlines() == [NO_EDGE]
     assert cli.main(["evolve", "--config", str(cfg), "--model", "dressed", "--out", out]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "# secular margin: max rate / min Bohr spacing = 0 (ok), max rate / min |omega| = 0"
+        "# secular margin: max rate / min Bohr spacing = 0 (ok), max rate / min |omega| = 0",
+        NO_EDGE,
     ]
 
 
@@ -202,14 +211,22 @@ def test_solver_failure_exits_2(tmp_path):
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def _thermal(tmp_path, config):
+    """A bundled config at T = 0.22, where absorption lets rho0 reach every state."""
+    nbar = float(occupation(1.0, 0.22))
+    text = (CONFIGS / config).read_text().replace("temperature = 0.0", "temperature = 0.22")
+    text = text.replace("nbar = 0.0", f"nbar = {nbar!r}")
+    return _write(tmp_path, config, text)
+
+
 def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
-    cfg = CONFIGS / "rabi_joint_ground.cfg"
     out = tmp_path / "s.csv"
-    for argv in (
-        ["spectrum"],
+    for argv, cfg in (
+        # spectrum solves the whole generator, so the wall stands at T = 0
+        (["spectrum"], CONFIGS / "rabi_joint_ground.cfg"),
         # the RK4 trajectories pass; the frequency summary's damping basis fails
-        ["compare", "--model", "micro,phen", "--solver", "ode", "--dt", "5e-4",
-         "--tau-max", "0.01", "--steps", "2"],
+        (["compare", "--model", "micro,phen", "--solver", "ode", "--dt", "5e-4",
+          "--tau-max", "0.01", "--steps", "2"], _thermal(tmp_path, "rabi_joint_ground.cfg")),
     ):
         assert cli.main(argv + ["--config", str(cfg), "--nmax", "13", "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -219,25 +236,38 @@ def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
 
 
 def test_spectral_failure_names_the_rk4_remedy(tmp_path, capsys):
-    cfg, out = CONFIGS / "bell_atomic_ground.cfg", tmp_path / "e.csv"
+    cfg, out = _thermal(tmp_path, "bell_atomic_ground.cfg"), tmp_path / "e.csv"
     argv = ["evolve", "--config", str(cfg), "--model", "phen", "--nmax", "13", "--out", str(out)]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "cond(R)" in err and not out.exists()
     liouvillian = replace(scenario_from_config(cfg.read_text()), model="phen", n_max=13).generator()
-    limit = solver.rk4_step_limit(liouvillian)
-    bound = cli._ode_step_bound(liouvillian)
+    limit = solver.rk4_step_limit(np.diag(liouvillian.matrix))
+    bound = cli._ode_step_bound(np.diag(liouvillian.matrix))
     assert err.rstrip().endswith(f"; rerun with --solver ode --dt {bound}")
     assert 0.99 * limit <= float(bound) <= limit
     assert cli.main(argv + ["--solver", "ode", "--dt", bound]) == 0
 
 
+def test_ode_step_is_held_to_the_full_generator(tmp_path, capsys):
+    # the states rho0 reaches alone would accept a step several times longer
+    cfg = CONFIGS / "bell_atomic_ground.cfg"
+    scenario = replace(scenario_from_config(cfg.read_text()), n_max=13)
+    h, jumps = scenario.lindblad_terms()
+    restricted, _ = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
+    dt = 2.0 * solver.rk4_step_limit(np.diag(scenario.generator().matrix))
+    assert dt < solver.rk4_step_limit(np.diag(restricted.matrix))
+    assert cli.main(["evolve", "--config", str(cfg), "--nmax", "13", "--solver", "ode",
+                     "--dt", repr(dt), "--steps", "3", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "exceeds 0.01/max|diag L|" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("ode_step, limit",
                          [(0.001, 0.001), (0.000769, 0.01 / 13), (0.00333, 0.01 / 3)])
 def test_ode_step_bound_rounds_down(ode_step, limit):
-    liouvillian = Superoperator(np.diag([0.0, -0.01 / limit, 0.0, 0.0]))
-    assert cli._ode_step_bound(liouvillian) == repr(ode_step)
-    assert float(cli._ode_step_bound(liouvillian)) <= solver.rk4_step_limit(liouvillian)
+    diagonal = np.array([0.0, -0.01 / limit, 0.0, 0.0])
+    assert cli._ode_step_bound(diagonal) == repr(ode_step)
+    assert float(cli._ode_step_bound(diagonal)) <= solver.rk4_step_limit(diagonal)
 
 
 _PHEN_ORACLES = {"fock": analytic.rabi_phen, "dressed": analytic.bell_phen}
@@ -250,7 +280,7 @@ def test_phen_ode_route_meets_the_closed_forms_beyond_the_damping_basis(tmp_path
     # from one excitation at T = 0 the phen closed forms hold at any nmax
     scenario = replace(scenario_from_config((CONFIGS / config).read_text()),
                        model="phen", n_max=nmax)
-    dt = cli._ode_step_bound(scenario.generator())
+    dt = cli._ode_step_bound(np.diag(scenario.generator().matrix))
     out = tmp_path / "phen.csv"
     assert cli.main(["evolve", "--config", str(CONFIGS / config), "--model", "phen",
                      "--nmax", str(nmax), "--solver", "ode", "--dt", dt, "--out", str(out)]) == 0
@@ -259,6 +289,82 @@ def test_phen_ode_route_meets_the_closed_forms_beyond_the_damping_basis(tmp_path
                                                  scenario.gamma0, scenario.rabi)
     for column, name in enumerate(header[1:], start=1):
         assert np.abs(data[:, column] - oracle[_POPULATIONS.index(name)]).max() < 1e-6
+
+
+_NEXT_MODEL = {"micro": "phen", "phen": "dressed", "dressed": "micro"}
+
+
+@pytest.mark.parametrize("route", ["spectral", "ode"])
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_evolve_and_compare_match_the_full_generator(tmp_path, capsys, config, route):
+    # the CLI solves on the states rho0 reaches; the reference solves the whole space
+    nmax, steps = 12, 200
+    base = replace(scenario_from_config((CONFIGS / config).read_text()), n_max=nmax, steps=steps)
+    scenarios = {model: replace(base, model=model) for model in MODELS}
+    generators = {model: scenario.generator() for model, scenario in scenarios.items()}
+    dt = min((cli._ode_step_bound(np.diag(full.matrix)) for full in generators.values()), key=float)
+    expected, frequencies = {}, {}
+    for model, scenario in scenarios.items():
+        full, rho0, times = generators[model], scenario.initial_state(), scenario.time_grid()
+        basis = solver.damping_basis(full)
+        if route == "ode":
+            series = solver.evolve_ode(full, rho0, times, float(dt))
+        else:
+            series = solver.evolve_spectral(basis, rho0, times)
+        expected[model] = scenario.observables.evaluate(series.states, scenario.space())
+        frequencies[model] = solver.dominant_frequency(basis, rho0)
+    grid = ["--nmax", str(nmax), "--steps", str(steps), "--solver", route, "--dt", dt]
+    names = base.observables.names
+    for model in MODELS:
+        out = tmp_path / f"{model}.csv"
+        assert cli.main(["evolve", "--config", str(CONFIGS / config), "--model", model,
+                         "--out", str(out)] + grid) == 0
+        header, data = _read_csv(out)
+        for column, name in enumerate(header[1:], start=1):
+            assert np.abs(data[:, column] - expected[model][name]).max() <= 1e-13
+        other = _NEXT_MODEL[model]
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(CONFIGS / config), "--model",
+                         f"{model},{other}", "--out", str(out)] + grid) == 0
+        header, data = _read_csv(out)
+        for k, name in enumerate(names):
+            for column, m in ((1 + 3 * k, model), (2 + 3 * k, other)):
+                assert header[column] == f"{name}_{m}"
+                assert np.abs(data[:, column] - expected[m][name]).max() <= 1e-13
+        summary = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        for m in (model, other):
+            assert float(summary[f"frequency_{m}"]) == pytest.approx(frequencies[m], rel=1e-13)
+
+
+_MICRO_ORACLES = {"fock": lambda t, g, rabi: analytic.rabi_micro(t, g, g, rabi),
+                  "dressed": lambda t, g, rabi: analytic.bell_micro(t, g)}
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_compare_meets_the_closed_forms_at_nmax_30(tmp_path, capsys, config):
+    # at T = 0 the runs stay on |0,g>, |0,e> and |1,g>, so the cutoff no longer matters
+    scenario = scenario_from_config((CONFIGS / config).read_text())
+    out = tmp_path / "cmp.csv"
+    assert cli.main(["compare", "--config", str(CONFIGS / config), "--model", "micro,phen",
+                     "--nmax", "30", "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, data = _read_csv(out)
+    t = data[:, 0] / (2.0 * scenario.rabi)
+    kind = scenario.initial[0]
+    for oracles, model in ((_MICRO_ORACLES, "micro"), (_PHEN_ORACLES, "phen")):
+        pops = oracles[kind](t, scenario.gamma0, scenario.rabi)
+        for name in scenario.observables.names:
+            column = header.index(f"{name}_{model}")
+            assert np.abs(data[:, column] - pops[_POPULATIONS.index(name)]).max() < 1e-8
+
+
+def test_csv_writes_each_value_as_its_repr():
+    values = np.array([[-0.0, 5e-324, 1e16], [1e-5, 0.1 + 0.2, 1.0 / 3.0],
+                       [-2.5e-300, 123456789.125, np.nextafter(1.0, 2.0)]])
+    col, row = np.indices((4, 4)).reshape(2, -1)  # the row/col indices steady writes
+    for header, rows in ((["a", "b", "c"], values), (["row", "col"], np.column_stack([row, col]))):
+        reference = "".join(",".join(repr(float(v)) for v in line) + "\n" for line in rows)
+        assert cli._csv(header, rows) == ",".join(header) + "\n" + reference
 
 
 def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):

@@ -254,6 +254,7 @@ def test_lindblad_matches_kron_reference(model, n_max, temperature, monkeypatch)
     built = _model_generator(model, n_max, temperature)
     (h, jumps), = calls
     assert np.array_equal(built.matrix, _kron_lindblad(h, jumps))
+    assert np.array_equal(generators.lindblad_diagonal(h, jumps), np.diag(built.matrix))
 
 
 def test_generators_never_call_kron(monkeypatch):

@@ -153,3 +153,26 @@ def test_observable_set_validation():
         ObservableSet(("pop_0g", "pop_0g"))
     with pytest.raises(ValueError):
         ObservableSet(("pop_0g", "bogus"))
+
+
+@pytest.mark.parametrize("name", OBSERVABLE_NAMES)
+def test_restricted_states_read_like_their_embedding(name):
+    # states held on S = {|0,g>, |0,e>, |1,g>, |2,e>} of the nmax-3 space, with and without
+    # the top Fock level's |3,g>; the basis states outside S hold nothing
+    space = build_space(3)
+    rng = np.random.default_rng(7)
+    for basis in (np.array([0, 1, 2, 5]), np.array([0, 1, 2, 5, 6])):
+        x = rng.standard_normal((4, basis.size, basis.size)) \
+            + 1j * rng.standard_normal((4, basis.size, basis.size))
+        states = x @ np.swapaxes(x.conj(), 1, 2)
+        states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
+        embedded = np.zeros((4, space.dim, space.dim), dtype=complex)
+        embedded[:, basis[:, None], basis[None, :]] = states
+        got, expected = evaluate(name, states, space, basis), evaluate(name, embedded, space)
+        assert got.shape == (4,)
+        if name in ("trace_defect", "herm_defect", "min_eigenvalue", "photon_number",
+                    "excitation_number"):
+            assert np.abs(got - expected).max() <= 1e-15
+        else:  # the same nonzero terms, summed in the same order
+            assert np.array_equal(got, expected)
+        assert ObservableSet((name,)).evaluate(states, space, basis)[name].tolist() == got.tolist()

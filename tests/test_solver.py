@@ -273,7 +273,7 @@ def test_ode_matches_loop_reference_on_merged_blocks():
     v0 = vec(rho0.matrix)
     assert len(blocks) == 2 and all(v0[b].any() for b in blocks)
     times = np.linspace(0.0, 12.0, 25)
-    dt = rk4_step_limit(liouvillian)
+    dt = rk4_step_limit(np.diag(liouvillian.matrix))
     got = evolve_ode(liouvillian, rho0, times, dt).states
     reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, dt)
     assert np.abs(got - reference).max() <= 1e-12
@@ -540,7 +540,7 @@ def test_restricted_generator_reproduces_the_full_trajectory(initial, model, n_m
         assert states.tolist() == [0, 1, 2]
     cut = np.ix_(states, states)
     rho0_cut = DensityMatrix(rho0.matrix[cut])
-    dt = rk4_step_limit(full)
+    dt = rk4_step_limit(np.diag(full.matrix))
     for route in (lambda gen, rho: evolve_spectral(damping_basis(gen), rho, times),
                   lambda gen, rho: evolve_ode(gen, rho, times, dt)):
         reference = route(full, rho0).states
