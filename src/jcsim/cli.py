@@ -19,24 +19,24 @@ verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .acceptance import run_all_criteria
 from .generators import (
     Superoperator,
-    dressed_channels,
-    lindblad_diagonal,
+    _lindblad,
     microscopic_channels,
     restricted_lindblad,
     secular_margin,
 )
 from .hilbert import DensityMatrix
-from .jcmodel import hamiltonian
 from .scenario import ConfigError, Scenario, scenario_from_config
 from .solver import (
     DampingBasis,
@@ -80,33 +80,40 @@ def _csv(header: list[str], rows) -> str:
     return ",".join(header) + "\n" + body.replace("], [", "\n").replace(", ", ",") + "\n"
 
 
-def run_trajectory(
-    scenario: Scenario,
-) -> tuple[Superoperator, DensityMatrix, DampingBasis | None, dict[str, np.ndarray], float]:
+class Trajectory(NamedTuple):
+    """A scenario solved on the states S its initial state reaches."""
+
+    liouvillian: Superoperator  # the generator on S
+    rho0: DensityMatrix  # the initial state on S
+    basis: DampingBasis | None  # None on the ode route, which never diagonalizes
+    observables: dict[str, np.ndarray]  # on the time grid
+    edge: float  # the top Fock level's largest population along the grid
+    reached: np.ndarray  # S
+
+
+def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajectory:
     """Solve the scenario with its configured solver on the states S rho0 reaches.
 
     The trajectory is exactly the full one's S x S block (see
     :func:`restricted_lindblad`); the RK4 step is held to the full
-    generator's bound.  Returns the generator and the initial state on S,
-    the damping basis (None on the ode route, which never diagonalizes),
-    the observables on the time grid and the top Fock level's largest
-    population along it.
+    generator's bound.  Micro and dressed take their jumps from
+    ``channels`` when given (see :meth:`Scenario.lindblad_terms`).
     """
-    h, jumps = scenario.lindblad_terms()
+    h, jumps = scenario.lindblad_terms(channels)
     full_rho0 = scenario.initial_state().matrix
     liouvillian, reached = restricted_lindblad(h, jumps, full_rho0)
     rho0 = DensityMatrix(full_rho0[np.ix_(reached, reached)])
     times = scenario.time_grid()
     basis = None
     if scenario.solver == "ode":
-        check_rk4_step(scenario.dt, lindblad_diagonal(h, jumps))
+        check_rk4_step(scenario.dt, _lindblad(h, jumps).diagonal())
         series = evolve_ode(liouvillian, rho0, times, scenario.dt)
     else:
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
     observables = scenario.observables.evaluate(series.states, scenario.space(), reached)
     edge = _edge_population(scenario, series.states, reached)
-    return liouvillian, rho0, basis, observables, edge
+    return Trajectory(liouvillian, rho0, basis, observables, edge, reached)
 
 
 def _ode_step_bound(diagonal: np.ndarray) -> str:
@@ -119,23 +126,23 @@ def _ode_step_bound(diagonal: np.ndarray) -> str:
     return f"{steps * scale:.3g}"
 
 
-def run_evolve(scenario: Scenario, out_path: str) -> float:
-    """Write 'tau,<observables>' CSV for one scenario; return the top Fock level's population.
+def run_evolve(scenario: Scenario, out_path: str, channels: list | None = None) -> Trajectory:
+    """Write 'tau,<observables>' CSV for one scenario and return its trajectory.
 
     A damping basis that fails on the spectral route names the RK4 route
     and a step the full generator accepts; the route is never switched
     silently.
     """
     try:
-        _, _, _, observables, edge = run_trajectory(scenario)
+        run = run_trajectory(scenario, channels)
     except DampingBasisError as exc:
-        bound = _ode_step_bound(lindblad_diagonal(*scenario.lindblad_terms()))
+        bound = _ode_step_bound(_lindblad(*scenario.lindblad_terms(channels)).diagonal())
         raise DampingBasisError(f"{exc}; rerun with --solver ode --dt {bound}") from exc
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
-    columns = [tau] + [observables[n] for n in scenario.observables.names]
+    columns = [tau] + [run.observables[n] for n in scenario.observables.names]
     _write_atomic(out_path, _csv(header, np.column_stack(columns)))
-    return edge
+    return run
 
 
 def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> dict:
@@ -149,12 +156,11 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    liouvillian_a, rho0_a, basis_a, observables_a, _ = run_trajectory(scenario_a)
-    liouvillian_b, rho0_b, basis_b, observables_b, _ = run_trajectory(scenario_b)
-    if basis_a is None:  # the ode route solves each generator for the frequencies only
-        basis_a, basis_b = damping_basis(liouvillian_a), damping_basis(liouvillian_b)
-    freq_a = dominant_frequency(basis_a, rho0_a)
-    freq_b = dominant_frequency(basis_b, rho0_b)
+    run_a, run_b = run_trajectory(scenario_a), run_trajectory(scenario_b)
+    # the ode route solves each generator for the frequencies only
+    freq_a, freq_b = (dominant_frequency(run.basis or damping_basis(run.liouvillian), run.rho0)
+                      for run in (run_a, run_b))
+    observables_a, observables_b = run_a.observables, run_b.observables
     shift = abs(freq_a - freq_b)
     reference = max(abs(freq_a), abs(freq_b))
     names = scenario_a.observables.names
@@ -244,18 +250,9 @@ def _merges_into_zero(scenario: Scenario, freq_tol: float) -> bool:
     return False
 
 
-def _print_advisories(scenario: Scenario) -> None:
-    """The secular margin of the micro or dressed channels over the states rho0 reaches."""
-    if scenario.model not in ("micro", "dressed"):
-        return  # the photon-loss jumps involve no secular approximation
-    params, space, freq_tol = scenario.params, scenario.space(), scenario.freq_tol
-    if scenario.model == "micro":
-        channels = microscopic_channels(params, space, scenario.bath, freq_tol)
-    else:
-        channels = dressed_channels(params, space, scenario.gamma0, scenario.nbar, freq_tol)
-    spacing_ratio, omega_ratio, pair = secular_margin(
-        channels, hamiltonian(params, space), scenario.initial_state().matrix
-    )
+def _print_advisories(scenario: Scenario, channels: list, reached: np.ndarray) -> None:
+    """The secular margin of a micro or dressed run's channels over the states S it reaches."""
+    spacing_ratio, omega_ratio, pair = secular_margin(channels, reached)
     # judged as printed: rounding makes 0.082/0.82 come out as 0.10000000000000002
     verdict = "ok"
     if float(f"{spacing_ratio:.3g}") > 0.1:
@@ -293,7 +290,8 @@ def _print_edge_population(edge: float) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jcsim",
         description="Lossy atom-cavity dynamics: evolve, compare, steady, spectrum, verify.",
@@ -310,16 +308,22 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--solver", choices=("spectral", "ode"))
         cmd.add_argument("--dt", type=float)
     sub.add_parser("verify")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return run_verify()
         scenario = _load_scenario(args)
         if args.command == "evolve":
-            edge = run_evolve(scenario, args.out)
-            _print_advisories(scenario)
-            _print_edge_population(edge)
+            # the photon-loss jumps involve no secular approximation, so phen has no margin
+            channels = scenario.channels() if scenario.model in ("micro", "dressed") else None
+            run = run_evolve(scenario, args.out, channels)
+            if channels is not None:
+                _print_advisories(scenario, channels, run.reached)
+            _print_edge_population(run.edge)
         elif args.command == "compare":
             if not args.model or "," not in args.model:
                 raise ConfigError("compare needs --model <model_a>,<model_b>")

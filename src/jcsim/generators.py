@@ -16,16 +16,16 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
 
 ``restricted_lindblad`` builds a generator exactly on the states
 (``reachable_states``) a run can populate; the CLI solves every
-trajectory on it.  ``lindblad_diagonal`` gives the whole generator's
-diagonal, which bounds the RK4 step, without building L.
-``secular_margin`` measures how close the micro or dressed jump channels
-a run reaches come to breaking the secular approximation behind both.
+trajectory on it.  ``secular_margin`` measures how close the micro or
+dressed jump channels a run reaches come to breaking the secular
+approximation behind both.
 
-Superoperators are dense (dim^2 x dim^2) matrices acting on column-major
-vectorized operators, vec(X)[i + d*j] = X[i, j].  Row i + d*j and column
-k + d*l of L are entry [j, i, l, k] of L.reshape(d, d, d, d): the weight
-of X[k, l] in (L X)[i, j].  The vectorization order is frozen; every
-matrix literal in the tests relies on it.
+A :class:`Superoperator` holds the nonzero entries of L, which acts on
+column-major vectorized operators, vec(X)[i + d*j] = X[i, j]; its dense
+(dim^2 x dim^2) matrix is built only on request.  The entry at row
+i + d*j and column k + d*l is the weight of X[k, l] in (L X)[i, j].  The
+vectorization order is frozen; every matrix literal in the tests relies
+on it.
 """
 
 from __future__ import annotations
@@ -51,22 +51,52 @@ def unvec(vector: np.ndarray, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense Liouvillian matrix on column-major vectorized operators."""
+    """Liouvillian on column-major vectorized operators, held as its nonzero entries.
 
-    matrix: np.ndarray
+    Entry n is ``values[n]`` at row ``rows[n]`` and column ``cols[n]`` of
+    the (dim^2 x dim^2) matrix, in row-major order at distinct positions.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"superoperator matrix must be square, got {m.shape}")
-        d = int(round(np.sqrt(m.shape[0])))
-        if d * d != m.shape[0]:
-            raise ValueError(f"superoperator size {m.shape[0]} is not a perfect square")
-        object.__setattr__(self, "matrix", m)
+        keys = self.rows * self.size + self.cols
+        if not self.rows.shape == self.cols.shape == self.values.shape == (keys.size,) \
+                or np.any((self.cols < 0) | (self.cols >= self.size) | (keys < 0)
+                          | (keys >= self.size ** 2)) or np.any(np.diff(keys) <= 0):
+            raise ValueError(f"entries are not 1-d arrays of one length inside the {self.size}-"
+                             "wide superoperator, in row-major order at distinct positions")
 
     @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
+    def size(self) -> int:
+        return self.dim ** 2
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built on demand."""
+        mat = np.zeros((self.size, self.size), dtype=complex)
+        mat[self.rows, self.cols] = self.values
+        return mat
+
+    def submatrices(self, index: np.ndarray) -> np.ndarray:
+        """The dense sub-matrices on the index sets ``index`` (..., w), shaped (..., w, w)."""
+        keys = self.rows * self.size + self.cols
+        wanted = index[..., :, None] * self.size + index[..., None, :]
+        at = np.searchsorted(keys, wanted)
+        found = at < np.searchsorted(keys, wanted, side="right")
+        sub = np.zeros(wanted.shape, dtype=complex)
+        sub[found] = self.values[at[found]]
+        return sub
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of the matrix, entry i + d*j."""
+        diag = np.zeros(self.size, dtype=complex)
+        on = self.rows == self.cols
+        diag[self.rows[on]] = self.values[on]
+        return diag
 
 
 def eigenoperators(
@@ -164,41 +194,43 @@ def microscopic_channels(
     return channels
 
 
-def _effective_hamiltonian(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]):
-    """The jumps with nonzero rate stacked, their rates, and h - (i/2) sum_c rate_c A_c†A_c."""
-    active = [(op, g) for op, g in jumps if g != 0.0]
-    stack = np.array([op for op, _ in active], dtype=complex).reshape(-1, *h.shape)
-    rates = np.array([g for _, g in active], dtype=float)
-    weighted_ada = np.einsum("c,cij->ij", rates, np.transpose(stack.conj(), (0, 2, 1)) @ stack)
-    return stack, rates, h - 0.5j * weighted_ada
-
-
 def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoperator:
     """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate.
 
-    Filled as -i h_eff rho + i rho h_eff† + sum_c rate_c A_c rho A_c†, with
-    h_eff = h - (i/2) sum_c rate_c A_c†A_c, through the (d, d, d, d) view
-    of L described in the module docstring.
+    L rho = -i h_eff rho + i rho h_eff† + sum_c rate_c A_c rho A_c†, with
+    h_eff = h - (i/2) sum_c rate_c A_c†A_c, has the entries rate_c A_c[i, k]
+    conj(A_c[j, l]) at (i + d*j, k + d*l), then -i h_eff[i, k] at
+    (i + d*m, k + d*m) and i conj(h_eff[j, l]) at (m + d*j, m + d*l) for
+    every m.  The sum over c is one matrix product on the positions (i, k)
+    some A_c occupies, which rounds as the Kronecker-product assembly of L
+    does; entries at one position add up in the order above, and exact
+    zeros are dropped.
     """
     d = h.shape[0]
-    stack, rates, h_eff = _effective_hamiltonian(h, jumps)
-    t = np.einsum("c,cjl,cik->jilk", rates, stack.conj(), stack, optimize=True)
-    idx = np.arange(d)
-    # t[m, i, m, k] weighs X[k, m] in (h_eff X)[i, m];
-    # t[j, m, l, m] weighs X[m, l] in (X h_eff†)[m, j]
-    t[idx, :, idx, :] += -1j * h_eff
-    t[:, idx, :, idx] += 1j * h_eff.conj()
-    return Superoperator(t.reshape(d * d, d * d))
+    active = [(op, g) for op, g in jumps if g != 0.0]
+    stack = np.array([op for op, _ in active], dtype=complex).reshape(-1, d, d)
+    rates = np.array([g for _, g in active], dtype=float)
+    h_eff = h - 0.5j * np.einsum("c,cij->ij", rates,
+                                 np.transpose(stack.conj(), (0, 2, 1)) @ stack)
+    flat = stack.reshape(rates.size, d * d)
+    support = np.flatnonzero(flat.any(axis=0))  # i*d + k
+    sandwich = (flat[:, support].conj() * rates[:, None]).T @ flat[:, support]  # [jl, ik]
+    jl, ik = np.nonzero(sandwich)
+    (j, l), (i, k) = np.divmod(support[jl], d), np.divmod(support[ik], d)
+    hi, hk = np.nonzero(h_eff)
+    h_vals, m = h_eff[hi, hk], np.arange(d)
+    rows = [i + d * j, np.add.outer(d * m, hi).ravel(), np.add.outer(d * hi, m).ravel()]
+    cols = [k + d * l, np.add.outer(d * m, hk).ravel(), np.add.outer(d * hk, m).ravel()]
+    values = [sandwich[jl, ik], np.tile(-1j * h_vals, d), np.repeat(1j * h_vals.conj(), d)]
 
-
-def lindblad_diagonal(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> np.ndarray:
-    """The diagonal of :func:`_lindblad`'s L, entry i + d*j, without building L."""
-    stack, rates, h_eff = _effective_hamiltonian(h, jumps)
-    ops, e = np.diagonal(stack, axis1=1, axis2=2), np.diag(h_eff)
-    t = np.einsum("c,cj,ci->ji", rates, ops.conj(), ops, optimize=True)  # [j, i], as L's view
-    t += -1j * e
-    t += (1j * e.conj())[:, None]
-    return t.ravel()
+    keys = np.concatenate(rows) * (d * d) + np.concatenate(cols)
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], np.concatenate(values)[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    summed = np.add.reduceat(values, starts)
+    keep = summed != 0
+    rows, cols = np.divmod(keys[starts][keep], d * d)
+    return Superoperator(rows, cols, summed[keep], d)
 
 
 def microscopic_generator(
@@ -305,20 +337,18 @@ def restricted_lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
 
 def secular_margin(
     channels: list[tuple[float, np.ndarray, float]],
-    h: np.ndarray,
-    rho0: np.ndarray,
+    reached: np.ndarray,
 ) -> tuple[float, float, tuple[float, float] | None]:
     """How close a run's jump channels come to breaking the secular approximation.
 
-    Only the live channels (rate > 0) that act on the states
-    :func:`reachable_states` finds from ``rho0`` count, so the rule covers
-    zero and finite temperature and crossed manifolds alike.  Returns the
+    Only the live channels (rate > 0) that act on the states ``reached``
+    (:func:`reachable_states` of the run) count, so the rule covers zero
+    and finite temperature and crossed manifolds alike.  Returns the
     largest rate over the smallest spacing between their distinct Bohr
     frequencies, the largest rate over the smallest |omega|, and the
     closest pair of frequencies (None with fewer than two; a ratio with
     nothing to compare is 0).
     """
-    reached = reachable_states(h, [(op, g) for _, op, g in channels], rho0)
     kept = [(omega, g) for omega, op, g in channels if g > 0 and op[:, reached].any()]
     g_max = max((g for _, g in kept), default=0.0)
     omegas = np.array(sorted({omega for omega, _ in kept}))

@@ -140,15 +140,25 @@ class Scenario:
             raise ConfigError("tau = 2*rabi*t is degenerate at rabi = 0; no time axis")
         return self.tau_grid() / (2.0 * self.rabi)
 
-    def lindblad_terms(self) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
-        """The Hamiltonian and the (operator, rate) jumps of the model's Lindblad form."""
+    def channels(self) -> list[tuple[float, np.ndarray, float]]:
+        """The (omega, operator, rate) jump channels of a micro or dressed model."""
+        params, space = self.params, self.space()
+        if self.model == "micro":
+            return microscopic_channels(params, space, self.bath, self.freq_tol)
+        if self.model == "dressed":
+            return dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
+        raise ValueError("phen's jumps a and a† are no Bohr-frequency channels")
+
+    def lindblad_terms(self, channels: list | None = None
+                       ) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+        """The Hamiltonian and the (operator, rate) jumps of the model's Lindblad form.
+
+        Micro and dressed read ``channels``, :meth:`channels` if not given.
+        """
         params, space = self.params, self.space()
         if self.model == "phen":
             return hamiltonian(params, space), _photon_loss(space, self.gamma0, self.nbar)
-        if self.model == "micro":
-            channels = microscopic_channels(params, space, self.bath, self.freq_tol)
-        else:
-            channels = dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
+        channels = self.channels() if channels is None else channels
         return hamiltonian(params, space), [(op, g) for _, op, g in channels]
 
     def generator(self) -> Superoperator:

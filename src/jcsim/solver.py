@@ -1,10 +1,11 @@
 """Solvers for rho' = L rho: spectral (damping basis), RK4, and steady state.
 
 The generator splits into decoupled blocks, the connected components of
-its nonzero pattern; for the Jaynes-Cummings generators these are the
-sectors of fixed excitation difference N_row - N_col, and a coupling
-that breaks the symmetry merges them.  Every solver here works block by
-block and never diagonalizes or propagates the whole Liouvillian.
+its nonzero entries; for the Jaynes-Cummings generators these are the
+sectors of fixed excitation difference N_row - N_col or finer, and a
+coupling that breaks the symmetry merges them.  Every solver here works
+block by block on dense sub-matrices filled from the entries and never
+forms, diagonalizes or propagates the whole Liouvillian.
 
 The damping-basis route diagonalizes each block of the Liouvillian:
 right eigenoperators rho_k with L rho_k = lambda_k rho_k, left
@@ -169,16 +170,15 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
     max(1, max|lambda|); L vanishes off the blocks, so this is the
     residual of the whole eigensystem.
     """
-    mat = liouvillian.matrix
     trace_row = vec(np.eye(liouvillian.dim)).real  # Tr{rho} = vec(1) . vec(rho)
-    blocks = _coupled_blocks(mat)
+    blocks = _coupled_blocks(liouvillian)
     widths = np.array([block.size for block in blocks])
     groups = {}  # width -> block numbers, stacked indices, eigenvalues, right, left
     residuals = np.empty((len(blocks), 2))
     for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
         members = np.flatnonzero(widths == width)
         index = np.stack([blocks[b] for b in members])
-        subs = mat[index[:, :, None], index[:, None, :]]
+        subs = liouvillian.submatrices(index)
         vals, right = np.linalg.eig(subs)
         _span_repeated_eigenvalues(subs, vals, right)
 
@@ -303,17 +303,16 @@ def evolve_ode(
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be a nonempty strictly increasing grid with t >= 0")
-    mat = liouvillian.matrix
-    check_rk4_step(dt, np.diag(mat))
+    check_rk4_step(dt, liouvillian.diagonal())
     dim = liouvillian.dim
     v0 = vec(rho0.matrix)
     lengths, interval = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     n_sub = np.maximum(1, np.ceil(lengths / dt - 1e-12).astype(int))
     flat = np.zeros((times.size, dim * dim), dtype=complex)
-    for block in _coupled_blocks(mat):
+    for block in _coupled_blocks(liouvillian):
         if not v0[block].any():
             continue
-        sub = mat[np.ix_(block, block)]
+        sub = liouvillian.submatrices(block)
         increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
                       for span, n in zip(lengths, n_sub)]
         v = v0[block]
@@ -348,29 +347,29 @@ def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:
     return float(freqs[np.argmax(np.where(excited, weights, -1.0))])
 
 
-def _coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of ``mat``.
+def _coupled_blocks(liouvillian: Superoperator) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern of L.
 
-    Permuting ``mat`` to these blocks makes it block-diagonal, so its
+    Permuting L to these blocks makes it block-diagonal, so its
     eigenvalues are the union of the blocks' eigenvalues.  An index with
-    no nonzero entry is a block of its own.
+    no nonzero entry is a block of its own.  Every index carries a label,
+    an index of its block: each pass lowers the labels of both ends of
+    every entry, and of the indices those labels name, to the smaller of
+    the two ends' labels, then replaces labels by their own labels until
+    that changes nothing.  At the fixed point all labels of a block name
+    its smallest index; blocks come ordered by it, each ascending.
     """
-    linked = mat != 0
-    linked |= linked.T
-    unseen = np.ones(mat.shape[0], dtype=bool)
-    blocks = []
-    for seed in range(mat.shape[0]):
-        if not unseen[seed]:
-            continue
-        block = np.zeros_like(unseen)
-        block[seed] = True
-        frontier = block.copy()
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~block
-            block |= frontier
-        unseen &= ~block
-        blocks.append(np.flatnonzero(block))
-    return blocks
+    rows, cols = liouvillian.rows, liouvillian.cols
+    label, previous = np.arange(liouvillian.size), None
+    while not np.array_equal(label, previous):
+        previous, low = label, np.minimum(label[rows], label[cols])
+        label = label.copy()
+        ends = np.concatenate([rows, cols, previous[rows], previous[cols]])
+        np.minimum.at(label, ends, np.tile(low, 4))
+        while not np.array_equal(label[label], label):
+            label = label[label]
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def steady_state(liouvillian: Superoperator) -> DensityMatrix:
@@ -382,9 +381,8 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     normalized to unit trace.  A kernel of any other dimension raises
     :class:`KernelMultiplicityError`.
     """
-    mat = liouvillian.matrix
-    blocks = _coupled_blocks(mat)
-    block_vals = [np.linalg.eigvals(mat[np.ix_(b, b)]) for b in blocks]
+    blocks = _coupled_blocks(liouvillian)
+    block_vals = [np.linalg.eigvals(liouvillian.submatrices(b)) for b in blocks]
     vals = np.concatenate(block_vals)
     null = np.where(np.abs(vals) < KERNEL_TOL)[0]
     if null.size != 1:
@@ -393,8 +391,8 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
             f"smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
     block = next(b for b, v in zip(blocks, block_vals) if np.abs(v).min() < KERNEL_TOL)
-    sub_vals, sub_vecs = np.linalg.eig(mat[np.ix_(block, block)])
-    kernel = np.zeros(mat.shape[0], dtype=complex)
+    sub_vals, sub_vecs = np.linalg.eig(liouvillian.submatrices(block))
+    kernel = np.zeros(liouvillian.size, dtype=complex)
     kernel[block] = sub_vecs[:, np.argmin(np.abs(sub_vals))]
     rho = unvec(kernel, liouvillian.dim)
     rho = (rho + rho.conj().T) / 2.0

@@ -9,7 +9,7 @@ from jcsim import analytic, cli, observables, solver
 from jcsim.acceptance import CriterionResult, run_criterion
 from jcsim.analytic import rabi_micro
 from jcsim.bath import occupation, rate
-from jcsim.generators import restricted_lindblad
+from jcsim.generators import Superoperator, restricted_lindblad
 from jcsim.scenario import MODELS, scenario_from_config
 
 BASE = """
@@ -356,6 +356,58 @@ def test_compare_meets_the_closed_forms_at_nmax_30(tmp_path, capsys, config):
         for name in scenario.observables.names:
             column = header.index(f"{name}_{model}")
             assert np.abs(data[:, column] - pops[_POPULATIONS.index(name)]).max() < 1e-8
+
+
+def test_no_command_builds_the_dense_generator(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the dense dim^2 x dim^2 generator was built")
+
+    monkeypatch.setattr(Superoperator, "matrix", property(refuse))
+    config, out = str(CONFIGS / "rabi_joint_ground.cfg"), str(tmp_path / "x.csv")
+    ode = ["--solver", "ode", "--dt", "1e-3", "--tau-max", "2", "--steps", "20"]
+    for argv in (["steady"], ["spectrum"], ["evolve"], ["evolve"] + ode,
+                 ["compare", "--model", "micro,phen"], ["compare", "--model", "micro,phen"] + ode):
+        assert cli.main(argv + ["--config", config, "--out", out]) == 0, argv
+    for model in ("phen", "dressed"):
+        for argv in (["steady"], ["spectrum"], ["evolve"], ["evolve"] + ode):
+            assert cli.main(argv + ["--config", config, "--model", model, "--out", out]) == 0
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    config = str(CONFIGS / "bell_atomic_ground.cfg")
+    calls = [
+        ["evolve", "--config", config, "--nmax", "4", "--steps", "30"],
+        ["evolve", "--config", config, "--model", "dressed"],
+        ["steady", "--config", config, "--nmax", "5"],
+        ["compare", "--config", config, "--model", "micro,phen", "--steps", "40"],
+        ["evolve", "--config", config, "--solver", "ode", "--dt", "1e-3", "--tau-max", "1",
+         "--steps", "5"],
+        ["evolve", "--config", config],
+        ["spectrum", "--config", config, "--model", "phen"],
+        ["steady", "--config", config, "--model", "compare,phen"],  # exit 1
+    ]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        out = tmp_path / "x.csv"
+        if out.exists():
+            out.unlink()
+        code = cli.main(argv + ["--out", str(out)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    in_a_row = [run(argv, fresh=False) for argv in calls]
+    assert [result[0] for result in in_a_row] == [0] * 7 + [1]
+    assert in_a_row == [run(argv, fresh=True) for argv in calls]
+    assert cli._parser() is cli._parser()
+    for argv, code in ((["--help"], 0), (["evolve", "--help"], 0), ([], 2), (["bogus"], 2),
+                       (["evolve", "--config", config], 2), (["evolve", "--nmax", "x"], 2)):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == code
+    capsys.readouterr()
+    assert run(calls[0], fresh=False) == in_a_row[0]
 
 
 def test_csv_writes_each_value_as_its_repr():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -253,8 +255,10 @@ def test_lindblad_matches_kron_reference(model, n_max, temperature, monkeypatch)
     monkeypatch.setattr(generators, "_lindblad", recording)
     built = _model_generator(model, n_max, temperature)
     (h, jumps), = calls
-    assert np.array_equal(built.matrix, _kron_lindblad(h, jumps))
-    assert np.array_equal(generators.lindblad_diagonal(h, jumps), np.diag(built.matrix))
+    reference = _kron_lindblad(h, jumps)
+    assert np.array_equal(built.matrix, reference)
+    assert built.values.size == np.count_nonzero(reference)
+    assert np.array_equal(built.diagonal(), np.diag(reference))
 
 
 def test_generators_never_call_kron(monkeypatch):
@@ -427,6 +431,11 @@ def test_zero_frequency_channel_merged_by_freq_tol_names_freq_tol():
     assert "and (2, -1) at energy 0.92017" in message
 
 
+def _reached(channels, h, rho0):
+    # the states a run of these channels from rho0 reaches, as the CLI hands them over
+    return reachable_states(h, [(op, g) for _, op, g in channels], rho0)
+
+
 def _projector(i, j, dim=3):
     op = np.zeros((dim, dim), dtype=complex)
     op[i, j] = 1.0
@@ -448,7 +457,7 @@ def test_secular_margin_counts_only_reachable_live_channels(start, expected):
         (-1.0, _projector(1, 0), 0.0),
     ]
     spacing_ratio, omega_ratio, pair = secular_margin(
-        channels, np.diag([0.0, 1.0, 1.95]).astype(complex), _projector(start, start)
+        channels, _reached(channels, np.diag([0.0, 1.0, 1.95]), _projector(start, start))
     )
     assert spacing_ratio == pytest.approx(expected[0])
     assert omega_ratio == pytest.approx(expected[1])
@@ -461,7 +470,8 @@ def test_secular_margin_follows_hamiltonian_and_thermal_jumps():
     h[0, 1] = h[1, 0] = 0.3
     channels = [(1.0, _projector(0, 1), 0.1), (-0.95, _projector(2, 1), 0.02),
                 (0.95, _projector(1, 2), 0.1)]
-    spacing_ratio, omega_ratio, pair = secular_margin(channels, h, _projector(0, 0))
+    spacing_ratio, omega_ratio, pair = secular_margin(
+        channels, _reached(channels, h, _projector(0, 0)))
     assert pair == (pytest.approx(0.95), pytest.approx(1.0))
     assert spacing_ratio == pytest.approx(2.0) and omega_ratio == pytest.approx(0.1 / 0.95)
 
@@ -476,13 +486,31 @@ def test_secular_margin_follows_the_anticommutator():
     basis = damping_basis(_lindblad(h, jumps))
     rho = evolve_spectral(basis, pure_state(np.eye(3)[1]), np.array([5.0])).states[0]
     assert rho[2, 2].real > 1e-3
-    spacing_ratio, omega_ratio, pair = secular_margin(channels, h, _projector(1, 1))
+    spacing_ratio, omega_ratio, pair = secular_margin(
+        channels, _reached(channels, h, _projector(1, 1)))
     assert pair == (pytest.approx(1.0), pytest.approx(1.7))
     assert spacing_ratio == pytest.approx(0.3 / 0.7) and omega_ratio == pytest.approx(0.3)
 
 
+def _superoperator(matrix):
+    # a hand-built matrix as the Superoperator of its nonzero entries
+    rows, cols = np.nonzero(matrix)
+    return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
+
+
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
-        Superoperator(np.zeros((3, 4)))
+        _superoperator(np.ones((3, 4)))  # 1 wide: no room for column 3
     with pytest.raises(ValueError):
-        Superoperator(np.zeros((5, 5)))
+        _superoperator(np.ones((5, 5)))  # not a square number: dim 2 holds 4 rows
+    with pytest.raises(ValueError, match="1-d arrays of one length"):
+        Superoperator(np.array([0, 1]), np.array([0]), np.ones(2), 2)
+    with pytest.raises(ValueError, match="1-d arrays of one length"):
+        Superoperator(np.array([0, 1]), np.array([0, 1]), np.ones(3), 2)
+    with pytest.raises(ValueError, match="row-major order at distinct positions"):
+        Superoperator(np.array([1, 0]), np.array([0, 0]), np.ones(2), 2)
+    with pytest.raises(ValueError, match="row-major order at distinct positions"):
+        Superoperator(np.array([0, 0]), np.array([1, 1]), np.ones(2), 2)
+    matrix = np.arange(16.0).reshape(4, 4) * (1.0 - 2.0j)
+    assert np.array_equal(_superoperator(matrix).matrix, matrix)
+    assert np.array_equal(_superoperator(matrix).diagonal(), np.diag(matrix))

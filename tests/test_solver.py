@@ -1,4 +1,6 @@
+import math
 import re
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +58,12 @@ PARAMS = JCParams(OMEGA0, RABI)
 SECTOR_BATH = BathSpec(0.0, OhmicSpectrum(0.15, 2.0 * OMEGA0))  # unequal sideband rates
 GAMMA_A, GAMMA_B = rate(OMEGA0 - RABI, SECTOR_BATH), rate(OMEGA0 + RABI, SECTOR_BATH)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _superoperator(matrix: np.ndarray) -> Superoperator:
+    # a hand-built matrix as the Superoperator of its nonzero entries
+    rows, cols = np.nonzero(matrix)
+    return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
 
 
 def _sector_generator(bath: BathSpec = SECTOR_BATH) -> Superoperator:
@@ -266,7 +274,7 @@ def test_ode_matches_loop_reference_from_a_later_first_time():
 
 def test_ode_matches_loop_reference_on_merged_blocks():
     liouvillian = _u1_breaking_generator(3)
-    blocks = _coupled_blocks(liouvillian.matrix)
+    blocks = _coupled_blocks(liouvillian)
     space = build_space(3)
     psi = space.basis_state(0, "g") + space.basis_state(0, "e") + space.basis_state(2, "g")
     rho0 = pure_state(psi / np.linalg.norm(psi))
@@ -380,7 +388,7 @@ def test_steady_state_matches_dense_reference(model):
     if model == "u1-breaking":
         liouvillian = _u1_breaking_generator(6)
         # phen at nmax 6 splits into 15 blocks; the atom flip merges them into 2
-        assert len(_coupled_blocks(liouvillian.matrix)) == 2
+        assert len(_coupled_blocks(liouvillian)) == 2
     else:
         liouvillian = _thermal_generators(8, 0.22)[model]
     got = steady_state(liouvillian).matrix
@@ -390,10 +398,11 @@ def test_steady_state_matches_dense_reference(model):
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed", "single"])
 def test_coupled_blocks_partition_the_generator(model):
     if model == "single":
-        mat = _sector_generator().matrix
+        liouvillian = _sector_generator()
     else:
-        mat = _thermal_generators(5, 0.3)[model].matrix
-    blocks = _coupled_blocks(mat)
+        liouvillian = _thermal_generators(5, 0.3)[model]
+    mat = liouvillian.matrix
+    blocks = _coupled_blocks(liouvillian)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(mat.shape[0]))
     off_block = mat.copy()
     for block in blocks:
@@ -404,7 +413,7 @@ def test_coupled_blocks_partition_the_generator(model):
 def test_steady_state_counts_isolated_indices_in_the_kernel():
     # every index of the zero generator is a 1x1 block with eigenvalue 0
     with pytest.raises(KernelMultiplicityError, match="kernel dimension 4 "):
-        steady_state(Superoperator(np.zeros((4, 4))))
+        steady_state(_superoperator(np.zeros((4, 4))))
 
 
 def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
@@ -421,6 +430,23 @@ def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
     steady_state(liouvillian)
     # the widest excitation-conserving block at nmax 16 is 1 + 4 * 16 + 1
     assert widths and max(widths) <= 66
+
+
+def test_steady_state_stays_small_beyond_the_dense_generator():
+    # phen at T = omega0, nmax 24: the dense generator alone would take 2500^2 * 16 B = 100 MB
+    temperature, gamma0, space = OMEGA0, 0.02, build_space(24)
+    tracemalloc.start()
+    try:
+        rho = steady_state(phenomenological_generator(PARAMS, space, gamma0,
+                                                      occupation(OMEGA0, temperature)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    evals, evecs = np.linalg.eigh(hamiltonian(JCParams(OMEGA0, 0.0), space))
+    weights = np.exp(-(evals - evals.min()) / temperature)
+    gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
+    assert 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - gibbs)).sum() < 1e-6
 
 
 def _dense_damping_basis(liouvillian: Superoperator) -> DampingBasis:
@@ -469,17 +495,22 @@ _REFERENCE_CASES = [f"{model}-{n_max}-{temperature}" for model in ("micro", "phe
 _REFERENCE_CASES += ["dressed-9-0.22", "dressed-10-0.22"]
 
 
+def _reference_case(case: str) -> Superoperator:
+    if case == "single":
+        return _sector_generator()
+    if case == "u1-breaking":
+        return _u1_breaking_generator(3)
+    if case == "lossless-phen":  # eig returns its repeated eigenvalues' vectors near-parallel
+        return phenomenological_generator(PARAMS, build_space(2), 0.0, 0.0)
+    if case == "zero":  # every index is a block of its own
+        return _superoperator(np.zeros((4, 4)))
+    model, n_max, temperature = case.split("-")
+    return _thermal_generators(int(n_max), float(temperature))[model]
+
+
 @pytest.mark.parametrize("case", _REFERENCE_CASES + ["single", "u1-breaking", "lossless-phen"])
 def test_damping_basis_matches_dense_reference(case):
-    if case == "single":
-        liouvillian = _sector_generator()
-    elif case == "u1-breaking":
-        liouvillian = _u1_breaking_generator(3)
-    elif case == "lossless-phen":  # eig returns its repeated eigenvalues' vectors near-parallel
-        liouvillian = phenomenological_generator(PARAMS, build_space(2), 0.0, 0.0)
-    else:
-        model, n_max, temperature = case.split("-")
-        liouvillian = _thermal_generators(int(n_max), float(temperature))[model]
+    liouvillian = _reference_case(case)
     got = damping_basis(liouvillian)
     reference = _dense_damping_basis(liouvillian)
     scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
@@ -487,10 +518,39 @@ def test_damping_basis_matches_dense_reference(case):
     assert np.abs(got.left @ got.right - np.eye(got.eigenvalues.size)).max() <= 1e-10
 
 
+def _dense_coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
+    # the blocks as a breadth-first search over the dense nonzero pattern finds them
+    linked = mat != 0
+    linked |= linked.T
+    unseen = np.ones(mat.shape[0], dtype=bool)
+    blocks = []
+    for seed in range(mat.shape[0]):
+        if not unseen[seed]:
+            continue
+        block = np.zeros_like(unseen)
+        block[seed] = True
+        frontier = block.copy()
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~block
+            block |= frontier
+        unseen &= ~block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+@pytest.mark.parametrize("case", _REFERENCE_CASES + ["u1-breaking", "lossless-phen", "zero"])
+def test_coupled_blocks_match_the_dense_breadth_first_search(case):
+    liouvillian = _reference_case(case)
+    got = _coupled_blocks(liouvillian)
+    reference = _dense_coupled_blocks(liouvillian.matrix)
+    assert len(got) == len(reference)
+    assert all(np.array_equal(a, b) for a, b in zip(got, reference))
+
+
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
 def test_damping_basis_diagonalizes_block_by_block(model, monkeypatch):
     liouvillian = _thermal_generators(8, 0.22)[model]
-    widest = max(block.size for block in _coupled_blocks(liouvillian.matrix))
+    widest = max(block.size for block in _coupled_blocks(liouvillian))
     widths = []
     for name in ("eig", "inv"):
         original = getattr(np.linalg, name)
@@ -594,7 +654,7 @@ def test_pairing_failure_names_its_block_and_only_its_clusters(model):
                       r" near-defective eigenvalue clusters in that block: (.*)$", message)
     assert found, message
     index, count, width = (int(found.group(k)) for k in (1, 2, 3))
-    blocks = _coupled_blocks(liouvillian.matrix)
+    blocks = _coupled_blocks(liouvillian)
     assert len(blocks) == count and blocks[index].size == width
     assert float(found.group(4)) > 1e4
     block_vals = np.linalg.eigvals(liouvillian.matrix[np.ix_(blocks[index], blocks[index])])
@@ -610,7 +670,7 @@ def test_defective_liouvillian_raises_with_cluster():
     matrix[2, 2] = matrix[3, 3] = -1.0  # a repeated eigenvalue split over two 1-wide blocks
     with pytest.raises(DampingBasisError,
                        match=r"block 0 of 3 \(2 wide.* clusters in that block: 0\+0j \(x2\)$"):
-        damping_basis(Superoperator(matrix))
+        damping_basis(_superoperator(matrix))
 
 
 def test_mode_order_survives_last_bit_changes():
@@ -620,7 +680,7 @@ def test_mode_order_survives_last_bit_changes():
     a, _ = ladder_operators(space)
     h = hamiltonian(JCParams(1.0, 0.41), space)
     dissipator = _lindblad(np.zeros_like(h), [(a, 1.0)]).matrix
-    scaled = Superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
+    scaled = _superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
     folded = _lindblad(h, [(a, gamma0)])
     assert np.abs(scaled.matrix - folded.matrix).max() > 0.0
     lam_scaled = damping_basis(scaled).eigenvalues
