@@ -36,8 +36,12 @@ interval of n uniform substeps is the power P(hL)^n.  It is formed by
 repeated squaring once per distinct interval length (a linspace grid has
 a dozen or so), only on the decoupled blocks where rho(0) has weight,
 and with the identity kept apart so that rounding against it cannot
-accumulate over the substeps.  The steady state, which needs only the
-kernel, is read off the one block that holds it.
+accumulate over the substeps.  The steady state needs only the kernel:
+every eigenvalue of a block obeys |lambda| >= sigma_min, so a block whose
+smallest singular value exceeds the kernel tolerance holds none of it,
+and only the other blocks (in practice the one that holds the kernel)
+are eigen-solved.  A kernel of any other dimension than one is reported
+from the eigenvalues of every block.
 """
 
 from __future__ import annotations
@@ -175,10 +179,8 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
     widths = np.array([block.size for block in blocks])
     groups = {}  # width -> block numbers, stacked indices, eigenvalues, right, left
     residuals = np.empty((len(blocks), 2))
-    for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
-        members = np.flatnonzero(widths == width)
-        index = np.stack([blocks[b] for b in members])
-        subs = liouvillian.submatrices(index)
+    for members, index, subs in _width_groups(liouvillian, blocks):
+        width = index.shape[1]
         vals, right = np.linalg.eig(subs)
         _span_repeated_eigenvalues(subs, vals, right)
 
@@ -372,26 +374,42 @@ def _coupled_blocks(liouvillian: Superoperator) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
+def _width_groups(liouvillian: Superoperator, blocks: list[np.ndarray]):
+    """Blocks of equal width stacked: (block numbers, indices (m, w), sub-matrices (m, w, w))."""
+    widths = np.array([block.size for block in blocks])
+    for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
+        members = np.flatnonzero(widths == width)
+        index = np.stack([blocks[b] for b in members])
+        yield members, index, liouvillian.submatrices(index)
+
+
 def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    The kernel, the eigenvalues with |lambda| < :data:`KERNEL_TOL`, is
-    found block by block over the decoupled blocks of the Liouvillian; its
-    element, taken from the one block that holds it, is hermitized and
-    normalized to unit trace.  A kernel of any other dimension raises
-    :class:`KernelMultiplicityError`.
+    The kernel is the eigenvalues with |lambda| < :data:`KERNEL_TOL`.
+    Every eigenvalue of a block B obeys |lambda| >= sigma_min(B), so a
+    decoupled block whose smallest singular value exceeds
+    :data:`KERNEL_TOL` holds none of it; the singular values come from one
+    stacked call per block width, and only the remaining blocks are
+    eigen-solved.  One kernel eigenvalue among them gives the kernel
+    element, which is hermitized and normalized to unit trace.  Any other
+    count raises :class:`KernelMultiplicityError`, whose message reports
+    the kernel dimension and smallest |eigenvalues| of every block.
     """
     blocks = _coupled_blocks(liouvillian)
-    block_vals = [np.linalg.eigvals(liouvillian.submatrices(b)) for b in blocks]
-    vals = np.concatenate(block_vals)
-    null = np.where(np.abs(vals) < KERNEL_TOL)[0]
-    if null.size != 1:
+    solved = []  # (block indices, eigenvalues, eigenvectors) of the blocks that may hold a kernel
+    for _, index, subs in _width_groups(liouvillian, blocks):
+        sigma_min = np.linalg.svd(subs, compute_uv=False)[:, -1]
+        for k in np.flatnonzero(sigma_min <= KERNEL_TOL):
+            solved.append((index[k], *np.linalg.eig(subs[k])))
+    counts = [np.count_nonzero(np.abs(vals) < KERNEL_TOL) for _, vals, _ in solved]
+    if sum(counts) != 1:
+        vals = np.concatenate([np.linalg.eigvals(liouvillian.submatrices(b)) for b in blocks])
         raise KernelMultiplicityError(
-            f"kernel dimension {null.size} at tolerance {KERNEL_TOL:.1e}; "
-            f"smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
+            f"kernel dimension {np.count_nonzero(np.abs(vals) < KERNEL_TOL)} at tolerance "
+            f"{KERNEL_TOL:.1e}; smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
-    block = next(b for b, v in zip(blocks, block_vals) if np.abs(v).min() < KERNEL_TOL)
-    sub_vals, sub_vecs = np.linalg.eig(liouvillian.submatrices(block))
+    block, sub_vals, sub_vecs = solved[counts.index(1)]
     kernel = np.zeros(liouvillian.size, dtype=complex)
     kernel[block] = sub_vecs[:, np.argmin(np.abs(sub_vals))]
     rho = unvec(kernel, liouvillian.dim)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jcsim import cli
 from jcsim.acceptance import DT, _SharedRuns
 from jcsim.analytic import rabi_micro_density
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
@@ -418,18 +419,83 @@ def test_steady_state_counts_isolated_indices_in_the_kernel():
 
 def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
     liouvillian = phenomenological_generator(PARAMS, build_space(16), 0.04, occupation(OMEGA0, 0.22))
-    widths = []
+    solved = []
     for name in ("eig", "eigvals"):
         original = getattr(np.linalg, name)
 
-        def recording(matrix, _original=original):
-            widths.append(matrix.shape[-1])
+        def recording(matrix, _name=name, _original=original):
+            solved.append((_name, matrix.copy()))
             return _original(matrix)
 
         monkeypatch.setattr(np.linalg, name, recording)
     steady_state(liouvillian)
-    # the widest excitation-conserving block at nmax 16 is 1 + 4 * 16 + 1
-    assert widths and max(widths) <= 66
+    # one eig, on the block of |0,g><0,g|; at nmax 16 it is 1 + 4 * 16 + 1 wide
+    kernel_block = next(b for b in _coupled_blocks(liouvillian) if b[0] == 0)
+    assert [name for name, _ in solved] == ["eig"]
+    assert kernel_block.size == 66
+    assert np.array_equal(solved[0][1], liouvillian.submatrices(kernel_block))
+
+
+def _block_spectra(liouvillian: Superoperator) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (singular values, eigenvalues) of every decoupled block
+    subs = [liouvillian.submatrices(b) for b in _coupled_blocks(liouvillian)]
+    return [(np.linalg.svd(sub, compute_uv=False), np.linalg.eigvals(sub)) for sub in subs]
+
+
+def _all_blocks_message(liouvillian: Superoperator) -> str:
+    # the KernelMultiplicityError text, from eigvals over every decoupled block
+    vals = np.concatenate([vals for _, vals in _block_spectra(liouvillian)])
+    return (f"kernel dimension {np.count_nonzero(np.abs(vals) < KERNEL_TOL)} at tolerance "
+            f"{KERNEL_TOL:.1e}; smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}")
+
+
+@pytest.mark.parametrize("case", [f"{model}-{n_max}-{temperature}"
+                                  for model in ("micro", "phen", "dressed")
+                                  for n_max in (3, 8) for temperature in (0.0, 0.22)]
+                         + ["u1-breaking-6", "lossless-phen"])
+def test_singular_value_screen_keeps_every_kernel_block(case):
+    liouvillian = (_u1_breaking_generator(6) if case == "u1-breaking-6"
+                   else _reference_case(case))
+    kernel_count, candidate_count = 0, 0
+    for sing, vals in _block_spectra(liouvillian):
+        # |lambda| >= sigma_min, up to the eigenvalues' rounding
+        assert sing[-1] <= np.abs(vals).min() + 1e-12 * max(1.0, sing[0])
+        zeros = np.count_nonzero(np.abs(vals) < KERNEL_TOL)
+        kernel_count += zeros
+        if sing[-1] <= KERNEL_TOL:
+            candidate_count += zeros
+    assert candidate_count == kernel_count
+    assert kernel_count == (6 if case == "lossless-phen" else 1)
+
+
+@pytest.mark.parametrize("case", ["lossless-phen", "zero"])
+def test_kernel_multiplicity_message_reads_every_block(case):
+    liouvillian = _reference_case(case)
+    with pytest.raises(KernelMultiplicityError) as error:
+        steady_state(liouvillian)
+    assert str(error.value) == _all_blocks_message(liouvillian)
+    if case == "zero":
+        assert str(error.value) == ("kernel dimension 4 at tolerance 1.0e-10; "
+                                    "smallest |eigenvalues|: [0. 0. 0. 0.]")
+
+
+def test_steady_command_reports_a_lossless_kernel(tmp_path, capsys):
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("\ngamma0 = 0.082",
+                                                                   "\ngamma0 = 0.0")
+    config, out = tmp_path / "lossless.cfg", tmp_path / "steady.csv"
+    config.write_text(text)
+    assert cli.main(["steady", "--config", str(config), "--model", "phen", "--out", str(out)]) == 2
+    liouvillian = replace(scenario_from_config(text), model="phen").generator()
+    assert capsys.readouterr().err == f"solver failure: {_all_blocks_message(liouvillian)}\n"
+    assert not out.exists()
+
+
+def _distance_to_free_gibbs(rho: DensityMatrix, space, temperature: float) -> float:
+    # trace distance to the Gibbs state of the uncoupled Hamiltonian, which phen relaxes to
+    evals, evecs = np.linalg.eigh(hamiltonian(JCParams(OMEGA0, 0.0), space))
+    weights = np.exp(-(evals - evals.min()) / temperature)
+    gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
+    return 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - gibbs)).sum()
 
 
 def test_steady_state_stays_small_beyond_the_dense_generator():
@@ -443,10 +509,15 @@ def test_steady_state_stays_small_beyond_the_dense_generator():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
-    evals, evecs = np.linalg.eigh(hamiltonian(JCParams(OMEGA0, 0.0), space))
-    weights = np.exp(-(evals - evals.min()) / temperature)
-    gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
-    assert 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - gibbs)).sum() < 1e-6
+    assert _distance_to_free_gibbs(rho, space, temperature) < 1e-6
+
+
+def test_steady_state_hot_phen_meets_gibbs_of_the_free_hamiltonian():
+    # phen at T = 2 omega0, nmax 46: 95 decoupled blocks, the widest 186
+    temperature, gamma0, space = 2.0 * OMEGA0, 0.02, build_space(46)
+    rho = steady_state(phenomenological_generator(PARAMS, space, gamma0,
+                                                  occupation(OMEGA0, temperature)))
+    assert _distance_to_free_gibbs(rho, space, temperature) < 1e-6
 
 
 def _dense_damping_basis(liouvillian: Superoperator) -> DampingBasis:
