@@ -9,6 +9,9 @@ zero temperature) and (b) the mandated RK4 step 1e-3/rabi sits inside
 the integrator's stability bound for every grid in the battery; that
 pins rabi to the window (0.40, 0.414) and we use 0.41.
 
+Every trajectory comes from :func:`jcsim.scenario.run_trajectory`, on
+the states its initial state reaches, as ``jcsim evolve`` solves it.
+
 ``tolerance_scale`` multiplies every "<" threshold (and divides every
 ">" one), so scaling it down corrupts the tolerances and must make the
 suite fail; it exists as a hook for the battery's negative test.
@@ -24,17 +27,16 @@ import numpy as np
 from .analytic import bell_phen, rabi_phen
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum, occupation, rate
 from .generators import (
-    microscopic_channels,
     microscopic_generator,
     phenomenological_generator,
     dressed_approx_generator,
     restricted_lindblad,
 )
-from .hilbert import build_space, density_diagnostics
+from .hilbert import DensityMatrix, build_space, density_diagnostics
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
-from .scenario import Scenario
-from .solver import TimeSeries, damping_basis, dominant_frequency, evolve_ode, evolve_spectral, steady_state
+from .scenario import Scenario, Trajectory, run_trajectory
+from .solver import damping_basis, dominant_frequency, steady_state
 
 OMEGA0 = 1.0
 RABI = 0.41
@@ -106,10 +108,9 @@ def _phen_bell_scenario() -> Scenario:
 
 @dataclass
 class _SharedRuns:
-    """Trajectories reused across criteria 1-3, 9 and 10."""
+    """:func:`run_trajectory` of the battery scenarios, once per scenario and route."""
 
-    spectral: dict[str, TimeSeries] = field(default_factory=dict)
-    ode: dict[str, TimeSeries] = field(default_factory=dict)
+    runs: dict[tuple[str, str], Trajectory] = field(default_factory=dict)
     runtime_micro: float = float("nan")
 
     _scenarios = {
@@ -121,24 +122,15 @@ class _SharedRuns:
     def scenario(self, key: str) -> Scenario:
         return self._scenarios[key]()
 
-    def get_spectral(self, key: str) -> TimeSeries:
-        if key not in self.spectral:
-            scenario = self.scenario(key)
+    def get(self, key: str, solver: str = "spectral") -> Trajectory:
+        if (key, solver) not in self.runs:
+            dt = DT if solver == "ode" else None
+            scenario = replace(self.scenario(key), solver=solver, dt=dt)
             start = time.perf_counter()
-            series = evolve_spectral(damping_basis(scenario.generator()),
-                                     scenario.initial_state(), scenario.time_grid())
-            elapsed = time.perf_counter() - start
-            if key == "micro_rabi":
-                self.runtime_micro = elapsed
-            self.spectral[key] = series
-        return self.spectral[key]
-
-    def get_ode(self, key: str) -> TimeSeries:
-        if key not in self.ode:
-            scenario = self.scenario(key)
-            self.ode[key] = evolve_ode(scenario.generator(), scenario.initial_state(),
-                                       scenario.time_grid(), DT)
-        return self.ode[key]
+            self.runs[key, solver] = run_trajectory(scenario)
+            if (key, solver) == ("micro_rabi", "spectral"):
+                self.runtime_micro = time.perf_counter() - start
+        return self.runs[key, solver]
 
 
 def _fitted_exponential(t: np.ndarray, pop: np.ndarray) -> np.ndarray:
@@ -161,10 +153,8 @@ def _gibbs(h: np.ndarray, temperature: float) -> np.ndarray:
 
 def _criterion_1(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
-    scenario = runs.scenario("micro_rabi")
-    series = runs.get_spectral("micro_rabi")
-    pops = _OBSERVABLES.evaluate(series.states, scenario.space())
-    t = scenario.time_grid()
+    pops = runs.get("micro_rabi").observables
+    t = runs.scenario("micro_rabi").time_grid()
     oracle = 1.0 - np.exp(-GAMMA * t / 2.0)
     check.less("max |P_0g - (1 - e^{-gamma t/2})|", np.abs(pops["pop_0g"] - oracle).max(), 1e-8)
     check.less("runtime [s]", runs.runtime_micro, 1.0)
@@ -178,13 +168,10 @@ def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
         "phen_bell": lambda t: bell_phen(t, GAMMA, RABI),
     }
     for key, oracle_fn in cases.items():
-        scenario = runs.scenario(key)
-        t = scenario.time_grid()
-        p0g, p1g, pg = oracle_fn(t)
+        p0g, p1g, pg = oracle_fn(runs.scenario(key).time_grid())
         oracle = {"pop_0g": p0g, "pop_1g": p1g, "atomic_ground": pg}
         for solver_name, tol in (("spectral", 1e-8), ("ode", 1e-6)):
-            series = runs.get_spectral(key) if solver_name == "spectral" else runs.get_ode(key)
-            pops = _OBSERVABLES.evaluate(series.states, scenario.space())
+            pops = runs.get(key, solver_name).observables
             dev = max(np.abs(pops[name] - oracle[name]).max() for name in oracle)
             check.less(f"{key} {solver_name} vs closed form", dev, tol)
     return check.result(2, "phen-closed-forms")
@@ -193,10 +180,7 @@ def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
 def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
     t = runs.scenario("micro_rabi").time_grid()
-    micro = _OBSERVABLES.evaluate(runs.get_spectral("micro_rabi").states,
-                                  runs.scenario("micro_rabi").space())
-    phen = _OBSERVABLES.evaluate(runs.get_spectral("phen_rabi").states,
-                                 runs.scenario("phen_rabi").space())
+    micro, phen = runs.get("micro_rabi").observables, runs.get("phen_rabi").observables
     micro_resid = np.abs(micro["pop_0g"] - _fitted_exponential(t, micro["pop_0g"])).max()
     phen_resid = np.abs(phen["pop_0g"] - _fitted_exponential(t, phen["pop_0g"])).max()
     check.less("micro residual vs fitted exponential", micro_resid, 1e-8)
@@ -204,24 +188,27 @@ def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
     return check.result(3, "oscillation-signature")
 
 
-def _frequencies_at(gamma: float) -> tuple[float, float]:
-    micro = replace(_micro_rabi_scenario(), bath=BathSpec(0.0, FlatSpectrum(gamma)))
-    phen = replace(_phen_rabi_scenario(), gamma0=gamma)
-    f_micro = dominant_frequency(damping_basis(micro.generator()), micro.initial_state())
-    f_phen = dominant_frequency(damping_basis(phen.generator()), phen.initial_state())
-    return f_micro, f_phen
+def _frequency(scenario: Scenario) -> float:
+    """:func:`dominant_frequency` of the generator on the states S rho0 reaches, as in compare."""
+    rho0 = scenario.initial_state().matrix
+    liouvillian, reached = restricted_lindblad(*scenario.lindblad_terms(), rho0)
+    rho0 = DensityMatrix(rho0[np.ix_(reached, reached)])
+    return dominant_frequency(damping_basis(liouvillian), rho0)
 
 
 def _criterion_4(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
-    _, f_phen = _frequencies_at(GAMMA)
+    run = runs.get("phen_rabi")
+    f_phen = dominant_frequency(run.basis, run.rho0)
     expected = np.sqrt(16.0 * RABI**2 - GAMMA**2) / 2.0
     check.less("|phen frequency - sqrt(16 rabi^2 - gamma^2)/2|", abs(f_phen - expected), 1e-10)
 
     gammas = np.array([0.02, 0.05, 0.1]) * 2.0 * RABI
     shifts = []
     for gamma in gammas:
-        f_micro, f_phen = _frequencies_at(gamma)
+        bath = BathSpec(0.0, FlatSpectrum(gamma))
+        f_micro = _frequency(replace(_micro_rabi_scenario(), bath=bath))
+        f_phen = _frequency(replace(_phen_rabi_scenario(), gamma0=gamma))
         shifts.append((f_micro - f_phen) / f_micro)
     slope = np.polyfit(np.log(gammas), np.log(shifts), 1)[0]
     check.less("|log-log slope of shift vs gamma - 2|", abs(slope - 2.0), 0.1)
@@ -254,13 +241,12 @@ def _expected_sector_eigenvalues(bath: BathSpec) -> np.ndarray:
 
 def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
-    scenario = _micro_rabi_scenario()  # |0,e> at nmax 2 reaches |0,g>, |0,e> and |1,g>
-    params, space, rho0 = scenario.params, scenario.space(), scenario.initial_state().matrix
     for spectrum, tag in ((OhmicSpectrum(0.15, 2.0 * OMEGA0), "distinct"),
                           (FlatSpectrum(GAMMA), "degenerate")):
         bath = BathSpec(0.0, spectrum)
-        jumps = [(op, g) for _, op, g in microscopic_channels(params, space, bath)]
-        liouvillian, _ = restricted_lindblad(hamiltonian(params, space), jumps, rho0)
+        scenario = replace(_micro_rabi_scenario(), bath=bath)  # S: |0,g>, |0,e> and |1,g>
+        rho0 = scenario.initial_state().matrix
+        liouvillian, _ = restricted_lindblad(*scenario.lindblad_terms(), rho0)
         basis = damping_basis(liouvillian)
         expected = _expected_sector_eigenvalues(bath)
         order = np.lexsort((expected.imag, -expected.real))
@@ -344,8 +330,8 @@ def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
     worst_trace, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for key in ("micro_rabi", "phen_rabi", "phen_bell"):
-        for series in (runs.get_spectral(key), runs.get_ode(key)):
-            trace_defect, herm_defect, min_eig = density_diagnostics(series.states)
+        for run in (runs.get(key), runs.get(key, "ode")):  # on S, as worst_eig starts at 0
+            trace_defect, herm_defect, min_eig = density_diagnostics(run.series.states)
             worst_trace = max(worst_trace, trace_defect.max())
             worst_herm = max(worst_herm, herm_defect.max())
             worst_eig = max(worst_eig, -min_eig.min())
@@ -358,7 +344,7 @@ def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
 def _criterion_10(runs: _SharedRuns, scale: float) -> CriterionResult:
     check = _Checker(scale)
     for key in ("micro_rabi", "phen_rabi", "phen_bell"):
-        dev = np.abs(runs.get_spectral(key).states - runs.get_ode(key).states).max()
+        dev = np.abs(runs.get(key).series.states - runs.get(key, "ode").series.states).max()
         check.less(f"{key}: spectral vs RK4", dev, 1e-8)
     return check.result(10, "cross-method-agreement")
 

@@ -95,6 +95,9 @@ class BathSpec:
     spectrum: Spectrum
 
     def __post_init__(self):
+        for name, value in {"temperature": self.temperature, **vars(self.spectrum)}.items():
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.temperature < 0:
             raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
 

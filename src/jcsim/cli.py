@@ -6,11 +6,11 @@ significant digits), CSV files are written atomically (temp file +
 rename) with LF line endings and the umask's mode, and repeated runs
 produce byte-identical files.
 
-``evolve`` and ``compare`` solve each trajectory on the states S its
-initial state can reach (the whole space once absorption is live), and
-validate and read the states there; the RK4 step is still held to the
-whole generator's bound.  ``steady`` and ``spectrum`` are statements
-about the whole generator and solve all of it.
+``evolve`` and ``compare``, like the battery behind ``verify``, solve
+each trajectory with :func:`jcsim.scenario.run_trajectory` on the states
+S its initial state can reach (the whole space once absorption is live).
+``steady`` and ``spectrum`` are statements about the whole generator and
+solve all of it.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical or
 verification failure.
@@ -24,30 +24,26 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .acceptance import run_all_criteria
-from .generators import (
-    Superoperator,
-    _lindblad,
-    microscopic_channels,
-    restricted_lindblad,
-    secular_margin,
-)
+from .generators import _lindblad, microscopic_channels, secular_margin
 from .hilbert import DensityMatrix
-from .scenario import ConfigError, Scenario, scenario_from_config
+from .scenario import (
+    ConfigError,
+    Scenario,
+    Trajectory,
+    _edge_population,
+    run_trajectory,
+    scenario_from_config,
+)
 from .solver import (
-    DampingBasis,
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
-    check_rk4_step,
     damping_basis,
     dominant_frequency,
-    evolve_ode,
-    evolve_spectral,
     rk4_step_limit,
     steady_state,
 )
@@ -80,42 +76,6 @@ def _csv(header: list[str], rows) -> str:
     return ",".join(header) + "\n" + body.replace("], [", "\n").replace(", ", ",") + "\n"
 
 
-class Trajectory(NamedTuple):
-    """A scenario solved on the states S its initial state reaches."""
-
-    liouvillian: Superoperator  # the generator on S
-    rho0: DensityMatrix  # the initial state on S
-    basis: DampingBasis | None  # None on the ode route, which never diagonalizes
-    observables: dict[str, np.ndarray]  # on the time grid
-    edge: float  # the top Fock level's largest population along the grid
-    reached: np.ndarray  # S
-
-
-def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajectory:
-    """Solve the scenario with its configured solver on the states S rho0 reaches.
-
-    The trajectory is exactly the full one's S x S block (see
-    :func:`restricted_lindblad`); the RK4 step is held to the full
-    generator's bound.  Micro and dressed take their jumps from
-    ``channels`` when given (see :meth:`Scenario.lindblad_terms`).
-    """
-    h, jumps = scenario.lindblad_terms(channels)
-    full_rho0 = scenario.initial_state().matrix
-    liouvillian, reached = restricted_lindblad(h, jumps, full_rho0)
-    rho0 = DensityMatrix(full_rho0[np.ix_(reached, reached)])
-    times = scenario.time_grid()
-    basis = None
-    if scenario.solver == "ode":
-        check_rk4_step(scenario.dt, _lindblad(h, jumps).diagonal())
-        series = evolve_ode(liouvillian, rho0, times, scenario.dt)
-    else:
-        basis = damping_basis(liouvillian)
-        series = evolve_spectral(basis, rho0, times)
-    observables = scenario.observables.evaluate(series.states, scenario.space(), reached)
-    edge = _edge_population(scenario, series.states, reached)
-    return Trajectory(liouvillian, rho0, basis, observables, edge, reached)
-
-
 def _ode_step_bound(diagonal: np.ndarray) -> str:
     """:func:`rk4_step_limit` of a generator's diagonal, rounded down to 3 significant digits."""
     limit = rk4_step_limit(diagonal)
@@ -145,6 +105,13 @@ def run_evolve(scenario: Scenario, out_path: str, channels: list | None = None) 
     return run
 
 
+def _reduced(scenario: Scenario) -> tuple[dict[str, np.ndarray], float]:
+    """A run's observables and dominant frequency; its states and basis are freed on return."""
+    run = run_trajectory(scenario)
+    basis = run.basis or damping_basis(run.liouvillian)  # the ode route solves it for this only
+    return run.observables, dominant_frequency(basis, run.rho0)
+
+
 def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> dict:
     """Run two scenarios differing only in model; CSV plus a summary block.
 
@@ -156,11 +123,7 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
     if scenario_a.observables.names != scenario_b.observables.names:
         raise ConfigError("compare scenarios differ in observables, not only in model")
 
-    run_a, run_b = run_trajectory(scenario_a), run_trajectory(scenario_b)
-    # the ode route solves each generator for the frequencies only
-    freq_a, freq_b = (dominant_frequency(run.basis or damping_basis(run.liouvillian), run.rho0)
-                      for run in (run_a, run_b))
-    observables_a, observables_b = run_a.observables, run_b.observables
+    (observables_a, freq_a), (observables_b, freq_b) = _reduced(scenario_a), _reduced(scenario_b)
     shift = abs(freq_a - freq_b)
     reference = max(abs(freq_a), abs(freq_b))
     names = scenario_a.observables.names
@@ -273,13 +236,6 @@ def _print_advisories(scenario: Scenario, channels: list, reached: np.ndarray) -
         f"# secular margin: max rate / min Bohr spacing = {spacing_ratio:.3g} ({verdict}),"
         f" max rate / min |omega| = {omega_ratio:.3g}"
     )
-
-
-def _edge_population(scenario: Scenario, states: np.ndarray, basis: np.ndarray) -> float:
-    """Largest top Fock level population of states (..., n, n) held on ``basis``; 0 off it."""
-    space = scenario.space()
-    top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
-    return float(np.diagonal(states, axis1=-2, axis2=-1)[..., top].real.sum(axis=-1).max())
 
 
 def _print_edge_population(edge: float) -> None:

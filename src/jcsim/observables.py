@@ -29,7 +29,7 @@ def _real(values):
     imag = np.abs(np.imag(values)).max(initial=0.0)
     if imag > _IMAG_TOL:
         raise ValueError(f"population has imaginary part {imag:.3e}")
-    return np.real(values)
+    return np.real(values).copy()  # a view of the states would keep all of them alive
 
 
 OBSERVABLE_NAMES = (

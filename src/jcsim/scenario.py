@@ -3,7 +3,8 @@
 A scenario names one model (``micro``, ``phen`` or ``dressed``), the
 system parameters, a bath or loss-rate description, an initial state, a
 time grid in the dimensionless units tau = 2 * rabi * t, and the
-observables to record.
+observables to record.  :func:`run_trajectory` solves it for ``jcsim
+evolve``, ``compare`` and ``verify`` alike.
 
 Config files are flat ``key = value`` text: ``#`` starts a comment,
 and bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``,
@@ -26,6 +27,7 @@ and bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +38,13 @@ from .generators import (
     _photon_loss,
     dressed_channels,
     microscopic_channels,
+    restricted_lindblad,
 )
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
 from .jcmodel import JCParams, dressed_states, hamiltonian
 from .observables import ObservableSet
+from .solver import (DampingBasis, TimeSeries, check_rk4_step, damping_basis, evolve_ode,
+                     evolve_spectral)
 
 MODELS = ("micro", "phen", "dressed")
 SOLVERS = ("spectral", "ode")
@@ -67,6 +72,10 @@ class Scenario:
     freq_tol: float | None = None
 
     def __post_init__(self):
+        for key in ("omega0", "rabi", "tau_max", "dt", "gamma0", "nbar", "freq_tol"):
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.omega0 <= 0:
@@ -94,7 +103,8 @@ class Scenario:
         if headroom < 2:
             raise ConfigError(
                 f"nmax = {self.n_max} leaves {headroom} spare photon levels above the "
-                f"initial state; at least 2 are required so the cutoff is never reached"
+                f"initial state; at least 2 are required, and evolve and steady print the "
+                f"top Fock level population to check the cutoff"
             )
         self._initial_vector(build_space(self.n_max))  # validates the label
 
@@ -166,6 +176,50 @@ class Scenario:
 
     def initial_state(self) -> DensityMatrix:
         return pure_state(self._initial_vector(self.space()))
+
+
+class Trajectory(NamedTuple):
+    """A scenario solved on the states S its initial state reaches."""
+
+    liouvillian: Superoperator  # the generator on S
+    rho0: DensityMatrix  # the initial state on S
+    basis: DampingBasis | None  # None on the ode route, which never diagonalizes
+    series: TimeSeries  # the validated states on S
+    observables: dict[str, np.ndarray]  # on the time grid
+    edge: float  # the top Fock level's largest population along the grid
+    reached: np.ndarray  # S
+
+
+def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajectory:
+    """Solve the scenario with its configured solver on the states S rho0 reaches.
+
+    The trajectory is exactly the full one's S x S block (see
+    :func:`restricted_lindblad`); the RK4 step is held to the full
+    generator's bound.  Micro and dressed take their jumps from
+    ``channels`` when given (see :meth:`Scenario.lindblad_terms`).
+    """
+    h, jumps = scenario.lindblad_terms(channels)
+    full_rho0 = scenario.initial_state().matrix
+    liouvillian, reached = restricted_lindblad(h, jumps, full_rho0)
+    rho0 = DensityMatrix(full_rho0[np.ix_(reached, reached)])
+    times = scenario.time_grid()
+    basis = None
+    if scenario.solver == "ode":
+        check_rk4_step(scenario.dt, _lindblad(h, jumps).diagonal())
+        series = evolve_ode(liouvillian, rho0, times, scenario.dt)
+    else:
+        basis = damping_basis(liouvillian)
+        series = evolve_spectral(basis, rho0, times)
+    observables = scenario.observables.evaluate(series.states, scenario.space(), reached)
+    edge = _edge_population(scenario, series.states, reached)
+    return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached)
+
+
+def _edge_population(scenario: Scenario, states: np.ndarray, basis: np.ndarray) -> float:
+    """Largest top Fock level population of states (..., n, n) held on ``basis``; 0 off it."""
+    space = scenario.space()
+    top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
+    return float(np.diagonal(states, axis1=-2, axis2=-1)[..., top].real.sum(axis=-1).max())
 
 
 _BATH_KEYS = {

@@ -6,6 +6,7 @@ or through `jcsim verify`, which drives the same checks).
 
 import pytest
 
+from jcsim import acceptance, scenario
 from jcsim.acceptance import run_all_criteria
 
 
@@ -21,3 +22,22 @@ def test_criterion(results, number):
     for line in result.lines:
         print(f"      {line}")
     assert result.passed, f"criterion {number} ({result.name}) failed:\n" + "\n".join(result.lines)
+
+
+def test_battery_solves_only_on_the_reached_states(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the battery solves on the states rho0 reaches, as evolve does")
+
+    solves = []
+
+    def counting(liouvillian):
+        solves.append(liouvillian.dim)
+        return damping_basis(liouvillian)
+
+    damping_basis = acceptance.damping_basis
+    monkeypatch.setattr(scenario.Scenario, "generator", refuse)
+    for module in (acceptance, scenario):
+        monkeypatch.setattr(module, "damping_basis", counting)
+    assert [r.number for r in run_all_criteria() if not r.passed] == []
+    # three spectral runs, criterion 4's sweep over 3 gammas x 2 models, criterion 5's 2 baths
+    assert len(solves) == 11

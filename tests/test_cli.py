@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jcsim import analytic, cli, observables, solver
-from jcsim.acceptance import CriterionResult, run_criterion
+from jcsim.acceptance import DT, CriterionResult, _SharedRuns, run_criterion
 from jcsim.analytic import rabi_micro
 from jcsim.bath import occupation, rate
 from jcsim.generators import Superoperator, restricted_lindblad
@@ -201,6 +201,44 @@ def test_config_errors_exit_1(tmp_path, capsys):
     single = _write(tmp_path, "single.cfg", BASE.replace("model = micro", "model = single"))
     assert cli.main(["steady", "--config", str(single), "--out", str(out)]) == 1
     assert "config error: model must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_OHMIC = BASE.replace("bath.kind = flat", "bath.kind = ohmic").replace(
+    "bath.gamma0 = 0.04", "bath.alpha = 0.04\nbath.cutoff = 2.0")
+_LORENTZIAN = BASE.replace("bath.kind = flat", "bath.kind = lorentzian").replace(
+    "bath.gamma0 = 0.04", "bath.gamma0 = 0.04\nbath.center = 1.0\nbath.halfwidth = 0.25")
+# every float key of the config format: a config that holds it, and a model that reads it
+_FLOAT_KEYS = {
+    "omega0": (BASE, "phen"), "rabi": (BASE, "phen"), "tau_max": (BASE, "phen"),
+    "dt": (BASE, "phen"), "gamma0": (BASE, "phen"), "nbar": (BASE, "dressed"),
+    "freq_tol": (BASE, "micro"), "bath.temperature": (BASE, "micro"),
+    "bath.gamma0": (BASE, "micro"), "bath.alpha": (_OHMIC, "micro"),
+    "bath.cutoff": (_OHMIC, "micro"), "bath.center": (_LORENTZIAN, "micro"),
+    "bath.halfwidth": (_LORENTZIAN, "micro"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", list(_FLOAT_KEYS))
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, value):
+    base, model = _FLOAT_KEYS[key]
+    lines = [line for line in base.splitlines() if not line.startswith(f"{key} =")]
+    cfg = _write(tmp_path, "bad.cfg", "\n".join(lines + [f"{key} = {value}"]))
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key.removeprefix("bath.") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag, key", [("--tau-max", "tau_max"), ("--dt", "dt")])
+def test_non_finite_override_is_a_config_error(tmp_path, capsys, flag, key, value):
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {key} must be finite, got {value}\n"
     assert not out.exists()
 
 
@@ -452,6 +490,7 @@ def test_one_damping_basis_per_generator(tmp_path, monkeypatch, capsys, argv, so
     damping_basis = solver.damping_basis
     monkeypatch.setattr(solver, "damping_basis", counting)
     monkeypatch.setattr(cli, "damping_basis", counting)
+    monkeypatch.setattr("jcsim.scenario.damping_basis", counting)
     cfg = _write(tmp_path, "rabi.cfg", BASE)
     assert cli.main(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
     assert len(calls) == solves
@@ -645,6 +684,38 @@ def test_verify_reporting_and_exit_codes(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  criterion 2: beta" in out
     assert "FAILED at criterion 2: beta" in out
+
+
+PHEN_RABI = """
+model = phen
+omega0 = 1.0
+rabi = 0.41
+nmax = 2
+gamma0 = 0.082
+nbar = 0.0
+initial = fock:0,e
+tau_max = 100.0
+steps = 2000
+observables = pop_0g,pop_1g,atomic_ground
+"""
+
+
+@pytest.mark.parametrize("route", ["spectral", "ode"])
+def test_evolve_writes_the_curves_verify_checks(tmp_path, route):
+    text = PHEN_RABI + (f"solver = ode\ndt = {DT!r}\n" if route == "ode" else "")
+    battery = _SharedRuns()
+    expected = battery.scenario("phen_rabi")
+    if route == "ode":
+        expected = replace(expected, solver="ode", dt=DT)
+    assert scenario_from_config(text) == expected
+    out = tmp_path / "phen_rabi.csv"
+    assert cli.main(["evolve", "--config", str(_write(tmp_path, "p.cfg", text)),
+                     "--out", str(out)]) == 0
+    header, data = _read_csv(out)
+    observables = battery.get("phen_rabi", route).observables
+    assert header == ["tau"] + list(observables)
+    for k, name in enumerate(observables, start=1):
+        assert np.array_equal(data[:, k], observables[name]), name
 
 
 def test_tolerance_corruption_hook():
