@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import DensityMatrix
-
 _IMAG_TOL_MICRO = 1e-15
 _IMAG_TOL_PHEN = 1e-12
 
@@ -113,28 +111,3 @@ def bell_phen(t, gamma: float, rabi: float):
     p0g = _real(p0g, _IMAG_TOL_PHEN)
     p1g = _real(p1g, _IMAG_TOL_PHEN)
     return p0g, p1g, p0g + p1g
-
-
-def rabi_micro_density(t: float, gamma_a: float, gamma_b: float, rabi: float,
-                       omega0: float) -> DensityMatrix:
-    """Full dressed-basis density matrix for the initial state |0,e>.
-
-    The basis is micro's one-excitation sector in the dressed basis, in
-    the order [ground, (1,-), (1,+)].  The populations relax at the channel
-    rates while the intra-doublet coherence precesses at twice the coupling
-    under the mean decay rate; omega0 does not enter because no
-    ground-excited coherence is ever populated from this initial state.
-    """
-    _check_rates(gamma_a, gamma_b, rabi)
-    if omega0 <= 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    ea = np.exp(-gamma_a * t / 2.0)
-    eb = np.exp(-gamma_b * t / 2.0)
-    coh = -0.5 * np.exp(-(gamma_a + gamma_b) * t / 4.0) * np.exp(2j * rabi * t)
-    rho = np.zeros((3, 3), dtype=complex)
-    rho[0, 0] = 1.0 - ea / 2.0 - eb / 2.0
-    rho[1, 1] = ea / 2.0
-    rho[2, 2] = eb / 2.0
-    rho[1, 2] = coh
-    rho[2, 1] = np.conj(coh)
-    return DensityMatrix(rho)

@@ -20,6 +20,11 @@ trajectory on it.  ``secular_margin`` measures how close the micro or
 dressed jump channels a run reaches come to breaking the secular
 approximation behind both.
 
+Every jump operator, and so every micro or dressed channel, is a
+:class:`SparseOperator` of its nonzero entries: a dressed transition
+occupies at most 2 x 2 bare entries, and no builder forms a dense
+(dim x dim) matrix per channel.
+
 A :class:`Superoperator` holds the nonzero entries of L, which acts on
 column-major vectorized operators, vec(X)[i + d*j] = X[i, j]; its dense
 (dim^2 x dim^2) matrix is built only on request.  The entry at row
@@ -99,11 +104,30 @@ class Superoperator:
         return diag
 
 
+@dataclass(frozen=True)
+class SparseOperator:
+    """A (dim x dim) operator held as its nonzero entries.
+
+    Entry n is ``values[n]`` at row ``rows[n]`` and column ``cols[n]``, in
+    row-major order at distinct positions.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    dim: int
+
+    @classmethod
+    def from_dense(cls, matrix: np.ndarray) -> SparseOperator:
+        rows, cols = np.nonzero(matrix)
+        return cls(rows, cols, np.asarray(matrix[rows, cols], dtype=complex), matrix.shape[0])
+
+
 def eigenoperators(
     a: np.ndarray,
     eigensystem: list[DressedState],
     freq_tol: float,
-) -> list[tuple[float, np.ndarray]]:
+) -> list[tuple[float, SparseOperator]]:
     """Bohr-frequency decomposition of a coupling operator.
 
     Sandwiches ``a`` between eigenprojectors of the provided (orthonormal)
@@ -112,6 +136,12 @@ def eigenoperators(
     while each lies within ``freq_tol`` of the one before it.  Returns
     (omega, operator) channel skeletons sorted by frequency; the channel
     builders attach the rates.
+
+    Each operator is the sum of its group's pieces a_pq |p><q|, added in
+    frequency order and then in (p, q) order, and its omega the mean of the
+    group's frequencies.  A piece occupies only the nonzeros of the two
+    eigenvectors, so a channel between two dressed doublets holds at most
+    2 x 2 bare entries.
 
     The channels satisfy sum_omega A(omega) = P a P with P the projector
     onto the spanned subspace, and A(-omega) = A(omega)†.
@@ -126,37 +156,55 @@ def eigenoperators(
     if ortho_defect > 1e-10:
         raise ValueError(f"eigensystem is not orthonormal (defect {ortho_defect:.3e})")
     energies = np.array([st.energy for st in eigensystem])
+    d = a.shape[0]
 
     a_eig = v.conj().T @ a @ v  # matrix elements in the eigenbasis
     cut = 1e-13 * max(np.abs(a_eig).max(), 1e-300)
-    entries = []  # (omega, row p, col q)
-    for p in range(len(eigensystem)):
-        for q in range(len(eigensystem)):
-            if abs(a_eig[p, q]) > cut:
-                entries.append((energies[q] - energies[p], p, q))
-    entries.sort(key=lambda e: e[0])
+    p, q = np.nonzero(np.abs(a_eig) > cut)
+    freqs = energies[q] - energies[p]
+    order = np.argsort(freqs, kind="stable")
+    p, q, freqs = p[order], q[order], freqs[order]
+    starts = np.flatnonzero(np.diff(freqs, prepend=-np.inf) > freq_tol)
+    sizes = np.diff(starts, append=freqs.size)
+    omegas = freqs[starts]
+    for g in np.flatnonzero(sizes > 1):  # as np.mean, which sums over 7 terms pairwise
+        omegas[g] = np.mean(freqs[starts[g]:starts[g] + sizes[g]])
 
-    channels: list[tuple[float, np.ndarray]] = []
-    i = 0
-    while i < len(entries):
-        j = i + 1
-        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= freq_tol:
-            j += 1
-        members = entries[i:j]
-        omega = float(np.mean([m[0] for m in members]))
-        op = np.zeros_like(a, dtype=complex)
-        for _, p, q in members:
-            op += a_eig[p, q] * np.outer(v[:, p], v[:, q].conj())
-        channels.append((omega, op))
-        i = j
-    return channels
+    # piece k spreads over the count[p] x count[q] nonzeros v[i, p] conj(v[j, q]), i-major
+    vec_of, bare = np.nonzero(v.T)  # every eigenvector's nonzeros, vector by vector
+    count = np.bincount(vec_of, minlength=v.shape[1])
+    first = np.cumsum(count) - count
+    per_piece = count[p] * count[q]
+    piece = np.repeat(np.arange(p.size), per_piece)
+    ki, kj = np.divmod(np.arange(piece.size) - np.repeat(np.cumsum(per_piece) - per_piece,
+                                                         per_piece), count[q][piece])
+    i, j = bare[first[p][piece] + ki], bare[first[q][piece] + kj]
+    values = a_eig[p, q][piece] * (v[i, p[piece]] * v[j, q[piece]].conj())
+    # the entries of one channel at one position add up in piece order
+    keys = np.repeat(np.arange(starts.size), sizes)[piece] * (d * d) + i * d + j
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    new = np.diff(keys, prepend=-1) != 0
+    summed = np.zeros(np.count_nonzero(new), dtype=complex)
+    np.add.at(summed, np.cumsum(new) - 1, values)
+    keep = summed != 0
+    (channel, pos), summed = np.divmod(keys[new][keep], d * d), summed[keep]
+    bounds = np.searchsorted(channel, np.arange(starts.size + 1))
+    rows, cols = np.divmod(pos, d)
+    return [(float(omegas[g]), SparseOperator(rows[lo:hi], cols[lo:hi], summed[lo:hi], d))
+            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
-def _closest_coupled_pair(eigensystem: list[DressedState], op: np.ndarray) -> tuple[float, str]:
+def _closest_coupled_pair(eigensystem: list[DressedState],
+                          op: SparseOperator) -> tuple[float, str]:
     """Energy gap and description of the closest-lying eigenstates ``op`` couples."""
-    pairs = [(s, t) for s in eigensystem for t in eigensystem
-             if s is not t and abs(s.coefficients.conj() @ op @ t.coefficients) > 0]
-    s, t = min(pairs, key=lambda st: abs(st[0].energy - st[1].energy))
+    v = np.column_stack([st.coefficients for st in eigensystem])
+    amplitude = (v[op.rows].conj() * op.values[:, None]).T @ v[op.cols]  # <s|op|t>
+    np.fill_diagonal(amplitude, 0.0)
+    energies = np.array([st.energy for st in eigensystem])
+    si, ti = np.nonzero(amplitude)
+    k = int(np.argmin(np.abs(energies[si] - energies[ti])))
+    s, t = eigensystem[si[k]], eigensystem[ti[k]]
     names = [st.label if isinstance(st.label, str) else "({}, {:+d})".format(*st.label)
              for st in (s, t)]
     return abs(s.energy - t.energy), (
@@ -169,7 +217,7 @@ def microscopic_channels(
     space: StateSpace,
     bath: BathSpec,
     freq_tol: float | None = None,
-) -> list[tuple[float, np.ndarray, float]]:
+) -> list[tuple[float, SparseOperator, float]]:
     """(omega, operator, rate) jump channels of the dressed-state master equation."""
     if space.n_max < 2:
         raise ValueError("microscopic generator needs n_max >= 2")
@@ -194,27 +242,68 @@ def microscopic_channels(
     return channels
 
 
-def _lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]]) -> Superoperator:
+def _entries(ops: list[SparseOperator]) -> tuple[np.ndarray, ...]:
+    """The entries of ``ops`` in one run: operator index, row, column and value."""
+    index = np.repeat(np.arange(len(ops)), [op.values.size for op in ops])
+    rows = np.concatenate([np.empty(0, dtype=int)] + [op.rows for op in ops])
+    cols = np.concatenate([np.empty(0, dtype=int)] + [op.cols for op in ops])
+    values = np.concatenate([np.empty(0, dtype=complex)] + [op.values for op in ops])
+    return index, rows, cols, values
+
+
+def _column_blocks(index: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+                   count: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The :func:`_entries` of ``count`` operators, each as a dense block on its own rows
+    and columns.
+
+    Returns the zero-padded blocks (count, r, s), at least 2 x 2 so that numpy
+    multiplies them by BLAS gemm as it does d x d operators, and the operator
+    column of each block column (count, s), d on padding.
+    """
+    row_in, col_in = np.zeros((count, d), dtype=bool), np.zeros((count, d), dtype=bool)
+    row_in[index, rows] = True
+    col_in[index, cols] = True
+    row_at, col_at = np.cumsum(row_in, axis=1) - 1, np.cumsum(col_in, axis=1) - 1
+    r = max(int(row_at[:, -1].max(initial=0)) + 1, 2)
+    s = max(int(col_at[:, -1].max(initial=0)) + 1, 2)
+    blocks = np.zeros((count, r, s), dtype=values.dtype)
+    blocks[index, row_at[index, rows], col_at[index, cols]] = values
+    columns = np.full((count, s), d)
+    c, k = np.nonzero(col_in)
+    columns[c, col_at[c, k]] = k
+    return blocks, columns
+
+
+def _lindblad(h: np.ndarray, jumps: list[tuple[SparseOperator, float]]) -> Superoperator:
     """-i[h, .] plus the dissipator of every (operator, rate) jump with nonzero rate.
 
     L rho = -i h_eff rho + i rho h_eff† + sum_c rate_c A_c rho A_c†, with
     h_eff = h - (i/2) sum_c rate_c A_c†A_c, has the entries rate_c A_c[i, k]
     conj(A_c[j, l]) at (i + d*j, k + d*l), then -i h_eff[i, k] at
     (i + d*m, k + d*m) and i conj(h_eff[j, l]) at (m + d*j, m + d*l) for
-    every m.  The sum over c is one matrix product on the positions (i, k)
-    some A_c occupies, which rounds as the Kronecker-product assembly of L
-    does; entries at one position add up in the order above, and exact
-    zeros are dropped.
+    every m.  Each A_c†A_c is one matrix product on A_c's own rows and
+    columns, and the sum over c adds them in order; the sum over c in the
+    first term is one matrix product on the positions (i, k) some A_c
+    occupies.  For real-valued jumps, as every model's are, both round as
+    the Kronecker-product assembly of L does; entries at one position add
+    up in the order above, and exact zeros are dropped.
     """
     d = h.shape[0]
     active = [(op, g) for op, g in jumps if g != 0.0]
-    stack = np.array([op for op, _ in active], dtype=complex).reshape(-1, d, d)
     rates = np.array([g for _, g in active], dtype=float)
-    h_eff = h - 0.5j * np.einsum("c,cij->ij", rates,
-                                 np.transpose(stack.conj(), (0, 2, 1)) @ stack)
-    flat = stack.reshape(rates.size, d * d)
-    support = np.flatnonzero(flat.any(axis=0))  # i*d + k
-    sandwich = (flat[:, support].conj() * rates[:, None]).T @ flat[:, support]  # [jl, ik]
+    jump, a_rows, a_cols, a_values = _entries([op for op, _ in active])
+    blocks, columns = _column_blocks(jump, a_rows, a_cols, a_values, rates.size, d)
+    ada = np.transpose(blocks.conj(), (0, 2, 1)) @ blocks * rates[:, None, None]
+    weighted_ada = np.zeros((d + 1, d + 1), dtype=complex)  # row and column d take the padding
+    np.add.at(weighted_ada, (columns[:, :, None], columns[:, None, :]), ada)
+    h_eff = h - 0.5j * weighted_ada[:d, :d]
+    at = a_rows * d + a_cols
+    occupied = np.zeros(d * d, dtype=bool)
+    occupied[at] = True
+    support = np.flatnonzero(occupied)  # i*d + k
+    flat = np.zeros((rates.size, support.size), dtype=complex)
+    flat[jump, (np.cumsum(occupied) - 1)[at]] = a_values
+    sandwich = (flat.conj() * rates[:, None]).T @ flat  # [jl, ik]
     jl, ik = np.nonzero(sandwich)
     (j, l), (i, k) = np.divmod(support[jl], d), np.divmod(support[ik], d)
     hi, hk = np.nonzero(h_eff)
@@ -250,14 +339,21 @@ def microscopic_generator(
     return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
 
 
-def _photon_loss(space: StateSpace, gamma0: float, nbar: float) -> list[tuple[np.ndarray, float]]:
-    """Jumps a and a† with their rates gamma0(nbar+1) and gamma0*nbar."""
+def _ladder_jumps(space: StateSpace, gamma0: float, nbar: float
+                  ) -> list[tuple[np.ndarray, float]]:
+    """a and a† as matrices, with their rates gamma0(nbar+1) and gamma0*nbar."""
     if gamma0 < 0:
         raise ValueError(f"gamma0 must be nonnegative, got {gamma0}")
     if nbar < 0:
         raise ValueError(f"nbar must be nonnegative, got {nbar}")
     a, a_dag = ladder_operators(space)
     return [(a, gamma0 * (nbar + 1.0)), (a_dag, gamma0 * nbar)]
+
+
+def _photon_loss(space: StateSpace, gamma0: float, nbar: float
+                 ) -> list[tuple[SparseOperator, float]]:
+    """Jumps a and a† with their rates gamma0(nbar+1) and gamma0*nbar."""
+    return [(SparseOperator.from_dense(op), g) for op, g in _ladder_jumps(space, gamma0, nbar)]
 
 
 def phenomenological_generator(
@@ -276,7 +372,7 @@ def dressed_channels(
     gamma0: float,
     nbar: float,
     freq_tol: float | None = None,
-) -> list[tuple[float, np.ndarray, float]]:
+) -> list[tuple[float, SparseOperator, float]]:
     """(omega, operator, rate) jump channels of :func:`dressed_approx_generator`.
 
     The Bohr-frequency components A(omega) of a, each at the photon-loss
@@ -285,7 +381,7 @@ def dressed_channels(
     if freq_tol is None:
         freq_tol = 1e-9 * params.omega0
     eigensystem = complete_eigensystem(params, space)
-    return [(omega, op, g) for jump, g in _photon_loss(space, gamma0, nbar)
+    return [(omega, op, g) for jump, g in _ladder_jumps(space, gamma0, nbar)
             for omega, op in eigenoperators(jump, eigensystem, freq_tol)]
 
 
@@ -307,7 +403,7 @@ def dressed_approx_generator(
     return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
 
 
-def reachable_states(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
+def reachable_states(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
                      rho0: np.ndarray) -> np.ndarray:
     """Sorted basis indices S of the states a trajectory from ``rho0`` can populate.
 
@@ -315,15 +411,20 @@ def reachable_states(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
     of ``h``, of each live jump A (rate > 0) and of A†A, so -i[h, .],
     A . A† and -{A†A, .}/2 all map operators over S to operators over S.
     """
-    live = [op != 0 for op, g in jumps if g > 0]
-    step = np.logical_or.reduce([h != 0] + live + [nz.T @ nz for nz in live])
+    live = [op for op, g in jumps if g > 0]
+    index, rows, cols, values = _entries(live)
+    blocks, columns = _column_blocks(index, rows, cols, values != 0, len(live), h.shape[0])
+    c, k, l = np.nonzero(np.transpose(blocks, (0, 2, 1)) @ blocks)  # A†A's pattern
+    step = h != 0
+    step[rows, cols] = True
+    step[columns[c, k], columns[c, l]] = True
     reached = np.diag(rho0) != 0
     for _ in range(len(reached)):  # each pass adds a state until none is left to add
         reached = reached | step[:, reached].any(axis=1)
     return np.flatnonzero(reached)
 
 
-def restricted_lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
+def restricted_lindblad(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
                         rho0: np.ndarray) -> tuple[Superoperator, np.ndarray]:
     """:func:`_lindblad` of ``h`` and the live jumps, both sliced to S, and S.
 
@@ -331,12 +432,20 @@ def restricted_lindblad(h: np.ndarray, jumps: list[tuple[np.ndarray, float]],
     from rho0[S, S] is the full trajectory's S x S block, which holds all of it.
     """
     states = reachable_states(h, jumps, rho0)
-    cut = np.ix_(states, states)
-    return _lindblad(h[cut], [(op[cut], g) for op, g in jumps if g > 0]), states
+    at = np.full(h.shape[0], -1)
+    at[states] = np.arange(states.size)
+    sliced = []
+    for op, g in jumps:
+        if g > 0:
+            rows, cols = at[op.rows], at[op.cols]
+            inside = (rows >= 0) & (cols >= 0)
+            sliced.append((SparseOperator(rows[inside], cols[inside], op.values[inside],
+                                          states.size), g))
+    return _lindblad(h[np.ix_(states, states)], sliced), states
 
 
 def secular_margin(
-    channels: list[tuple[float, np.ndarray, float]],
+    channels: list[tuple[float, SparseOperator, float]],
     reached: np.ndarray,
 ) -> tuple[float, float, tuple[float, float] | None]:
     """How close a run's jump channels come to breaking the secular approximation.
@@ -349,7 +458,9 @@ def secular_margin(
     closest pair of frequencies (None with fewer than two; a ratio with
     nothing to compare is 0).
     """
-    kept = [(omega, g) for omega, op, g in channels if g > 0 and op[:, reached].any()]
+    on = np.zeros(max((op.dim for _, op, _ in channels), default=0), dtype=bool)
+    on[reached] = True
+    kept = [(omega, g) for omega, op, g in channels if g > 0 and on[op.cols].any()]
     g_max = max((g for _, g in kept), default=0.0)
     omegas = np.array(sorted({omega for omega, _ in kept}))
     nearest = np.abs(omegas).min(initial=np.inf)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
 from .generators import (
+    SparseOperator,
     Superoperator,
     _lindblad,
     _photon_loss,
@@ -150,8 +151,11 @@ class Scenario:
             raise ConfigError("tau = 2*rabi*t is degenerate at rabi = 0; no time axis")
         return self.tau_grid() / (2.0 * self.rabi)
 
-    def channels(self) -> list[tuple[float, np.ndarray, float]]:
-        """The (omega, operator, rate) jump channels of a micro or dressed model."""
+    def channels(self) -> list[tuple[float, SparseOperator, float]]:
+        """The (omega, operator, rate) jump channels of a micro or dressed model.
+
+        Each operator holds only its nonzero entries.
+        """
         params, space = self.params, self.space()
         if self.model == "micro":
             return microscopic_channels(params, space, self.bath, self.freq_tol)
@@ -160,7 +164,7 @@ class Scenario:
         raise ValueError("phen's jumps a and a† are no Bohr-frequency channels")
 
     def lindblad_terms(self, channels: list | None = None
-                       ) -> tuple[np.ndarray, list[tuple[np.ndarray, float]]]:
+                       ) -> tuple[np.ndarray, list[tuple[SparseOperator, float]]]:
         """The Hamiltonian and the (operator, rate) jumps of the model's Lindblad form.
 
         Micro and dressed read ``channels``, :meth:`channels` if not given.

@@ -1,15 +1,40 @@
 import numpy as np
 import pytest
 
-from jcsim.analytic import bell_micro, bell_phen, rabi_micro, rabi_micro_density, rabi_phen
+from jcsim.analytic import _check_rates, bell_micro, bell_phen, rabi_micro, rabi_phen
 from jcsim.bath import BathSpec, OhmicSpectrum, rate
 from jcsim.generators import microscopic_channels, restricted_lindblad
-from jcsim.hilbert import build_space, pure_state
+from jcsim.hilbert import DensityMatrix, build_space, pure_state
 from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
 
 RABI = 0.41
 GAMMA = 0.082  # gamma / (2 rabi) = 0.1
+
+
+def rabi_micro_density(t: float, gamma_a: float, gamma_b: float, rabi: float,
+                       omega0: float) -> DensityMatrix:
+    """Full dressed-basis density matrix for the initial state |0,e>.
+
+    The basis is micro's one-excitation sector in the dressed basis, in
+    the order [ground, (1,-), (1,+)].  The populations relax at the channel
+    rates while the intra-doublet coherence precesses at twice the coupling
+    under the mean decay rate; omega0 does not enter because no
+    ground-excited coherence is ever populated from this initial state.
+    """
+    _check_rates(gamma_a, gamma_b, rabi)
+    if omega0 <= 0:
+        raise ValueError(f"omega0 must be positive, got {omega0}")
+    ea = np.exp(-gamma_a * t / 2.0)
+    eb = np.exp(-gamma_b * t / 2.0)
+    coh = -0.5 * np.exp(-(gamma_a + gamma_b) * t / 4.0) * np.exp(2j * rabi * t)
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[0, 0] = 1.0 - ea / 2.0 - eb / 2.0
+    rho[1, 1] = ea / 2.0
+    rho[2, 2] = eb / 2.0
+    rho[1, 2] = coh
+    rho[2, 1] = np.conj(coh)
+    return DensityMatrix(rho)
 
 
 def test_rabi_micro_starts_from_excited_atom():

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from jcsim import generators
-from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation
+from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
 from jcsim.generators import (
+    SparseOperator,
     Superoperator,
     _lindblad,
     dressed_approx_generator,
@@ -42,6 +44,13 @@ def _single_excitation_sector(n_max=2):
     return liouvillian
 
 
+def _dense(op):
+    # a channel or jump operator as its dense matrix
+    matrix = np.zeros((op.dim, op.dim), dtype=complex)
+    matrix[op.rows, op.cols] = op.values
+    return matrix
+
+
 def _kron_lindblad(h, jumps):
     # reference assembly from dim^2 x dim^2 Kronecker products:
     # vec(A X B) = (B^T kron A) vec(X) for column-major vec
@@ -72,7 +81,7 @@ def test_eigenoperator_ground_channels():
     system = complete_eigensystem(PARAMS, space)
     channels = dict()
     for omega, op in eigenoperators(a + a_dag, system, 1e-9):
-        channels[round(omega, 12)] = op
+        channels[round(omega, 12)] = _dense(op)
     states = {s.label: s for s in system}
     for branch in (+1, -1):
         omega = OMEGA0 + branch * RABI
@@ -90,7 +99,7 @@ def test_eigenoperator_manifold_weight():
     states = {s.label: s for s in system}
     omega = OMEGA0 + RABI * (np.sqrt(2) - 1.0)  # (2,+) -> (1,+)
     channels = eigenoperators(a + a_dag, system, 1e-9)
-    op = next(o for w, o in channels if abs(w - omega) < 1e-12)
+    op = next(_dense(o) for w, o in channels if abs(w - omega) < 1e-12)
     amplitude = states[(1, +1)].coefficients.conj() @ op @ states[(2, +1)].coefficients
     assert amplitude.real == pytest.approx((np.sqrt(2) + 1.0) / 2.0)  # 1.20711...
     assert abs(amplitude.imag) < 1e-15
@@ -100,7 +109,8 @@ def test_eigenoperator_completeness_and_conjugation():
     space = build_space(3)
     a, a_dag = ladder_operators(space)
     coupling = a + a_dag
-    channels = eigenoperators(coupling, complete_eigensystem(PARAMS, space), 1e-9)
+    channels = [(omega, _dense(op)) for omega, op in
+                eigenoperators(coupling, complete_eigensystem(PARAMS, space), 1e-9)]
     total = sum(op for _, op in channels)
     assert np.abs(total - coupling).max() < 1e-12
     for omega, op in channels:
@@ -119,8 +129,84 @@ def test_eigenoperators_group_runs_of_close_frequencies():
         return abs(states[lower].coefficients.conj() @ op @ states[upper].coefficients)
 
     channels = dressed_channels(params, space, 0.082, 0.0, 0.241)
-    (op,) = [op for _, op, _ in channels if amplitude(op, "ground", (1, +1)) > 0.5]  # omega 1.41
+    (op,) = [_dense(op) for _, op, _ in channels
+             if amplitude(_dense(op), "ground", (1, +1)) > 0.5]  # omega 1.41
     assert amplitude(op, (1, +1), (2, +1)) > 0.5  # omega 1.1698
+
+
+def _dense_eigenoperators(a, eigensystem, freq_tol):
+    # the channels as a loop over every (p, q) pair of eigenstates builds them, each a
+    # dense matrix: pieces sorted by frequency, grouped while each lies within freq_tol
+    # of the one before it, and added up in that order
+    v = np.column_stack([st.coefficients for st in eigensystem])
+    energies = np.array([st.energy for st in eigensystem])
+    a_eig = v.conj().T @ a @ v
+    cut = 1e-13 * max(np.abs(a_eig).max(), 1e-300)
+    entries = sorted(((energies[q] - energies[p], p, q) for p in range(len(eigensystem))
+                      for q in range(len(eigensystem)) if abs(a_eig[p, q]) > cut),
+                     key=lambda e: e[0])
+    channels, i = [], 0
+    while i < len(entries):
+        j = i + 1
+        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= freq_tol:
+            j += 1
+        op = np.zeros_like(a, dtype=complex)
+        for _, p, q in entries[i:j]:
+            op += a_eig[p, q] * np.outer(v[:, p], v[:, q].conj())
+        channels.append((float(np.mean([e[0] for e in entries[i:j]])), op))
+        i = j
+    return channels
+
+
+@pytest.mark.parametrize("model, rabi, n_max, temperature, spectrum, freq_tol", [
+    *[(model, RABI, n_max, temperature, FlatSpectrum(GAMMA0), None)
+      for model in ("micro", "dressed") for n_max in (2, 3, 8, 20)
+      for temperature in (0.0, 0.22)],
+    ("micro", 0.41, 8, 0.22, OhmicSpectrum(0.15, 2.0), None),
+    # fock:1,e parameters: (1, +1) and (2, -1) lie 0.0102 apart, so two manifolds cross
+    ("micro", 0.41, 3, 0.0, FlatSpectrum(0.082), None),
+    # without coupling all 64 pieces fall on omega = +-1: two channels whose pieces share
+    # bare entries, some of which cancel exactly
+    ("micro", 0.0, 8, 0.22, FlatSpectrum(GAMMA0), None),
+    # freq_tol merges runs of pieces: 12 of a into 8 channels
+    ("dressed", 0.41, 3, 0.0, FlatSpectrum(GAMMA0), 0.241),
+])
+def test_channels_densify_to_the_dense_eigenoperators(model, rabi, n_max, temperature,
+                                                      spectrum, freq_tol):
+    params, space = JCParams(OMEGA0, rabi), build_space(n_max)
+    tol = 1e-9 * OMEGA0 if freq_tol is None else freq_tol
+    system = complete_eigensystem(params, space)
+    a, a_dag = ladder_operators(space)
+    if model == "micro":
+        bath = BathSpec(temperature, spectrum)
+        channels = microscopic_channels(params, space, bath, freq_tol)
+        expected = [(omega, op, rate(omega, bath))
+                    for omega, op in _dense_eigenoperators(a + a_dag, system, tol)]
+    else:
+        nbar = occupation(OMEGA0, temperature)
+        channels = dressed_channels(params, space, GAMMA0, nbar, freq_tol)
+        expected = [(omega, op, g)
+                    for jump, g in ((a, GAMMA0 * (nbar + 1.0)), (a_dag, GAMMA0 * nbar))
+                    for omega, op in _dense_eigenoperators(jump, system, tol)]
+    for (omega, op, g), (omega_ref, op_ref, g_ref) in zip(channels, expected, strict=True):
+        assert (omega, g) == (omega_ref, g_ref)  # bit for bit
+        assert np.array_equal(_dense(op), op_ref)
+        assert op.values.all() and np.all(np.diff(op.rows * space.dim + op.cols) > 0)
+
+
+@pytest.mark.parametrize("n_max, limit", [(20, 4e6), (30, 8e6)])
+def test_microscopic_build_peak_stays_near_its_entries(n_max, limit):
+    # 160 and 236 channels whose generator entries take 0.18 and 0.39 MB; a dense d x d
+    # matrix per channel, stacked, peaks at 18.1 and 58.2 MB
+    params, space = JCParams(1.0, 0.2), build_space(n_max)
+    bath = BathSpec(0.25, FlatSpectrum(0.02))
+    tracemalloc.start()
+    try:
+        microscopic_generator(params, space, bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
 
 
 def test_eigenoperators_reject_non_orthonormal():
@@ -234,7 +320,9 @@ def _model_generator(model, n_max, temperature):
     # sigma_minus + sigma_plus flips the atom alone and breaks the excitation count
     a, _ = ladder_operators(space)
     sm, sp, _ = atomic_operators(space)
-    return generators._lindblad(hamiltonian(PARAMS, space), [(a, 0.05), (sm + sp, 0.01)])
+    return generators._lindblad(hamiltonian(PARAMS, space),
+                                [(SparseOperator.from_dense(a), 0.05),
+                                 (SparseOperator.from_dense(sm + sp), 0.01)])
 
 
 @pytest.mark.parametrize("model, n_max, temperature", [
@@ -255,7 +343,7 @@ def test_lindblad_matches_kron_reference(model, n_max, temperature, monkeypatch)
     monkeypatch.setattr(generators, "_lindblad", recording)
     built = _model_generator(model, n_max, temperature)
     (h, jumps), = calls
-    reference = _kron_lindblad(h, jumps)
+    reference = _kron_lindblad(h, [(_dense(op), g) for op, g in jumps])
     assert np.array_equal(built.matrix, reference)
     assert built.values.size == np.count_nonzero(reference)
     assert np.array_equal(built.diagonal(), np.diag(reference))
@@ -282,7 +370,8 @@ def test_phenomenological_reduces_to_zero_temperature_form():
 def test_photon_loss_dissipator_action():
     space = build_space(2)
     a, _ = ladder_operators(space)
-    dissipator = _lindblad(np.zeros((space.dim, space.dim)), [(a, GAMMA0)]).matrix
+    dissipator = _lindblad(np.zeros((space.dim, space.dim)),
+                           [(SparseOperator.from_dense(a), GAMMA0)]).matrix
     one_g = np.outer(space.basis_state(1, "g"), space.basis_state(1, "g").conj())
     zero_g = np.outer(space.basis_state(0, "g"), space.basis_state(0, "g").conj())
     got = unvec(dissipator @ vec(one_g), space.dim)
@@ -408,7 +497,7 @@ def test_channel_rates_follow_the_bath():
     # emission/absorption pairing with conjugate-transposed operators
     for omega, op, _ in channels:
         partner = next(p_op for p_omega, p_op, _ in channels if abs(p_omega + omega) < 1e-9)
-        assert np.abs(partner - op.conj().T).max() < 1e-12
+        assert np.abs(_dense(partner) - _dense(op).conj().T).max() < 1e-12
 
 
 def test_zero_frequency_channel_names_the_degenerate_states():
@@ -442,6 +531,10 @@ def _projector(i, j, dim=3):
     return op
 
 
+def _jump(*projectors):
+    return SparseOperator.from_dense(sum(projectors))
+
+
 @pytest.mark.parametrize("start, expected", [
     # |1> reaches |0> only; the 0.95 channel acts on |2> and the absorption is dead
     (1, (0.0, 0.1, None)),
@@ -452,9 +545,9 @@ def _projector(i, j, dim=3):
 ])
 def test_secular_margin_counts_only_reachable_live_channels(start, expected):
     channels = [
-        (1.0, _projector(0, 1), 0.1),
-        (0.95, _projector(1, 2), 0.1),
-        (-1.0, _projector(1, 0), 0.0),
+        (1.0, _jump(_projector(0, 1)), 0.1),
+        (0.95, _jump(_projector(1, 2)), 0.1),
+        (-1.0, _jump(_projector(1, 0)), 0.0),
     ]
     spacing_ratio, omega_ratio, pair = secular_margin(
         channels, _reached(channels, np.diag([0.0, 1.0, 1.95]), _projector(start, start))
@@ -468,8 +561,8 @@ def test_secular_margin_follows_hamiltonian_and_thermal_jumps():
     # the coupling |0> <-> |1> carries |0> into |1>; a live absorption reaches |2>
     h = np.diag([0.0, 1.0, 1.95]).astype(complex)
     h[0, 1] = h[1, 0] = 0.3
-    channels = [(1.0, _projector(0, 1), 0.1), (-0.95, _projector(2, 1), 0.02),
-                (0.95, _projector(1, 2), 0.1)]
+    channels = [(1.0, _jump(_projector(0, 1)), 0.1), (-0.95, _jump(_projector(2, 1)), 0.02),
+                (0.95, _jump(_projector(1, 2)), 0.1)]
     spacing_ratio, omega_ratio, pair = secular_margin(
         channels, _reached(channels, h, _projector(0, 0)))
     assert pair == (pytest.approx(0.95), pytest.approx(1.0))
@@ -480,7 +573,8 @@ def test_secular_margin_follows_the_anticommutator():
     # A maps |1> and |2> both onto |0>, so -{A†A, rho}/2 feeds |2> from |1>
     # and the channel at 1.7, which acts on |2> alone, is live for the run
     h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    channels = [(1.0, _projector(0, 1) + _projector(0, 2), 0.1), (1.7, _projector(0, 2), 0.3)]
+    channels = [(1.0, _jump(_projector(0, 1), _projector(0, 2)), 0.1),
+                (1.7, _jump(_projector(0, 2)), 0.3)]
     jumps = [(op, g) for _, op, g in channels]
     assert reachable_states(h, jumps, _projector(1, 1)).tolist() == [0, 1, 2]
     basis = damping_basis(_lindblad(h, jumps))

@@ -9,9 +9,9 @@ import pytest
 
 from jcsim import cli
 from jcsim.acceptance import DT, _SharedRuns
-from jcsim.analytic import rabi_micro_density
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
 from jcsim.generators import (
+    SparseOperator,
     Superoperator,
     _lindblad,
     _photon_loss,
@@ -52,6 +52,7 @@ from jcsim.solver import (
     rk4_step_limit,
     steady_state,
 )
+from test_analytic import rabi_micro_density
 
 OMEGA0 = 1.0
 RABI = 0.2
@@ -381,7 +382,8 @@ def _u1_breaking_generator(n_max: int) -> Superoperator:
     space = build_space(n_max)
     a, _ = ladder_operators(space)
     sm, sp, _ = atomic_operators(space)
-    return _lindblad(hamiltonian(PARAMS, space), [(a, 0.05), (sm + sp, 0.01)])
+    return _lindblad(hamiltonian(PARAMS, space), [(SparseOperator.from_dense(a), 0.05),
+                                                  (SparseOperator.from_dense(sm + sp), 0.01)])
 
 
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed", "u1-breaking"])
@@ -490,12 +492,17 @@ def test_steady_command_reports_a_lossless_kernel(tmp_path, capsys):
     assert not out.exists()
 
 
-def _distance_to_free_gibbs(rho: DensityMatrix, space, temperature: float) -> float:
-    # trace distance to the Gibbs state of the uncoupled Hamiltonian, which phen relaxes to
-    evals, evecs = np.linalg.eigh(hamiltonian(JCParams(OMEGA0, 0.0), space))
+def _distance_to_gibbs(rho: DensityMatrix, h: np.ndarray, temperature: float) -> float:
+    # trace distance to the Gibbs state of h
+    evals, evecs = np.linalg.eigh(h)
     weights = np.exp(-(evals - evals.min()) / temperature)
     gibbs = (evecs * (weights / weights.sum())) @ evecs.conj().T
     return 0.5 * np.abs(np.linalg.eigvalsh(rho.matrix - gibbs)).sum()
+
+
+def _distance_to_free_gibbs(rho: DensityMatrix, space, temperature: float) -> float:
+    # to the Gibbs state of the uncoupled Hamiltonian, which phen relaxes to
+    return _distance_to_gibbs(rho, hamiltonian(JCParams(OMEGA0, 0.0), space), temperature)
 
 
 def test_steady_state_stays_small_beyond_the_dense_generator():
@@ -510,6 +517,14 @@ def test_steady_state_stays_small_beyond_the_dense_generator():
         tracemalloc.stop()
     assert peak < 10e6
     assert _distance_to_free_gibbs(rho, space, temperature) < 1e-6
+
+
+def test_steady_state_micro_at_nmax_40_meets_gibbs():
+    # 316 Bohr-frequency channels on 82 states; Gibbs(H) is the micro generator's fixed point
+    params, space, temperature = JCParams(OMEGA0, 0.2), build_space(40), 0.25
+    rho = steady_state(microscopic_generator(params, space,
+                                             BathSpec(temperature, FlatSpectrum(0.02))))
+    assert _distance_to_gibbs(rho, hamiltonian(params, space), temperature) < 1e-6
 
 
 def test_steady_state_hot_phen_meets_gibbs_of_the_free_hamiltonian():
@@ -748,7 +763,7 @@ def test_mode_order_survives_last_bit_changes():
     # gamma * D[a] and D[a] at rate gamma differ in the last bits; their modes must not
     # trade places where real parts tie exactly (bell_atomic_ground, phen model)
     space, gamma0 = build_space(3), 0.082
-    a, _ = ladder_operators(space)
+    a = SparseOperator.from_dense(ladder_operators(space)[0])
     h = hamiltonian(JCParams(1.0, 0.41), space)
     dissipator = _lindblad(np.zeros_like(h), [(a, 1.0)]).matrix
     scaled = _superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
