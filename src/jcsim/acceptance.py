@@ -32,7 +32,7 @@ from .generators import (
     dressed_approx_generator,
     restricted_lindblad,
 )
-from .hilbert import DensityMatrix, build_space, density_diagnostics
+from .hilbert import DensityMatrix, build_space
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
 from .scenario import Scenario, Trajectory, run_trajectory
@@ -327,14 +327,14 @@ def _criterion_8(runs: _SharedRuns, scale: float) -> CriterionResult:
 
 
 def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
+    """The worst sample defects of the six shared runs, as their validation measured them."""
     check = _Checker(scale)
     worst_trace, worst_herm, worst_eig = 0.0, 0.0, 0.0
     for key in ("micro_rabi", "phen_rabi", "phen_bell"):
-        for run in (runs.get(key), runs.get(key, "ode")):  # on S, as worst_eig starts at 0
-            trace_defect, herm_defect, min_eig = density_diagnostics(run.series.states)
-            worst_trace = max(worst_trace, trace_defect.max())
-            worst_herm = max(worst_herm, herm_defect.max())
-            worst_eig = max(worst_eig, -min_eig.min())
+        for series in (runs.get(key).series, runs.get(key, "ode").series):  # on S: worst_eig >= 0
+            worst_trace = max(worst_trace, series.trace_defect.max())
+            worst_herm = max(worst_herm, series.herm_defect.max())
+            worst_eig = max(worst_eig, -series.min_eigenvalue.min())
     check.less("max |trace - 1|", worst_trace, 1e-10)
     check.less("max hermiticity defect", worst_herm, 1e-12)
     check.less("max negative eigenvalue", worst_eig, 1e-10)

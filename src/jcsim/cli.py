@@ -56,18 +56,20 @@ def _fmt(value: float) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcsim-", suffix=".tmp")
     umask = os.umask(0)  # mkstemp creates 0600; give the file the mode open() would
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".jcsim-", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:  # e.g. a missing or unwritable directory
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _csv(header: list[str], rows) -> str:
@@ -117,6 +119,8 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
 
     The CSV is written last, so a run that fails writes none.
     """
+    if scenario_a.model == scenario_b.model:
+        raise ConfigError(f"compare needs two different models, got {scenario_a.model!r} twice")
     for field in ("omega0", "rabi", "n_max", "initial", "tau_max", "steps", "solver", "dt"):
         if getattr(scenario_a, field) != getattr(scenario_b, field):
             raise ConfigError(f"compare scenarios differ in {field}, not only in model")

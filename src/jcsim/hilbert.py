@@ -145,7 +145,7 @@ def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     np.conjugate(np.swapaxes(states, -2, -1), out=work)
     work += states
     work /= 2.0
-    min_eig = np.linalg.eigvalsh(work)[..., 0]
+    min_eig = np.linalg.eigvalsh(work)[..., 0].copy()  # a view would keep every eigenvalue
     return trace_defect, herm_defect, min_eig
 
 

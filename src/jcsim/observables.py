@@ -9,8 +9,9 @@ The named observables an experiment scenario can request:
     excitation_number        <a†a + (sigma_z+1)/2>
     trace_defect, herm_defect, min_eigenvalue    physicality diagnostics
 
-Each is evaluated on a whole trajectory at once: states shaped
-(..., d, d) in, values shaped (...) out.
+Each is evaluated on a whole validated trajectory at once, a
+:class:`~jcsim.solver.TimeSeries` of n states in and n values out; the
+diagnostics read the defects its validation measured.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateSpace, density_diagnostics, excitation_number, ladder_operators
+from .hilbert import StateSpace, excitation_number, ladder_operators
+from .solver import TimeSeries
 
 _IMAG_TOL = 1e-12
 
@@ -32,47 +34,28 @@ def _real(values):
     return np.real(values).copy()  # a view of the states would keep all of them alive
 
 
-OBSERVABLE_NAMES = (
-    "pop_0g",
-    "pop_1g",
-    "pop_0e",
-    "atomic_ground",
-    "atomic_excited",
-    "photon_number",
-    "excitation_number",
-    "trace_defect",
-    "herm_defect",
-    "min_eigenvalue",
-)
-
 _BARE_LABELS = {"pop_0g": (0, "g"), "pop_1g": (1, "g"), "pop_0e": (0, "e")}
 _ATOM_LEVELS = {"atomic_ground": "g", "atomic_excited": "e"}
-_DIAGNOSTICS = ("trace_defect", "herm_defect", "min_eigenvalue")
+_DIAGNOSTICS = ("trace_defect", "herm_defect", "min_eigenvalue")  # TimeSeries' defect fields
+OBSERVABLE_NAMES = (*_BARE_LABELS, *_ATOM_LEVELS, "photon_number", "excitation_number",
+                    *_DIAGNOSTICS)
 
 
-def _diagnostics(states: np.ndarray, space: StateSpace, basis: np.ndarray):
-    """:func:`density_diagnostics` of the states embedded in ``space`` from ``basis``.
-
-    The embedding only adds zero eigenvalues.
-    """
-    trace_defect, herm_defect, min_eig = density_diagnostics(states)
-    if len(basis) < space.dim:
-        min_eig = np.minimum(min_eig, 0.0)
-    return trace_defect, herm_defect, min_eig
-
-
-def evaluate(name: str, states: np.ndarray, space: StateSpace,
+def evaluate(name: str, series: TimeSeries, space: StateSpace,
              basis: np.ndarray | None = None) -> np.ndarray:
-    """One named observable on states shaped (..., n, n); returns shape (...).
+    """One named observable of a validated series of states (n, m, m); returns shape (n,).
 
     Row k of the states is basis state ``basis[k]`` of ``space`` (by
     default all of them in order); the others hold nothing and are left
-    out of every sum.
+    out of every sum, and add only zero eigenvalues.  Diagnostics read
+    the defects that :meth:`TimeSeries.validate_states` measured.
     """
     basis = np.arange(space.dim) if basis is None else np.asarray(basis)
     if name in _DIAGNOSTICS:
-        return _diagnostics(states, space, basis)[_DIAGNOSTICS.index(name)]
-    diag = np.diagonal(states, axis1=-2, axis2=-1)
+        if name == "min_eigenvalue" and basis.size < space.dim:
+            return np.minimum(series.min_eigenvalue, 0.0)
+        return getattr(series, name)
+    diag = np.diagonal(series.states, axis1=-2, axis2=-1)
     if name in _BARE_LABELS:
         held = np.flatnonzero(basis == space.index(*_BARE_LABELS[name]))
         return _real(diag[..., held[0]]) if held.size else np.zeros(diag.shape[:-1])
@@ -87,7 +70,7 @@ def evaluate(name: str, states: np.ndarray, space: StateSpace,
         op = excitation_number(space)
     else:
         raise ValueError(f"unknown observable {name!r}")
-    return _real(np.trace(op[np.ix_(basis, basis)] @ states, axis1=-2, axis2=-1))
+    return _real(np.trace(op[np.ix_(basis, basis)] @ series.states, axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True)
@@ -105,12 +88,7 @@ class ObservableSet:
         if unknown:
             raise ValueError(f"unknown observables {unknown}; valid: {OBSERVABLE_NAMES}")
 
-    def evaluate(self, states: np.ndarray, space: StateSpace,
+    def evaluate(self, series: TimeSeries, space: StateSpace,
                  basis: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        """Every selected observable, as :func:`evaluate`; diagnostics share one pass."""
-        basis = np.arange(space.dim) if basis is None else np.asarray(basis)
-        shared = {}
-        if not set(self.names).isdisjoint(_DIAGNOSTICS):
-            shared = dict(zip(_DIAGNOSTICS, _diagnostics(states, space, basis)))
-        return {name: shared[name] if name in shared else evaluate(name, states, space, basis)
-                for name in self.names}
+        """Every selected observable of a validated series, as :func:`evaluate`."""
+        return {name: evaluate(name, series, space, basis) for name in self.names}

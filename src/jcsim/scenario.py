@@ -77,6 +77,8 @@ class Scenario:
             value = getattr(self, key)
             if value is not None and not np.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        if self.freq_tol is not None and self.freq_tol <= 0:
+            raise ConfigError(f"freq_tol must be positive, got {self.freq_tol}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.omega0 <= 0:
@@ -188,7 +190,7 @@ class Trajectory(NamedTuple):
     liouvillian: Superoperator  # the generator on S
     rho0: DensityMatrix  # the initial state on S
     basis: DampingBasis | None  # None on the ode route, which never diagonalizes
-    series: TimeSeries  # the validated states on S
+    series: TimeSeries  # the validated states on S, with their defects
     observables: dict[str, np.ndarray]  # on the time grid
     edge: float  # the top Fock level's largest population along the grid
     reached: np.ndarray  # S
@@ -214,7 +216,7 @@ def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajecto
     else:
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
-    observables = scenario.observables.evaluate(series.states, scenario.space(), reached)
+    observables = scenario.observables.evaluate(series, scenario.space(), reached)
     edge = _edge_population(scenario, series.states, reached)
     return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached)
 
@@ -272,10 +274,13 @@ def _parse_initial(text: str) -> tuple:
         return ("ground",)
     kind, _, rest = text.partition(":")
     parts = [p.strip() for p in rest.split(",")]
-    if kind == "fock" and len(parts) == 2 and parts[1] in ("g", "e"):
-        return ("fock", int(parts[0]), parts[1])
-    if kind == "dressed" and len(parts) == 2 and parts[1] in ("+", "-"):
-        return ("dressed", int(parts[0]), +1 if parts[1] == "+" else -1)
+    try:
+        if kind == "fock" and len(parts) == 2 and parts[1] in ("g", "e"):
+            return ("fock", int(parts[0]), parts[1])
+        if kind == "dressed" and len(parts) == 2 and parts[1] in ("+", "-"):
+            return ("dressed", int(parts[0]), +1 if parts[1] == "+" else -1)
+    except ValueError:  # a photon or manifold number that is no integer
+        pass
     raise ConfigError(
         f"initial must be 'ground', 'fock:<n>,<g|e>' or 'dressed:<N>,<+|->', got {text!r}"
     )

@@ -46,7 +46,7 @@ from the eigenvalues of every block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,13 +86,16 @@ class DampingBasis:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory: time grid and density matrices."""
+    """Sampled trajectory: time grid, density matrices and, once validated, their defects."""
 
     times: np.ndarray
     states: np.ndarray  # (n_times, dim, dim)
+    trace_defect: np.ndarray | None = None  # (n_times,) each, None until validated
+    herm_defect: np.ndarray | None = None
+    min_eigenvalue: np.ndarray | None = None
 
     def validate_states(self) -> "TimeSeries":
-        """Check every stored state against the density-matrix invariants at STATE_TOL."""
+        """Check each state against the density-matrix invariants at STATE_TOL; keep the defects."""
         trace_defect, herm_defect, min_eig = density_diagnostics(self.states)
         bad = np.flatnonzero(
             (herm_defect > STATE_TOL) | (trace_defect > STATE_TOL) | (min_eig < -STATE_TOL)
@@ -101,7 +104,8 @@ class TimeSeries:
             k = bad[0]
             message = defect_message(trace_defect[k], herm_defect[k], min_eig[k])
             raise ValueError(f"sample {k} (t = {self.times[k]:.6g}): {message}")
-        return self
+        return replace(self, trace_defect=trace_defect, herm_defect=herm_defect,
+                       min_eigenvalue=min_eig)
 
 
 def _tie_ranks(values: np.ndarray, tol: float) -> np.ndarray:

@@ -1,12 +1,13 @@
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jcsim import analytic, cli, observables, solver
-from jcsim.acceptance import DT, CriterionResult, _SharedRuns, run_criterion
+from jcsim import analytic, cli, hilbert, solver
+from jcsim.acceptance import DT, CriterionResult, _SharedRuns, run_all_criteria, run_criterion
 from jcsim.analytic import rabi_micro
 from jcsim.bath import occupation, rate
 from jcsim.generators import Superoperator, restricted_lindblad
@@ -204,6 +205,43 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("initial", ["fock:x,g", "fock:1.5,g", "dressed:x,+", "fock:,e"])
+def test_non_integer_initial_level_is_a_config_error(tmp_path, capsys, initial):
+    cfg = _write(tmp_path, "bad.cfg", BASE.replace("initial = fock:0,e", f"initial = {initial}"))
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: initial must be 'ground', 'fock:<n>,<g|e>' or 'dressed:<N>,<+|->', "
+        f"got {initial!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "0.0"])
+@pytest.mark.parametrize("model", MODELS)
+def test_non_positive_freq_tol_is_a_config_error(tmp_path, capsys, model, value):
+    cfg = _write(tmp_path, "bad.cfg", BASE + f"freq_tol = {value}\n")
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: freq_tol must be positive, got {float(value)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve", "steady"])
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.csv", "No such file or directory"),
+    ("taken", "Is a directory"),  # the temp file is written, then cannot replace a directory
+])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, command, target, reason):
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: cannot write {out}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rabi.cfg", "taken"]
+    assert not any((tmp_path / "taken").iterdir())
+
+
 _OHMIC = BASE.replace("bath.kind = flat", "bath.kind = ohmic").replace(
     "bath.gamma0 = 0.04", "bath.alpha = 0.04\nbath.cutoff = 2.0")
 _LORENTZIAN = BASE.replace("bath.kind = flat", "bath.kind = lorentzian").replace(
@@ -349,7 +387,7 @@ def test_evolve_and_compare_match_the_full_generator(tmp_path, capsys, config, r
             series = solver.evolve_ode(full, rho0, times, float(dt))
         else:
             series = solver.evolve_spectral(basis, rho0, times)
-        expected[model] = scenario.observables.evaluate(series.states, scenario.space())
+        expected[model] = scenario.observables.evaluate(series, scenario.space())
         frequencies[model] = solver.dominant_frequency(basis, rho0)
     grid = ["--nmax", str(nmax), "--steps", str(steps), "--solver", route, "--dt", dt]
     names = base.observables.names
@@ -457,21 +495,42 @@ def test_csv_writes_each_value_as_its_repr():
         assert cli._csv(header, rows) == ",".join(header) + "\n" + reference
 
 
-def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch):
+def _count_trajectory_diagnostics(monkeypatch) -> list:
+    """The shapes of the state stacks each jcsim module passes to density_diagnostics."""
     calls = []
+    diagnostics = hilbert.density_diagnostics
 
     def counting(states):
-        calls.append(states.shape)
+        if np.ndim(states) == 3:  # a trajectory, not one DensityMatrix
+            calls.append(np.shape(states))
         return diagnostics(states)
 
-    diagnostics = solver.density_diagnostics
-    monkeypatch.setattr(solver, "density_diagnostics", counting)
-    monkeypatch.setattr(observables, "density_diagnostics", counting)
+    for module in [m for name, m in sys.modules.items() if name.startswith("jcsim.")]:
+        if getattr(module, "density_diagnostics", None) is diagnostics:
+            monkeypatch.setattr(module, "density_diagnostics", counting)
+    return calls
+
+
+def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch, capsys):
+    calls = _count_trajectory_diagnostics(monkeypatch)
     text = BASE.replace("observables = pop_0g,atomic_ground",
                         "observables = trace_defect,herm_defect,min_eigenvalue")
     cfg = _write(tmp_path, "diag.cfg", text)
-    assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]) == 0
-    assert len(calls) == 2  # trajectory validation, then the three observables
+    for route in ([], ["--solver", "ode", "--dt", "2e-3"]):
+        calls.clear()
+        assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
+                        + route) == 0
+        assert len(calls) == 1  # the trajectory's validation; the columns read its defects
+
+
+def test_verify_runs_diagnostics_once_per_shared_run(monkeypatch):
+    calls = _count_trajectory_diagnostics(monkeypatch)
+    assert all(result.passed for result in run_all_criteria())
+    assert len(calls) == 6  # three battery scenarios on two routes; criterion 9 reads them
+    runs = _SharedRuns()
+    run_criterion(10, runs)  # solves the six shared runs
+    calls.clear()
+    assert run_criterion(9, runs).passed and calls == []
 
 
 @pytest.mark.parametrize("argv, solves", [
@@ -560,15 +619,20 @@ def test_compare_reports_frequency_shift(tmp_path, capsys):
     )
 
 
-def test_compare_identical_models_vanishes(tmp_path, capsys):
+def test_compare_rejects_equal_models(tmp_path, monkeypatch, capsys):
+    # equal models would write two columns of one name and one frequency line
+    def unsolved(scenario, channels=None):
+        raise AssertionError("compare solved a scenario")
+
+    monkeypatch.setattr(cli, "run_trajectory", unsolved)
     cfg = _write(tmp_path, "rabi.cfg", BASE)
     out = tmp_path / "same.csv"
-    assert cli.main(["compare", "--config", str(cfg), "--model", "micro,micro",
-                     "--out", str(out)]) == 0
-    capsys.readouterr()
-    _, data = _read_csv(out)
-    assert np.abs(data[:, 3]).max() < 1e-14  # delta_pop_0g
-    assert np.abs(data[:, 6]).max() < 1e-14  # delta_atomic_ground
+    for models, model in (("micro,micro", "micro"), ("phen, phen", "phen")):
+        assert cli.main(["compare", "--config", str(cfg), "--model", models,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: compare needs two different models, got {model!r} twice\n")
+        assert not out.exists()
 
 
 def test_compare_requires_model_pair(tmp_path):

@@ -6,6 +6,7 @@ from jcsim.hilbert import (
     DensityMatrix,
     atomic_operators,
     build_space,
+    density_diagnostics,
     excitation_number,
     ladder_operators,
     pure_state,
@@ -119,6 +120,21 @@ def test_density_matrix_diagnostics_and_validation():
 
     with pytest.raises(ValueError, match="min eigenvalue"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
+
+
+def test_density_diagnostics_of_a_stack_of_invalid_states():
+    # one sample per defect, each measured on its own; no validation would pass them
+    rho = pure_state(build_space(1).basis_state(1, "e")).matrix
+    skewed = rho.copy()
+    skewed[0, 1] = 1e-3
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    trace_defect, herm_defect, min_eig = density_diagnostics(
+        np.stack([rho, 1.01 * rho, skewed, negative]))
+    assert trace_defect == pytest.approx([0.0, 0.01, 0.0, 0.0], abs=1e-15)
+    assert herm_defect == pytest.approx([0.0, 0.0, 1e-3, 0.0], abs=1e-15)
+    assert min_eig == pytest.approx([0.0, 0.0, -5e-4, -0.5], abs=1e-15)
+    # each result owns its data: a kept min_eig pins no (n, d) eigenvalue array
+    assert all(defect.base is None for defect in (trace_defect, herm_defect, min_eig))
 
 
 def test_trace_defect_bound_is_state_tol():

@@ -7,7 +7,17 @@ from jcsim.generators import microscopic_generator, phenomenological_generator
 from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, dressed_states
 from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate
-from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
+from jcsim.solver import TimeSeries, damping_basis, evolve_ode, evolve_spectral
+
+
+def _series(states):
+    """States shaped (n, d, d) as a validated series."""
+    return TimeSeries(np.arange(len(states), dtype=float), states).validate_states()
+
+
+def _one(name, rho, space):
+    """A named observable of one state."""
+    return evaluate(name, _series(rho[None]), space)[0]
 
 
 def _doublet_plus(space, params):
@@ -17,9 +27,9 @@ def _doublet_plus(space, params):
 def test_atomic_ground_population():
     space = build_space(2)
     params = JCParams(1.0, 0.2)
-    assert evaluate("atomic_ground", pure_state(space.basis_state(0, "e")).matrix, space) == 0.0
+    assert _one("atomic_ground", pure_state(space.basis_state(0, "e")).matrix, space) == 0.0
     plus = _doublet_plus(space, params)
-    assert evaluate("atomic_ground", pure_state(plus.coefficients).matrix, space) \
+    assert _one("atomic_ground", pure_state(plus.coefficients).matrix, space) \
         == pytest.approx(0.5)
 
 
@@ -32,7 +42,7 @@ def test_atomic_ground_at_half_rabi_period():
     t_half = np.pi / (2.0 * params.rabi)
     series = evolve_spectral(damping_basis(liouvillian), pure_state(space.basis_state(0, "e")),
                              np.array([0.0, t_half]))
-    got = evaluate("atomic_ground", series.states, space)[1]
+    got = evaluate("atomic_ground", series, space)[1]
     _, _, pg = rabi_micro(t_half, gamma0, gamma0, params.rabi)
     assert got == pytest.approx(float(pg), abs=1e-12)
     assert got == pytest.approx(1.0, abs=1e-12)
@@ -45,31 +55,33 @@ def test_ground_plus_excited_is_unity():
         + 1j * rng.standard_normal((5, space.dim, space.dim))
     rho = x @ np.swapaxes(x.conj(), 1, 2)
     rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
-    total = evaluate("atomic_ground", rho, space) + evaluate("atomic_excited", rho, space)
+    series = _series(rho)
+    total = evaluate("atomic_ground", series, space) + evaluate("atomic_excited", series, space)
     assert total.shape == (5,)
     assert np.abs(total - 1.0).max() < 1e-12
 
 
 def test_diagnostics_examples():
+    # defects of states that fail validation: test_hilbert's density_diagnostics tests
     space = build_space(1)
-    rho = pure_state(space.basis_state(1, "e")).matrix
-    trace_defect, herm_defect, min_eig = (
-        evaluate(name, rho, space) for name in ("trace_defect", "herm_defect", "min_eigenvalue"))
-    assert trace_defect < 1e-14 and herm_defect < 1e-14 and abs(min_eig) < 1e-14
-    assert evaluate("trace_defect", 1.01 * rho, space) == pytest.approx(0.01)
+    series = _series(pure_state(space.basis_state(1, "e")).matrix[None])
+    for name in ("trace_defect", "herm_defect", "min_eigenvalue"):
+        value = evaluate(name, series, space)
+        assert value is getattr(series, name)  # read, not recomputed
+        assert abs(value[0]) < 1e-14
 
 
 def test_evaluate_named_observables():
     space = build_space(2)
     rho = pure_state(space.basis_state(2, "e")).matrix
-    assert evaluate("photon_number", rho, space) == pytest.approx(2.0)
-    assert evaluate("excitation_number", rho, space) == pytest.approx(3.0)
-    assert evaluate("pop_0e", rho, space) == 0.0
-    assert evaluate("atomic_excited", rho, space) == pytest.approx(1.0)
-    assert evaluate("trace_defect", rho, space) < 1e-14
-    assert evaluate("min_eigenvalue", rho, space) == pytest.approx(0.0, abs=1e-14)
+    assert _one("photon_number", rho, space) == pytest.approx(2.0)
+    assert _one("excitation_number", rho, space) == pytest.approx(3.0)
+    assert _one("pop_0e", rho, space) == 0.0
+    assert _one("atomic_excited", rho, space) == pytest.approx(1.0)
+    assert _one("trace_defect", rho, space) < 1e-14
+    assert _one("min_eigenvalue", rho, space) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        evaluate("nonsense", rho, space)
+        _one("nonsense", rho, space)
 
 
 def _reference(name, rho, space):
@@ -102,8 +114,8 @@ def _trajectories():
     phen = phenomenological_generator(params, space, 0.082, 0.0)
     times = np.linspace(0.0, 20.0, 200)
     return space, {
-        "spectral": evolve_spectral(damping_basis(micro), rho0, times).states,
-        "ode": evolve_ode(phen, rho0, times[:20], 2e-3).states,
+        "spectral": evolve_spectral(damping_basis(micro), rho0, times),
+        "ode": evolve_ode(phen, rho0, times[:20], 2e-3),
     }
 
 
@@ -114,8 +126,9 @@ _POPULATION_TYPE = ("pop_0g", "pop_1g", "pop_0e", "atomic_ground", "atomic_excit
 @pytest.mark.parametrize("name", OBSERVABLE_NAMES)
 def test_stacked_evaluate_matches_per_state_loop(name, solver):
     space, trajectories = _trajectories()
-    states = trajectories[solver]
-    got = evaluate(name, states, space)
+    series = trajectories[solver]
+    states = series.states
+    got = evaluate(name, series, space)
     expected = np.array([_reference(name, rho, space) for rho in states])
     assert got.shape == (states.shape[0],)
     if name in _POPULATION_TYPE:
@@ -130,18 +143,18 @@ def test_imaginary_diagonal_entry_raises(name):
     states = np.repeat(pure_state(space.basis_state(1, "g")).matrix[None], 3, axis=0)
     i = space.index(1, "g")
     states[1, i, i] += 1e-13j
-    evaluate(name, states, space)  # within the 1e-12 guard
+    evaluate(name, _series(states), space)  # within the 1e-12 guard
     states[1, i, i] += 1e-11j
     with pytest.raises(ValueError, match="imaginary part"):
-        evaluate(name, states, space)
+        evaluate(name, _series(states), space)
 
 
 def test_observable_set_evaluates_a_trajectory():
     space, trajectories = _trajectories()
-    states = trajectories["spectral"]
-    values = ObservableSet(("atomic_ground", "pop_0g")).evaluate(states, space)
+    series = trajectories["spectral"]
+    values = ObservableSet(("atomic_ground", "pop_0g")).evaluate(series, space)
     assert list(values) == ["atomic_ground", "pop_0g"]
-    assert np.array_equal(values["pop_0g"], evaluate("pop_0g", states, space))
+    assert np.array_equal(values["pop_0g"], evaluate("pop_0g", series, space))
 
 
 def test_observable_set_validation():
@@ -168,11 +181,13 @@ def test_restricted_states_read_like_their_embedding(name):
         states /= np.trace(states, axis1=1, axis2=2)[:, None, None]
         embedded = np.zeros((4, space.dim, space.dim), dtype=complex)
         embedded[:, basis[:, None], basis[None, :]] = states
-        got, expected = evaluate(name, states, space, basis), evaluate(name, embedded, space)
+        restricted, full = _series(states), _series(embedded)
+        got, expected = evaluate(name, restricted, space, basis), evaluate(name, full, space)
         assert got.shape == (4,)
         if name in ("trace_defect", "herm_defect", "min_eigenvalue", "photon_number",
                     "excitation_number"):
             assert np.abs(got - expected).max() <= 1e-15
         else:  # the same nonzero terms, summed in the same order
             assert np.array_equal(got, expected)
-        assert ObservableSet((name,)).evaluate(states, space, basis)[name].tolist() == got.tolist()
+        assert ObservableSet((name,)).evaluate(restricted, space, basis)[name].tolist() \
+            == got.tolist()
