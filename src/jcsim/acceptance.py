@@ -264,22 +264,15 @@ def _criterion_6(runs: _SharedRuns, scale: float) -> CriterionResult:
     space = build_space(4)
     micro = microscopic_generator(params, space, BathSpec(0.0, FlatSpectrum(gamma0)))
     dressed = dressed_approx_generator(params, space, gamma0, 0.0)
-    eigensystem = complete_eigensystem(params, space)
-    v = np.column_stack([st.coefficients for st in eigensystem])
+    _, v, labels = complete_eigensystem(params, space)
     to_dressed = np.kron(v.T, v.conj().T)
     to_bare = np.kron(v.conj(), v)
     micro_d = to_dressed @ micro.matrix @ to_bare
     dressed_d = to_dressed @ dressed.matrix @ to_bare
-    rows = []
-    dim = space.dim
-    for i, si in enumerate(eigensystem):
-        for j, sj in enumerate(eigensystem):
-            same_manifold = (
-                isinstance(si.label, tuple) and isinstance(sj.label, tuple)
-                and si.label[0] == sj.label[0]
-            )
-            if same_manifold:
-                rows.append(i + dim * j)
+    # the manifold N of each doublet state; nan, equal to nothing, elsewhere
+    manifold = np.array([label[0] if isinstance(label, tuple) else np.nan for label in labels])
+    i, j = np.nonzero(manifold[:, None] == manifold)
+    rows = i + space.dim * j
     dev = np.abs(micro_d[rows, :] - dressed_d[rows, :]).max()
     check.less("dressed populations + intra-manifold coherences", dev, 1e-12)
     return check.result(6, "generator-equivalence")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .bath import BathSpec, rate
 from .hilbert import StateSpace, ladder_operators
-from .jcmodel import DressedState, JCParams, complete_eigensystem, hamiltonian
+from .jcmodel import Eigensystem, JCParams, complete_eigensystem, hamiltonian
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:
@@ -125,7 +125,7 @@ class SparseOperator:
 
 def eigenoperators(
     a: np.ndarray,
-    eigensystem: list[DressedState],
+    eigensystem: Eigensystem,
     freq_tol: float,
 ) -> list[tuple[float, SparseOperator]]:
     """Bohr-frequency decomposition of a coupling operator.
@@ -148,14 +148,13 @@ def eigenoperators(
     """
     if not freq_tol > 0:
         raise ValueError(f"freq_tol must be positive, got {freq_tol}")
-    if not eigensystem:
+    energies, v, _ = eigensystem
+    if not energies.size:
         raise ValueError("empty eigensystem")
-    v = np.column_stack([st.coefficients for st in eigensystem])
     gram = v.conj().T @ v
     ortho_defect = np.abs(gram - np.eye(v.shape[1])).max()
     if ortho_defect > 1e-10:
         raise ValueError(f"eigensystem is not orthonormal (defect {ortho_defect:.3e})")
-    energies = np.array([st.energy for st in eigensystem])
     d = a.shape[0]
 
     a_eig = v.conj().T @ a @ v  # matrix elements in the eigenbasis
@@ -195,20 +194,19 @@ def eigenoperators(
             for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))]
 
 
-def _closest_coupled_pair(eigensystem: list[DressedState],
+def _closest_coupled_pair(eigensystem: Eigensystem,
                           op: SparseOperator) -> tuple[float, str]:
     """Energy gap and description of the closest-lying eigenstates ``op`` couples."""
-    v = np.column_stack([st.coefficients for st in eigensystem])
+    energies, v, labels = eigensystem
     amplitude = (v[op.rows].conj() * op.values[:, None]).T @ v[op.cols]  # <s|op|t>
     np.fill_diagonal(amplitude, 0.0)
-    energies = np.array([st.energy for st in eigensystem])
     si, ti = np.nonzero(amplitude)
     k = int(np.argmin(np.abs(energies[si] - energies[ti])))
-    s, t = eigensystem[si[k]], eigensystem[ti[k]]
-    names = [st.label if isinstance(st.label, str) else "({}, {:+d})".format(*st.label)
-             for st in (s, t)]
-    return abs(s.energy - t.energy), (
-        f"{names[0]} at energy {s.energy} and {names[1]} at energy {t.energy}"
+    s, t = si[k], ti[k]
+    names = [labels[x] if isinstance(labels[x], str) else "({}, {:+d})".format(*labels[x])
+             for x in (s, t)]
+    return abs(energies[s] - energies[t]), (
+        f"{names[0]} at energy {energies[s]} and {names[1]} at energy {energies[t]}"
     )
 
 

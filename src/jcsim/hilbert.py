@@ -6,9 +6,10 @@ photons and a two-level atom with states ``g`` (ground) and ``e``
 ``s(g) = 0`` and ``s(e) = 1``, so every file output and vectorized
 superoperator built on top of this module is bit-reproducible.
 
-Operators are plain dense complex ``numpy`` arrays of shape
-``(dim, dim)``; the builders below are the only way they are created,
-which keeps them square and attached to a single space.
+The builders below return plain dense complex ``numpy`` arrays of shape
+``(dim, dim)``, filled from index arrays in that ordering.  The jump
+operators the generators build from them hold only their nonzero
+entries (``generators.SparseOperator``).
 """
 
 from __future__ import annotations
@@ -62,24 +63,18 @@ def ladder_operators(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     The cutoff is hard: ``a_dag`` maps the top Fock level to the zero
     vector, so both operators are endomorphisms of the same space.
     """
-    dim = space.dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, space.n_max + 1):
-        for s in ATOM_LABELS:
-            a[space.index(n - 1, s), space.index(n, s)] = np.sqrt(n)
+    a = np.zeros((space.dim, space.dim), dtype=complex)
+    i = np.arange(2, space.dim)  # |n, s> for n >= 1, at i = 2n + s
+    a[i - 2, i] = np.sqrt(np.repeat(np.arange(1.0, space.n_max + 1), 2))
     return a, a.conj().T
 
 
 def atomic_operators(space: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Atomic operators (sigma_minus, sigma_plus, sigma_z), identity on the mode."""
-    dim = space.dim
-    sm = np.zeros((dim, dim), dtype=complex)
-    sz = np.zeros((dim, dim), dtype=complex)
-    for n in range(space.n_max + 1):
-        ig, ie = space.index(n, "g"), space.index(n, "e")
-        sm[ig, ie] = 1.0
-        sz[ie, ie] = 1.0
-        sz[ig, ig] = -1.0
+    sm = np.zeros((space.dim, space.dim), dtype=complex)
+    g = np.arange(0, space.dim, 2)  # |n, g>; |n, e> is g + 1
+    sm[g, g + 1] = 1.0
+    sz = np.diag(np.tile([-1.0 + 0j, 1.0], space.n_max + 1))
     return sm, sm.conj().T, sz
 
 

@@ -14,13 +14,17 @@ numerical diagonalization, so truncation noise never leaks into the jump
 channels derived from it; numerical diagonalization is used only as a
 test oracle.  One bare state, |n_max, e>, has its dressed partner outside
 the truncated space.  It is still an exact eigenstate of the truncated
-Hamiltonian (the coupling out of it is cut off), and closes
-:func:`complete_eigensystem` as the truncation-edge state.
+Hamiltonian (the coupling out of it is cut off), and closes the basis as
+the truncation-edge state.  :func:`complete_eigensystem` returns all
+``dim`` states as one :class:`Eigensystem` of arrays: the energies, the
+eigenvectors as the columns of one matrix, and their labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,25 +48,17 @@ class JCParams:
             raise ValueError(f"rabi coupling must be nonnegative, got {self.rabi}")
 
 
-@dataclass(frozen=True)
-class DressedState:
-    """Energy eigenstate of the truncated resonant Hamiltonian.
+class Eigensystem(NamedTuple):
+    """Energy eigenstates of the truncated resonant Hamiltonian, state k in column k.
 
-    ``label`` is ``"ground"``, a pair ``(N, branch)`` with branch ±1 for
-    the manifold doublets, or ``"bare_top"`` for the truncation-edge state
-    |n_max, e>.
+    ``labels[k]`` is ``"ground"``, a pair ``(N, branch)`` with branch ±1
+    for the manifold doublets, or ``"bare_top"`` for the truncation-edge
+    state |n_max, e>.
     """
 
-    label: str | tuple[int, int]
-    energy: float
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.coefficients, dtype=complex)
-        object.__setattr__(self, "coefficients", v)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"dressed coefficients must be unit norm, got {norm}")
+    energies: np.ndarray  # (dim,)
+    vectors: np.ndarray  # (dim, dim) bare-basis coefficients
+    labels: list
 
 
 def hamiltonian(params: JCParams, space: StateSpace) -> np.ndarray:
@@ -73,32 +69,28 @@ def hamiltonian(params: JCParams, space: StateSpace) -> np.ndarray:
         + params.rabi * (a @ sp + a_dag @ sm)
 
 
-def dressed_states(params: JCParams, space: StateSpace) -> list[DressedState]:
-    """Ground state plus the (N, ±) doublets for 1 <= N <= n_max.
+def complete_eigensystem(params: JCParams, space: StateSpace) -> Eigensystem:
+    """Full orthonormal eigenbasis of the truncated Hamiltonian, in a fixed order.
 
-    The truncation-edge state |n_max, e> is excluded; see
-    :func:`complete_eigensystem` when a basis of the whole space is needed.
+    State 0 is the ground state |0, g>.  For 1 <= N <= n_max, states
+    2N - 1 and 2N are the doublet (N, -1) and (N, +1), both spread over
+    the bare states |N - 1, e> and |N, g>, which sit at the same indices
+    2N - 1 and 2N.  The last state is the truncation-edge state |n_max, e>
+    at energy (n_max + 1/2) omega0.  These are exactly ``dim`` states, so
+    projector sums over them resolve the identity.
     """
     if space.n_max < 1:
         raise ValueError("no dressed manifolds: n_max = 0 leaves only bare states")
-    states = [DressedState(GROUND, -params.omega0 / 2.0, space.basis_state(0, "g"))]
-    for n in range(1, space.n_max + 1):
-        upper = space.basis_state(n, "g")
-        lower = space.basis_state(n - 1, "e")
-        for branch in (-1, +1):
-            vec = (upper + branch * lower) / np.sqrt(2.0)
-            energy = (n - 0.5) * params.omega0 + branch * params.rabi * np.sqrt(n)
-            states.append(DressedState((n, branch), energy, vec))
-    return states
-
-
-def complete_eigensystem(params: JCParams, space: StateSpace) -> list[DressedState]:
-    """Full orthonormal eigenbasis of the truncated Hamiltonian.
-
-    dressed_states() plus, last, the truncation-edge state |n_max, e> at
-    energy (n_max + 1/2) omega0: exactly ``dim`` states, so projector sums
-    over it resolve the identity.
-    """
-    energy = (space.n_max + 0.5) * params.omega0
-    edge = DressedState(BARE_TOP, energy, space.basis_state(space.n_max, "e"))
-    return dressed_states(params, space) + [edge]
+    doublet = np.arange(1, space.dim - 1)  # (N, -1) at 2N - 1, (N, +1) at 2N
+    upper = doublet + doublet % 2  # |N, g> at 2N; |N - 1, e> at 2N - 1
+    n = np.repeat(np.arange(1.0, space.n_max + 1), 2)  # N of each doublet state
+    branch = np.tile([-1.0, 1.0], space.n_max)
+    energies = np.empty(space.dim)
+    energies[0], energies[-1] = -params.omega0 / 2.0, (space.n_max + 0.5) * params.omega0
+    energies[doublet] = (n - 0.5) * params.omega0 + branch * params.rabi * np.sqrt(n)
+    vectors = np.zeros((space.dim, space.dim), dtype=complex)
+    vectors[0, 0] = vectors[-1, -1] = 1.0
+    vectors[upper, doublet] = 1.0 / np.sqrt(2.0)
+    vectors[upper - 1, doublet] = branch / np.sqrt(2.0)
+    labels = [GROUND, *product(range(1, space.n_max + 1), (-1, +1)), BARE_TOP]
+    return Eigensystem(energies, vectors, labels)

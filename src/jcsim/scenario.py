@@ -42,7 +42,7 @@ from .generators import (
     restricted_lindblad,
 )
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
-from .jcmodel import JCParams, dressed_states, hamiltonian
+from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
 from .solver import (DampingBasis, TimeSeries, check_rk4_step, damping_basis, evolve_ode,
                      evolve_spectral)
@@ -132,11 +132,10 @@ class Scenario:
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         _, n, branch = self.initial
-        params = JCParams(self.omega0, self.rabi)
-        for st in dressed_states(params, space):
-            if st.label == (n, branch):
-                return st.coefficients
-        raise ConfigError(f"dressed state ({n}, {branch:+d}) outside the space")
+        _, vectors, labels = complete_eigensystem(self.params, space)
+        if (n, branch) not in labels:
+            raise ConfigError(f"dressed state ({n}, {branch:+d}) outside the space")
+        return vectors[:, labels.index((n, branch))]
 
     @property
     def params(self) -> JCParams:
@@ -151,6 +150,9 @@ class Scenario:
     def time_grid(self) -> np.ndarray:
         if self.rabi == 0:
             raise ConfigError("tau = 2*rabi*t is degenerate at rabi = 0; no time axis")
+        if not np.isfinite(self.tau_max / (2.0 * self.rabi)):
+            raise ConfigError(f"t = tau/(2*rabi) overflows at tau_max = {self.tau_max} and "
+                              f"rabi = {self.rabi}")
         return self.tau_grid() / (2.0 * self.rabi)
 
     def channels(self) -> list[tuple[float, SparseOperator, float]]:

@@ -304,7 +304,8 @@ def evolve_ode(
     built on each decoupled block of L in which rho0 has weight; the
     other blocks stay exactly zero.  ``dt`` must resolve the fastest
     scale of the generator: dt <= :func:`rk4_step_limit`, the diagonal of
-    L carrying every Bohr frequency and decay rate.
+    L carrying every Bohr frequency and decay rate, and no interval may
+    need more than 2**53 substeps.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
@@ -313,7 +314,12 @@ def evolve_ode(
     dim = liouvillian.dim
     v0 = vec(rho0.matrix)
     lengths, interval = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
-    n_sub = np.maximum(1, np.ceil(lengths / dt - 1e-12).astype(int))
+    with np.errstate(over="ignore"):
+        n_sub = np.ceil(lengths / dt - 1e-12)
+    if n_sub.max() > 2 ** 53:
+        raise StepSizeError(f"dt = {dt:.3e} needs {n_sub.max():.3e} RK4 substeps on one grid "
+                            f"interval, more than 2**53")
+    n_sub = np.maximum(1, n_sub.astype(int))
     flat = np.zeros((times.size, dim * dim), dtype=complex)
     for block in _coupled_blocks(liouvillian):
         if not v0[block].any():

@@ -5,7 +5,7 @@ from jcsim.analytic import _check_rates, bell_micro, bell_phen, rabi_micro, rabi
 from jcsim.bath import BathSpec, OhmicSpectrum, rate
 from jcsim.generators import microscopic_channels, restricted_lindblad
 from jcsim.hilbert import DensityMatrix, build_space, pure_state
-from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
+from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
 
 RABI = 0.41
@@ -184,7 +184,7 @@ def test_micro_density_matches_sector_solver():
     rho0 = pure_state(space.basis_state(0, "e"))
     liouvillian, states = restricted_lindblad(hamiltonian(params, space), jumps, rho0.matrix)
     assert states.tolist() == [0, 1, 2]
-    u = np.column_stack([st.coefficients[:3] for st in dressed_states(params, build_space(1))])
+    u = complete_eigensystem(params, build_space(1)).vectors[:3, :3]  # ground, (1, -), (1, +)
     times = np.linspace(0.0, 35.0, 30)
     series = evolve_spectral(damping_basis(liouvillian), pure_state(np.eye(3)[1]), times)
     for k, t in enumerate(times):

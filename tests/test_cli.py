@@ -287,6 +287,34 @@ def test_solver_failure_exits_2(tmp_path):
     assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("dt, shown, count", [("1e-20", "1.000e-20", "1.829e+20"),
+                                              ("1e-310", "1.000e-310", "inf")])
+def test_rk4_substep_count_past_2_to_the_53_exits_2(tmp_path, capsys, dt, shown, count):
+    # span / dt = 1.83 / dt substeps would overflow the int64 count into one RK4 step of the span
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(CONFIGS / "rabi_joint_ground.cfg"), "--solver",
+                     "ode", "--dt", dt, "--steps", "2", "--tau-max", "1.5",
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"solver failure: dt = {shown} needs {count} RK4 "
+                                       "substeps on one grid interval, more than 2**53\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["evolve"], ["evolve", "--solver", "ode", "--dt", "1e-3"],
+                                  ["compare", "--model", "micro,phen"]])
+@pytest.mark.parametrize("tau_max, rabi", [(1.7e308, 0.41), (100.0, 1e-310)])
+def test_overflowing_time_grid_is_a_config_error(tmp_path, capsys, argv, tau_max, rabi):
+    # both are finite, but t = tau/(2*rabi) is not
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text()
+    text = text.replace("rabi = 0.41", f"rabi = {rabi!r}").replace(
+        "tau_max = 100.0", f"tau_max = {tau_max!r}")
+    cfg, out = _write(tmp_path, "huge.cfg", text), tmp_path / "x.csv"
+    assert cli.main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: t = tau/(2*rabi) overflows at "
+                                       f"tau_max = {tau_max} and rabi = {rabi}\n")
+    assert not out.exists()
+
+
 def _thermal(tmp_path, config):
     """A bundled config at T = 0.22, where absorption lets rho0 reach every state."""
     nbar = float(occupation(1.0, 0.22))

@@ -23,7 +23,7 @@ from jcsim.generators import (
     vec,
 )
 from jcsim.hilbert import atomic_operators, build_space, ladder_operators, pure_state
-from jcsim.jcmodel import DressedState, JCParams, complete_eigensystem, dressed_states, hamiltonian
+from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
 
 OMEGA0 = 1.0
@@ -71,8 +71,13 @@ def _kron_lindblad(h, jumps):
 
 def _dressed_transform(params, space):
     system = complete_eigensystem(params, space)
-    v = np.column_stack([s.coefficients for s in system])
+    v = system.vectors
     return system, np.kron(v.T, v.conj().T), np.kron(v.conj(), v)
+
+
+def _state(system, label):
+    # the eigenvector labelled ``label``
+    return system.vectors[:, system.labels.index(label)]
 
 
 def test_eigenoperator_ground_channels():
@@ -82,11 +87,10 @@ def test_eigenoperator_ground_channels():
     channels = dict()
     for omega, op in eigenoperators(a + a_dag, system, 1e-9):
         channels[round(omega, 12)] = _dense(op)
-    states = {s.label: s for s in system}
     for branch in (+1, -1):
         omega = OMEGA0 + branch * RABI
         expected = np.outer(
-            states["ground"].coefficients, states[(1, branch)].coefficients.conj()
+            _state(system, "ground"), _state(system, (1, branch)).conj()
         ) / np.sqrt(2)
         assert np.abs(channels[round(omega, 12)] - expected).max() < 1e-14
 
@@ -96,11 +100,10 @@ def test_eigenoperator_manifold_weight():
     space = build_space(3)
     a, a_dag = ladder_operators(space)
     system = complete_eigensystem(PARAMS, space)
-    states = {s.label: s for s in system}
     omega = OMEGA0 + RABI * (np.sqrt(2) - 1.0)  # (2,+) -> (1,+)
     channels = eigenoperators(a + a_dag, system, 1e-9)
     op = next(_dense(o) for w, o in channels if abs(w - omega) < 1e-12)
-    amplitude = states[(1, +1)].coefficients.conj() @ op @ states[(2, +1)].coefficients
+    amplitude = _state(system, (1, +1)).conj() @ op @ _state(system, (2, +1))
     assert amplitude.real == pytest.approx((np.sqrt(2) + 1.0) / 2.0)  # 1.20711...
     assert abs(amplitude.imag) < 1e-15
 
@@ -123,10 +126,10 @@ def test_eigenoperators_group_runs_of_close_frequencies():
     # closest pair; 1.1303 lies 0.28 below 1.41, so counting from a group's first member
     # would keep the pair apart at freq_tol = 0.241
     params, space = JCParams(1.0, 0.41), build_space(3)
-    states = {s.label: s for s in complete_eigensystem(params, space)}
+    system = complete_eigensystem(params, space)
 
     def amplitude(op, lower, upper):
-        return abs(states[lower].coefficients.conj() @ op @ states[upper].coefficients)
+        return abs(_state(system, lower).conj() @ op @ _state(system, upper))
 
     channels = dressed_channels(params, space, 0.082, 0.0, 0.241)
     (op,) = [_dense(op) for _, op, _ in channels
@@ -138,12 +141,11 @@ def _dense_eigenoperators(a, eigensystem, freq_tol):
     # the channels as a loop over every (p, q) pair of eigenstates builds them, each a
     # dense matrix: pieces sorted by frequency, grouped while each lies within freq_tol
     # of the one before it, and added up in that order
-    v = np.column_stack([st.coefficients for st in eigensystem])
-    energies = np.array([st.energy for st in eigensystem])
+    energies, v, _ = eigensystem
     a_eig = v.conj().T @ a @ v
     cut = 1e-13 * max(np.abs(a_eig).max(), 1e-300)
-    entries = sorted(((energies[q] - energies[p], p, q) for p in range(len(eigensystem))
-                      for q in range(len(eigensystem)) if abs(a_eig[p, q]) > cut),
+    entries = sorted(((energies[q] - energies[p], p, q) for p in range(energies.size)
+                      for q in range(energies.size) if abs(a_eig[p, q]) > cut),
                      key=lambda e: e[0])
     channels, i = [], 0
     while i < len(entries):
@@ -213,18 +215,19 @@ def test_eigenoperators_reject_non_orthonormal():
     space = build_space(2)
     a, _ = ladder_operators(space)
     system = complete_eigensystem(PARAMS, space)
-    skew = list(system)
-    skew[1] = DressedState(skew[1].label, skew[1].energy, skew[0].coefficients)
+    vectors = system.vectors.copy()
+    vectors[:, 1] = vectors[:, 0]
     with pytest.raises(ValueError, match="orthonormal"):
-        eigenoperators(a, skew, 1e-9)
+        eigenoperators(a, system._replace(vectors=vectors), 1e-9)
 
 
 def test_microscopic_action_on_upper_doublet():
     space = build_space(2)
     liouvillian = microscopic_generator(PARAMS, space, COLD_BATH)
-    states = {s.label: s for s in dressed_states(PARAMS, space)}
-    proj_plus = np.outer(states[(1, +1)].coefficients, states[(1, +1)].coefficients.conj())
-    proj_ground = np.outer(states["ground"].coefficients, states["ground"].coefficients.conj())
+    system = complete_eigensystem(PARAMS, space)
+    plus, ground = _state(system, (1, +1)), _state(system, "ground")
+    proj_plus = np.outer(plus, plus.conj())
+    proj_ground = np.outer(ground, ground.conj())
     expected = (GAMMA0 / 2.0) * (proj_ground - proj_plus)
     image = unvec(liouvillian.matrix @ vec(proj_plus), space.dim)
     assert np.abs(image - expected).max() < 1e-14
@@ -405,7 +408,7 @@ def _secular_projection_reference(params, space, gamma0, nbar, freq_tol=1e-9):
     comm = _kron_lindblad(hamiltonian(params, space), [])
     dissipator = phenomenological_generator(params, space, gamma0, nbar).matrix - comm
     system, to_dressed, to_bare = _dressed_transform(params, space)
-    energies = np.array([st.energy for st in system])
+    energies = system.energies
     freq = vec(energies[:, None] - energies[None, :]).real
     keep = np.abs(freq[:, None] - freq[None, :]) <= freq_tol
     return comm + to_bare @ ((to_dressed @ dissipator @ to_bare) * keep) @ to_dressed
@@ -431,10 +434,10 @@ def test_dressed_approx_matches_microscopic_for_white_noise():
     dim = space.dim
     rows = [
         i + dim * j
-        for i, si in enumerate(system)
-        for j, sj in enumerate(system)
-        if isinstance(si.label, tuple) and isinstance(sj.label, tuple)
-        and si.label[0] == sj.label[0]
+        for i, si in enumerate(system.labels)
+        for j, sj in enumerate(system.labels)
+        if isinstance(si, tuple) and isinstance(sj, tuple)
+        and si[0] == sj[0]
     ]
     assert np.abs(micro_d[rows, :] - dressed_d[rows, :]).max() < 1e-12
 
@@ -446,14 +449,14 @@ def test_manifold_population_decay_rates():
     system, to_dressed, to_bare = _dressed_transform(PARAMS, space)
     matrix = to_dressed @ liouvillian.matrix @ to_bare
     dim = space.dim
-    for i, state in enumerate(system):
+    for i, label in enumerate(system.labels):
         k = i + dim * i
-        if state.label == "ground":
+        if label == "ground":
             expected = 0.0
-        elif state.label == "bare_top":
+        elif label == "bare_top":
             expected = -GAMMA0 * space.n_max
         else:
-            n = state.label[0]
+            n = label[0]
             expected = -GAMMA0 * (2 * n - 1) / 2.0
         assert abs(matrix[k, k] - expected) < 1e-12
 

@@ -32,7 +32,7 @@ from jcsim.hilbert import (
     ladder_operators,
     pure_state,
 )
-from jcsim.jcmodel import JCParams, dressed_states, hamiltonian
+from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.scenario import scenario_from_config
 from jcsim.solver import (
     KERNEL_TOL,
@@ -88,7 +88,7 @@ def _sector_state_upper_doublet() -> DensityMatrix:
 
 def _dressed_to_sector(rho: np.ndarray) -> np.ndarray:
     # from the dressed basis [ground, (1,-), (1,+)] to [|0,g>, |0,e>, |1,g>]
-    u = np.column_stack([st.coefficients[:3] for st in dressed_states(PARAMS, build_space(1))])
+    u = complete_eigensystem(PARAMS, build_space(1)).vectors[:3, :3]
     return u @ rho @ u.conj().T
 
 
@@ -207,16 +207,20 @@ def test_ode_matches_spectral():
     assert np.abs(spectral.states - ode.states).max() < 1e-8
 
 
+def _doublet_plus(space):
+    _, vectors, labels = complete_eigensystem(PARAMS, space)
+    return vectors[:, labels.index((1, +1))]
+
+
 def test_ode_unitary_limit_keeps_populations():
     space = build_space(2)
     liouvillian = phenomenological_generator(PARAMS, space, 0.0, 0.0)
-    states = dressed_states(PARAMS, space)
-    plus = next(s for s in states if s.label == (1, +1))
-    rho0 = pure_state(plus.coefficients)
+    plus = _doublet_plus(space)
+    rho0 = pure_state(plus)
     times = np.linspace(0.0, 20.0, 30)
     series = evolve_ode(liouvillian, rho0, times, dt=2e-3)
     populations = [
-        (plus.coefficients.conj() @ series.states[k] @ plus.coefficients).real
+        (plus.conj() @ series.states[k] @ plus).real
         for k in range(times.size)
     ]
     assert np.abs(np.array(populations) - 1.0).max() < 1e-10
@@ -225,9 +229,7 @@ def test_ode_unitary_limit_keeps_populations():
 def test_ode_trace_conservation():
     space = build_space(3)
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
-    states = dressed_states(PARAMS, space)
-    plus = next(s for s in states if s.label == (1, +1))
-    series = evolve_ode(liouvillian, pure_state(plus.coefficients),
+    series = evolve_ode(liouvillian, pure_state(_doublet_plus(space)),
                         np.linspace(0.0, 60.0, 50), dt=2e-3)
     assert abs(np.trace(series.states[-1]) - 1.0) < 1e-10
 
