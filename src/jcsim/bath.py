@@ -21,16 +21,17 @@ from typing import Union
 import numpy as np
 
 
-def occupation(omega: float, temperature: float) -> float:
-    """Mean thermal quantum number 1/(exp(omega/T) - 1); exactly 0 at T = 0."""
-    if omega <= 0:
-        raise ValueError(f"occupation needs omega > 0, got {omega}")
+def occupation(omega: float | np.ndarray, temperature: float) -> float | np.ndarray:
+    """Mean thermal quantum number 1/(exp(omega/T) - 1) at each omega; exactly 0 at T = 0."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0):
+        raise ValueError(f"occupation needs omega > 0, got {omega[omega <= 0].flat[0]}")
     if temperature < 0:
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     if temperature == 0:
-        return 0.0
+        return np.zeros_like(omega)[()]
     # expm1 keeps full relative accuracy for omega << T
-    return 1.0 / np.expm1(omega / temperature)
+    return (1.0 / np.expm1(omega / temperature))[()]
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class FlatSpectrum:
         if not self.gamma0 > 0:
             raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
 
-    def density(self, omega: float) -> float:
-        return self.gamma0
+    def density(self, omega: float | np.ndarray) -> float | np.ndarray:
+        return np.full(np.shape(omega), self.gamma0)[()]
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class OhmicSpectrum:
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
-    def density(self, omega: float) -> float:
+    def density(self, omega: float | np.ndarray) -> float | np.ndarray:
         return self.alpha * omega * np.exp(-omega / self.cutoff)
 
 
@@ -80,7 +81,7 @@ class LorentzianSpectrum:
         if not self.halfwidth > 0:
             raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
 
-    def density(self, omega: float) -> float:
+    def density(self, omega: float | np.ndarray) -> float | np.ndarray:
         return self.gamma0 * self.halfwidth**2 / ((omega - self.center) ** 2 + self.halfwidth**2)
 
 
@@ -102,15 +103,16 @@ class BathSpec:
             raise ValueError(f"temperature must be nonnegative, got {self.temperature}")
 
 
-def rate(omega: float, bath: BathSpec) -> float:
-    """Signed-frequency transition rate gamma(omega) for the given bath.
+def rate(omega: float | np.ndarray, bath: BathSpec) -> float | np.ndarray:
+    """Signed-frequency transition rate gamma(omega) for the given bath, at each omega.
 
     Positive frequencies are emission into the bath, negative are thermal
     absorption from it.
     """
-    if omega == 0:
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega == 0):
         raise ValueError("gamma(0) is undefined: no zero-frequency channel exists")
-    w = abs(omega)
+    w = np.abs(omega)
     j = bath.spectrum.density(w)
     n = occupation(w, bath.temperature)
-    return j * (n + 1.0) if omega > 0 else j * n
+    return np.where(omega > 0, j * (n + 1.0), j * n)[()]

@@ -30,23 +30,10 @@ import numpy as np
 from .acceptance import run_all_criteria
 from .generators import _lindblad, microscopic_channels, secular_margin
 from .hilbert import DensityMatrix
-from .scenario import (
-    ConfigError,
-    Scenario,
-    Trajectory,
-    _edge_population,
-    run_trajectory,
-    scenario_from_config,
-)
-from .solver import (
-    DampingBasisError,
-    KernelMultiplicityError,
-    StepSizeError,
-    damping_basis,
-    dominant_frequency,
-    rk4_step_limit,
-    steady_state,
-)
+from .scenario import (ConfigError, Scenario, Trajectory, _edge_population, run_trajectory,
+                       scenario_from_config)
+from .solver import (DampingBasisError, KernelMultiplicityError, StepSizeError, damping_basis,
+                     dominant_frequency, rk4_step_limit, steady_state)
 
 
 def _fmt(value: float) -> str:

@@ -223,8 +223,8 @@ def microscopic_channels(
         freq_tol = 1e-9 * params.omega0
     a, a_dag = ladder_operators(space)
     eigensystem = complete_eigensystem(params, space)
-    channels = []
-    for omega, op in eigenoperators(a + a_dag, eigensystem, freq_tol):
+    pieces = eigenoperators(a + a_dag, eigensystem, freq_tol)
+    for omega, op in pieces:
         if abs(omega) <= freq_tol:
             gap, pair = _closest_coupled_pair(eigensystem, op)
             if gap <= 1e-9 * params.omega0:
@@ -233,11 +233,11 @@ def microscopic_channels(
                 cause = (f"because freq_tol = {freq_tol} merged the channels at omega ="
                          f" {gap:.3g} and {-gap:.3g} between the states {pair} into omega = 0")
             raise ValueError(f"zero-frequency jump channel at omega = {omega} {cause}")
-        g = rate(omega, bath)
+    rates = rate(np.array([omega for omega, _ in pieces]), bath).tolist()  # one call per build
+    for (omega, _), g in zip(pieces, rates):
         if g < 0:
             raise ValueError(f"negative rate {g} at Bohr frequency {omega}")
-        channels.append((omega, op, g))
-    return channels
+    return [(omega, op, g) for (omega, op), g in zip(pieces, rates)]
 
 
 def _entries(ops: list[SparseOperator]) -> tuple[np.ndarray, ...]:

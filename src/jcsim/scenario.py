@@ -32,15 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
-from .generators import (
-    SparseOperator,
-    Superoperator,
-    _lindblad,
-    _photon_loss,
-    dressed_channels,
-    microscopic_channels,
-    restricted_lindblad,
-)
+from .generators import (SparseOperator, Superoperator, _lindblad, _photon_loss, dressed_channels,
+                         microscopic_channels, restricted_lindblad)
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
@@ -109,6 +102,11 @@ class Scenario:
                 f"initial state; at least 2 are required, and evolve and steady print the "
                 f"top Fock level population to check the cutoff"
             )
+        top = self.n_max + 1.0  # Python floats overflow to inf without a warning
+        if 2.0 * (float(self.omega0) * top + float(self.rabi) * top**0.5) == np.inf:
+            raise ConfigError(f"the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1))"
+                              f" overflows at omega0 = {self.omega0}, rabi = {self.rabi} and "
+                              f"nmax = {self.n_max}")
         self._initial_vector(build_space(self.n_max))  # validates the label
 
     def _initial_photons(self) -> int:

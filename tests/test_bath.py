@@ -114,3 +114,23 @@ def test_parameter_validation():
         LorentzianSpectrum(0.1, -1.0, 0.2)
     with pytest.raises(ValueError):
         BathSpec(-0.5, FlatSpectrum(0.1))
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA)
+@pytest.mark.parametrize("temperature", [0.0, 0.22])
+def test_rates_at_an_array_of_frequencies_match_each_scalar_call(spectrum, temperature):
+    bath = BathSpec(temperature, spectrum)
+    omegas = np.concatenate([np.linspace(-3.0, -0.01, 40), np.linspace(0.01, 3.0, 40)])
+    scalar = np.array([rate(float(w), bath) for w in omegas])
+    assert rate(omegas, bath).tobytes() == scalar.tobytes()
+    positive = omegas[omegas > 0]
+    scalar = np.array([occupation(float(w), temperature) for w in positive])
+    assert occupation(positive, temperature).tobytes() == scalar.tobytes()
+
+
+def test_array_rates_reject_any_zero_or_nonpositive_frequency():
+    bath = BathSpec(0.22, FlatSpectrum(0.2))
+    with pytest.raises(ValueError, match=r"^gamma\(0\) is undefined"):
+        rate(np.array([1.0, 0.0, -1.0]), bath)
+    with pytest.raises(ValueError, match=r"^occupation needs omega > 0, got -1.0$"):
+        occupation(np.array([1.0, -1.0, 0.0]), 0.22)

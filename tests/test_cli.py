@@ -315,6 +315,19 @@ def test_overflowing_time_grid_is_a_config_error(tmp_path, capsys, argv, tau_max
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["steady", "evolve", "spectrum"])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+def test_overflowing_energy_scale_is_a_config_error(tmp_path, capsys, command, model):
+    # rabi is finite, but the Bohr frequencies are not: inf - inf made them nan
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", "rabi = 1e308")
+    cfg, out = _write(tmp_path, "huge.cfg", text), tmp_path / "x.csv"
+    assert cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1)) "
+        "overflows at omega0 = 1.0, rabi = 1e+308 and nmax = 2\n")
+    assert not out.exists()
+
+
 def _thermal(tmp_path, config):
     """A bundled config at T = 0.22, where absorption lets rho0 reach every state."""
     nbar = float(occupation(1.0, 0.22))

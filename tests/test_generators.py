@@ -481,13 +481,25 @@ def test_single_excitation_trace_preservation():
 
 def test_negative_rates_are_refused(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(generators, "rate", lambda omega, bath: -0.1)
+        patch.setattr(generators, "rate", lambda omega, bath: np.full(np.shape(omega), -0.1))
         with pytest.raises(ValueError, match="negative rate"):
             microscopic_channels(PARAMS, build_space(2), COLD_BATH)
     with pytest.raises(ValueError):
         phenomenological_generator(PARAMS, build_space(2), -0.1, 0.0)
     with pytest.raises(ValueError):
         microscopic_generator(PARAMS, build_space(1), COLD_BATH)  # needs n_max >= 2
+
+
+def test_one_rate_call_per_microscopic_build(monkeypatch):
+    calls = []
+
+    def counting(omega, bath):
+        calls.append(np.shape(omega))
+        return rate(omega, bath)
+
+    monkeypatch.setattr(generators, "rate", counting)
+    channels = microscopic_channels(PARAMS, build_space(8), BathSpec(0.5, FlatSpectrum(GAMMA0)))
+    assert calls == [(len(channels),)]
 
 
 def test_channel_rates_follow_the_bath():

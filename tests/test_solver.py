@@ -116,11 +116,33 @@ def test_sector_spectrum_closed_form(bath):
     assert np.abs(got - expected[order]).max() < 1e-10
 
 
+def _scattered(basis: DampingBasis) -> tuple[np.ndarray, np.ndarray]:
+    # the block-held basis as dense D x D arrays: right eigenvectors as columns, duals as rows
+    size = basis.eigenvalues.size
+    right, left = np.zeros((2, size, size), dtype=complex)
+    for index, modes, block_right, block_left in basis.groups:
+        right[index[:, :, None], modes[:, None, :]] = block_right
+        left[modes[:, :, None], index[:, None, :]] = block_left
+    return right, left
+
+
+def _biorthonormality_defect(basis: DampingBasis) -> float:
+    return max(np.abs(left @ right - np.eye(right.shape[-1])).max()
+               for _, _, right, left in basis.groups)
+
+
 def test_damping_basis_biorthonormality_and_sorting():
     basis = damping_basis(_sector_generator())
     assert basis.eigenvalues.shape == (9,)
-    assert basis.right.shape == basis.left.shape == (9, 9)
-    assert np.abs(basis.left @ basis.right - np.eye(9)).max() < 1e-10
+    # every position and every mode in exactly one block, each block's modes ascending
+    for field in ("index", "modes"):
+        flat = np.concatenate([getattr(group, field).ravel() for group in basis.groups])
+        assert np.array_equal(np.sort(flat), np.arange(9))
+    for index, modes, right, left in basis.groups:
+        m, w = index.shape
+        assert modes.shape == (m, w) and right.shape == left.shape == (m, w, w)
+        assert np.all(np.diff(modes, axis=1) > 0)
+    assert _biorthonormality_defect(basis) < 1e-10
     # Re lambda descending, then Im lambda ascending among real parts tied within
     # 1e-9 * max(1, max|lambda|): a conjugate pair's real parts differ in the last bits
     lam = basis.eigenvalues
@@ -133,16 +155,18 @@ def test_damping_basis_biorthonormality_and_sorting():
 def test_zero_mode_pair():
     basis = damping_basis(_sector_generator())
     (zero,) = np.flatnonzero(np.abs(basis.eigenvalues) < 1e-12)
+    right, left = _scattered(basis)
     # the left functional is the trace: Tr{1 rho} = vec(1) . vec(rho)
-    assert np.abs(basis.left[zero] - vec(np.eye(3))).max() < 1e-12
-    assert np.abs(basis.right[:, zero] - vec(np.diag([1.0, 0.0, 0.0]))).max() < 1e-12
+    assert np.abs(left[zero] - vec(np.eye(3))).max() < 1e-12
+    assert np.abs(right[:, zero] - vec(np.diag([1.0, 0.0, 0.0]))).max() < 1e-12
 
 
 def test_damping_modes_satisfy_eigenproblems():
     liouvillian = microscopic_generator(PARAMS, build_space(2), BathSpec(0.0, FlatSpectrum(0.04)))
     basis = damping_basis(liouvillian)
+    rights, lefts = _scattered(basis)
     for k, lam in enumerate(basis.eigenvalues):
-        right, left = basis.right[:, k], basis.left[k]
+        right, left = rights[:, k], lefts[k]
         assert np.abs(liouvillian.matrix @ right - lam * right).max() < 1e-10
         assert np.abs(left @ liouvillian.matrix - lam * left).max() < 1e-10
 
@@ -185,15 +209,15 @@ def test_spectral_bell_decay_has_two_modes_only():
 
 def test_expansion_completeness_random_states():
     liouvillian = microscopic_generator(PARAMS, build_space(2), BathSpec(0.0, FlatSpectrum(0.04)))
-    basis = damping_basis(liouvillian)
+    right, left = _scattered(damping_basis(liouvillian))
     rng = np.random.default_rng(11)
     dim = liouvillian.dim
     for _ in range(5):
         x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         rho = x @ x.conj().T
         rho /= np.trace(rho)
-        coeff = basis.left @ vec(rho)
-        recon = unvec(basis.right @ coeff, dim)
+        coeff = left @ vec(rho)
+        recon = unvec(right @ coeff, dim)
         assert np.abs(recon - rho).max() < 1e-9
 
 
@@ -537,8 +561,9 @@ def test_steady_state_hot_phen_meets_gibbs_of_the_free_hamiltonian():
     assert _distance_to_free_gibbs(rho, space, temperature) < 1e-6
 
 
-def _dense_damping_basis(liouvillian: Superoperator) -> DampingBasis:
-    # damping_basis as one dense eig and one dense inverse of the whole dim^2 x dim^2 Liouvillian
+def _dense_damping_basis(liouvillian: Superoperator) -> tuple[np.ndarray, ...]:
+    # damping_basis as one dense eig and one dense inverse of the whole dim^2 x dim^2 Liouvillian:
+    # the sorted eigenvalues, the right eigenvectors as columns and the dual functionals as rows
     mat = liouvillian.matrix
     dim = liouvillian.dim
     vals, right = np.linalg.eig(mat)
@@ -573,7 +598,7 @@ def _dense_damping_basis(liouvillian: Superoperator) -> DampingBasis:
 
     tie = 1e-9 * scale
     order = np.lexsort((-vals.real, _tie_ranks(vals.imag, tie), _tie_ranks(-vals.real, tie)))
-    return DampingBasis(vals[order], right[:, order], left[order, :])
+    return vals[order], right[:, order], left[order, :]
 
 
 # dressed at nmax 9 and 10 has real modes whose Re lambda tie within 1e-9 and whose
@@ -596,14 +621,44 @@ def _reference_case(case: str) -> Superoperator:
     return _thermal_generators(int(n_max), float(temperature))[model]
 
 
+def _random_density(dim: int, seed: int) -> DensityMatrix:
+    re, im = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    rho = (re + 1j * im) @ (re + 1j * im).conj().T
+    return DensityMatrix(rho / np.trace(rho))
+
+
 @pytest.mark.parametrize("case", _REFERENCE_CASES + ["single", "u1-breaking", "lossless-phen"])
 def test_damping_basis_matches_dense_reference(case):
     liouvillian = _reference_case(case)
     got = damping_basis(liouvillian)
-    reference = _dense_damping_basis(liouvillian)
-    scale = max(1.0, float(np.abs(reference.eigenvalues).max()))
-    assert np.abs(got.eigenvalues - reference.eigenvalues).max() <= 1e-13 * scale
-    assert np.abs(got.left @ got.right - np.eye(got.eigenvalues.size)).max() <= 1e-10
+    vals, right, left = _dense_damping_basis(liouvillian)
+    scale = max(1.0, float(np.abs(vals).max()))
+    assert np.abs(got.eigenvalues - vals).max() <= 1e-13 * scale
+    assert _biorthonormality_defect(got) <= 1e-10
+    # trajectories and frequencies from the dense expansion, for a basis state and a full-rank
+    # state that touches every block
+    dim, times = liouvillian.dim, np.linspace(0.0, 20.0, 6)
+    for rho0 in (pure_state(np.eye(dim)[1]), _random_density(dim, 5)):
+        coeff = left @ vec(rho0.matrix)
+        flat = right @ (coeff[:, None] * np.exp(np.outer(vals, times)))
+        expected = np.transpose(flat.T.reshape(times.size, dim, dim), (0, 2, 1))
+        assert np.abs(evolve_spectral(got, rho0, times).states - expected).max() <= 1e-13 * scale
+        weights, floor = np.abs(coeff), 1e-9 * max(1.0, float(np.abs(vals.imag).max()))
+        excited = (vals.imag > floor) & (weights > 1e-8 * weights.max())
+        frequency = vals.imag[np.argmax(np.where(excited, weights, -1.0))] if excited.any() else 0.0
+        assert abs(dominant_frequency(got, rho0) - frequency) <= 1e-13 * scale
+
+
+def test_damping_basis_stays_small():
+    # the dense D x D right and left arrays alone took 7.5 MB of an 8.1 MB peak (D = 484)
+    liouvillian = phenomenological_generator(PARAMS, build_space(10), 0.04, occupation(OMEGA0, 0.22))
+    tracemalloc.start()
+    try:
+        damping_basis(liouvillian)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
 
 
 def _dense_coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
