@@ -141,6 +141,8 @@ def run_compare(scenario_a: Scenario, scenario_b: Scenario, out_path: str) -> di
 def run_spectrum(scenario: Scenario, out_path: str) -> None:
     """Write 're,im' CSV of Liouvillian eigenvalues, (Re desc, Im asc)."""
     lam = damping_basis(scenario.generator()).eigenvalues
+    if not np.isfinite(lam).all():
+        raise DampingBasisError(f"non-finite Liouvillian eigenvalue {lam[~np.isfinite(lam)][0]}")
     _write_atomic(out_path, _csv(["re", "im"], np.column_stack([lam.real, lam.imag])))
 
 

@@ -86,16 +86,6 @@ class Superoperator:
         mat[self.rows, self.cols] = self.values
         return mat
 
-    def submatrices(self, index: np.ndarray) -> np.ndarray:
-        """The dense sub-matrices on the index sets ``index`` (..., w), shaped (..., w, w)."""
-        keys = self.rows * self.size + self.cols
-        wanted = index[..., :, None] * self.size + index[..., None, :]
-        at = np.searchsorted(keys, wanted)
-        found = at < np.searchsorted(keys, wanted, side="right")
-        sub = np.zeros(wanted.shape, dtype=complex)
-        sub[found] = self.values[at[found]]
-        return sub
-
     def diagonal(self) -> np.ndarray:
         """The diagonal of the matrix, entry i + d*j."""
         diag = np.zeros(self.size, dtype=complex)
@@ -153,7 +143,7 @@ def eigenoperators(
         raise ValueError("empty eigensystem")
     gram = v.conj().T @ v
     ortho_defect = np.abs(gram - np.eye(v.shape[1])).max()
-    if ortho_defect > 1e-10:
+    if not ortho_defect <= 1e-10:
         raise ValueError(f"eigensystem is not orthonormal (defect {ortho_defect:.3e})")
     d = a.shape[0]
 
@@ -168,6 +158,8 @@ def eigenoperators(
     omegas = freqs[starts]
     for g in np.flatnonzero(sizes > 1):  # as np.mean, which sums over 7 terms pairwise
         omegas[g] = np.mean(freqs[starts[g]:starts[g] + sizes[g]])
+    if not np.isfinite(omegas).all():  # a group's mean overflowed
+        raise ValueError(f"channel frequency {omegas[~np.isfinite(omegas)][0]} is not finite")
 
     # piece k spreads over the count[p] x count[q] nonzeros v[i, p] conj(v[j, q]), i-major
     vec_of, bare = np.nonzero(v.T)  # every eigenvector's nonzeros, vector by vector
@@ -416,9 +408,9 @@ def reachable_states(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
     step = h != 0
     step[rows, cols] = True
     step[columns[c, k], columns[c, l]] = True
-    reached = np.diag(rho0) != 0
-    for _ in range(len(reached)):  # each pass adds a state until none is left to add
-        reached = reached | step[:, reached].any(axis=1)
+    reached, previous = np.diag(rho0) != 0, None
+    while not np.array_equal(reached, previous):  # stop at the fixed point
+        previous, reached = reached, reached | step[:, reached].any(axis=1)
     return np.flatnonzero(reached)
 
 

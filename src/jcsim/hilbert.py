@@ -146,11 +146,11 @@ def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 def defect_message(trace_defect, herm_defect, min_eig) -> str | None:
     """The first defect over STATE_TOL, checked as hermiticity, trace, positivity; else None."""
-    if herm_defect > STATE_TOL:
+    if not herm_defect <= STATE_TOL:  # a nan defect fails
         return f"hermiticity defect {herm_defect:.3e} > {STATE_TOL:.3e}"
-    if trace_defect > STATE_TOL:
+    if not trace_defect <= STATE_TOL:
         return f"trace defect {trace_defect:.3e} > {STATE_TOL:.3e}"
-    if min_eig < -STATE_TOL:
+    if not min_eig >= -STATE_TOL:
         return f"min eigenvalue {min_eig:.3e} < -{STATE_TOL:.3e}"
     return None
 

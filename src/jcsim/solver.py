@@ -1,47 +1,29 @@
 """Solvers for rho' = L rho: spectral (damping basis), RK4, and steady state.
 
-The generator splits into decoupled blocks, the connected components of
-its nonzero entries; for the Jaynes-Cummings generators these are the
-sectors of fixed excitation difference N_row - N_col or finer, and a
-coupling that breaks the symmetry merges them.  Every solver here works
-block by block on dense sub-matrices filled from the entries and never
-forms, diagonalizes or propagates the whole Liouvillian.
-
-The damping-basis route diagonalizes each block of the Liouvillian:
-right eigenoperators rho_k with L rho_k = lambda_k rho_k, left
-eigenoperators rho_check_k with rho_check_k L = lambda_k rho_check_k,
-normalized so that Tr{rho_check_k rho_j} = delta_kj.  Any initial state
-then evolves in closed form,
+Every solver works on the decoupled blocks of :mod:`jcsim.blocks` and
+never forms, diagonalizes or propagates the whole Liouvillian.  The
+damping-basis route diagonalizes each block: right eigenoperators rho_k
+with L rho_k = lambda_k rho_k, left eigenoperators rho_check_k with
+rho_check_k L = lambda_k rho_check_k, and Tr{rho_check_k rho_j} =
+delta_kj.  Any initial state then evolves in closed form,
 
     rho(t) = sum_k  Tr{rho_check_k rho(0)}  exp(lambda_k t)  rho_k,
 
-where only the modes of the blocks rho(0) touches have nonzero weight.
-:func:`damping_basis` solves each generator once and returns the
-eigenvalues with each block's eigenvectors (:class:`DampingBasis`), so
-``left_b @ vec(rho)[index_b]`` gives the coefficients Tr{rho_check_k rho}
-of block b's modes; the spectrum reads only the eigenvalues.
+where only the modes of the blocks rho(0) touches have weight.  The left
+family of a block is the inverse of its right eigenvector matrix, the
+dual basis whenever the block is diagonalizable.  A repeated eigenvalue
+whose eigenvectors come back near-parallel gets its eigenspace from an
+SVD; a defective block fails the residual gate with its eigenvalue
+clusters named.  Each Hermitian-conjugate pair of blocks is solved once.
 
-The left family of a block is obtained as the matrix inverse of its right
-eigenvector matrix, which *is* the biorthonormal dual basis whenever the
-block is diagonalizable.  A repeated eigenvalue whose eigenvectors come
-back near-parallel is given its eigenspace from an SVD instead, while a
-defective block surfaces as a residual failure and raises with the
-block and its eigenvalue clusters named.
-
-The fixed-step RK4 integrator is an independent verification path: it
-never touches an eigendecomposition, so agreement between the two
-solvers checks both.  On the linear ODE one RK4 step of size h is the
-matrix P(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a grid
-interval of n uniform substeps is the power P(hL)^n.  It is formed by
-repeated squaring once per distinct interval length (a linspace grid has
-a dozen or so), only on the decoupled blocks where rho(0) has weight,
-and with the identity kept apart so that rounding against it cannot
-accumulate over the substeps.  The steady state needs only the kernel:
-every eigenvalue of a block obeys |lambda| >= sigma_min, so a block whose
-smallest singular value exceeds the kernel tolerance holds none of it,
-and only the other blocks (in practice the one that holds the kernel)
-are eigen-solved.  A kernel of any other dimension than one is reported
-from the eigenvalues of every block.
+The fixed-step RK4 integrator is an independent check that never touches
+an eigendecomposition.  One step of size h is the matrix P(hL) = I + hL
++ (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a grid interval of n substeps is
+P(hL)^n, formed by repeated squaring once per distinct interval length
+on the blocks where rho(0) has weight, with the identity kept apart so
+that rounding against it cannot accumulate.  The steady state counts
+eigenvalues only on the blocks that may hold a zero one and takes the
+kernel element from one LU solve.
 """
 
 from __future__ import annotations
@@ -51,6 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import coupled_blocks, mirror_partners, width_groups
 from .generators import Superoperator, unvec, vec
 from .hilbert import STATE_TOL, DensityMatrix, defect_message, density_diagnostics
 
@@ -63,7 +46,7 @@ class DampingBasisError(RuntimeError):
 
 
 class KernelMultiplicityError(RuntimeError):
-    """The Liouvillian kernel is not one-dimensional."""
+    """The Liouvillian has no unique stationary state: its kernel is not one unit-trace element."""
 
 
 class StepSizeError(ValueError):
@@ -104,9 +87,8 @@ class TimeSeries:
     def validate_states(self) -> "TimeSeries":
         """Check each state against the density-matrix invariants at STATE_TOL; keep the defects."""
         trace_defect, herm_defect, min_eig = density_diagnostics(self.states)
-        bad = np.flatnonzero(
-            (herm_defect > STATE_TOL) | (trace_defect > STATE_TOL) | (min_eig < -STATE_TOL)
-        )
+        ok = (herm_defect <= STATE_TOL) & (trace_defect <= STATE_TOL) & (min_eig >= -STATE_TOL)
+        bad = np.flatnonzero(~ok)  # a nan defect fails
         if bad.size:
             k = bad[0]
             message = defect_message(trace_defect[k], herm_defect[k], min_eig[k])
@@ -169,33 +151,34 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
 
     Returns a :class:`DampingBasis`: ``eigenvalues`` (D,) and, per block
     width, the blocks' positions, mode numbers, right eigenvectors and
-    dual functionals; nothing D x D is formed.  The same basis feeds
-    :func:`evolve_spectral`, :func:`dominant_frequency`, the ``spectrum``
-    CSV and acceptance criterion 5.  Each block of :func:`_coupled_blocks`
-    is diagonalized and inverted on its own (blocks of equal width in one
-    stacked call), so every mode lives on one block and is exactly zero
-    off it.  Modes are sorted by (Re lambda descending, Im lambda
+    dual functionals, for :func:`evolve_spectral`, :func:`dominant_frequency`,
+    the ``spectrum`` CSV and acceptance criterion 5; nothing D x D is
+    formed.  Blocks of equal width are diagonalized and inverted in one
+    stacked call, except a mirror block within eps ||B'||_F of
+    conj(P B P^T), which takes conj(lambda) and the conjugated, permuted
+    vectors of B.  Modes are sorted by (Re lambda descending, Im lambda
     ascending), parts within 1e-9 * max(1, max|lambda|) counting as tied,
-    and modes tied in both by exact Re lambda descending, so the noise in
-    a real mode's Im lambda never decides the order.  The stationary right
-    eigenoperators (|lambda| < :data:`KERNEL_TOL`) are normalized to unit
-    trace (which pins their left partners to the identity), decaying ones
-    to unit Frobenius norm with a deterministic phase.  The left/right
-    residuals of every block must lie within :data:`RESIDUAL_TOL` *
-    max(1, max|lambda|); L vanishes off the blocks, so this is the
-    residual of the whole eigensystem.
+    then by exact Re lambda descending, so the noise in a real mode's
+    Im lambda never decides the order.  Stationary right eigenoperators
+    (|lambda| < :data:`KERNEL_TOL`) have unit trace, decaying ones unit
+    Frobenius norm and a deterministic phase.  Every block's left/right
+    residuals against its own sub-matrix must lie within
+    :data:`RESIDUAL_TOL` * max(1, max|lambda|).
     """
     trace_row = vec(np.eye(liouvillian.dim)).real  # Tr{rho} = vec(1) . vec(rho)
-    blocks = _coupled_blocks(liouvillian)
-    widths = np.array([block.size for block in blocks])
+    blocks = coupled_blocks(liouvillian)
+    widths = np.diff(blocks[2], append=liouvillian.size)
     groups = {}  # width -> block numbers, stacked indices, eigenvalues, right, left
-    residuals = np.empty((len(blocks), 2))
-    for members, index, subs in _width_groups(liouvillian, blocks):
+    residuals = np.empty((widths.size, 2))
+    for members, index, subs, mirror, slots in width_groups(liouvillian, blocks):
         width = index.shape[1]
-        vals, right = np.linalg.eig(subs)
-        _span_repeated_eigenvalues(subs, vals, right)
+        partner, asym = mirror_partners(subs, mirror, slots)
+        partner[partner] = asym <= np.finfo(float).eps * np.linalg.norm(subs[partner], axis=(1, 2))
+        lead = subs[~partner]
+        vals, right = np.linalg.eig(lead)
+        _span_repeated_eigenvalues(lead, vals, right)
 
-        traces = np.einsum("bi,bij->bj", trace_row[index], right)
+        traces = np.einsum("bi,bij->bj", trace_row[index[~partner]], right)
         pivot_rows = np.argmax(np.abs(right), axis=1)[:, None, :]
         pivots = np.take_along_axis(right, pivot_rows, axis=1)[:, 0]
         factors = np.abs(pivots) / pivots / np.linalg.norm(right, axis=1)
@@ -207,10 +190,20 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
         except np.linalg.LinAlgError as exc:
             k = int(np.argmax(np.linalg.cond(right)))
             raise DampingBasisError(
-                f"right eigenoperators of decoupled block {members[k]} of {len(blocks)} "
+                f"right eigenoperators of decoupled block {members[~partner][k]} of {widths.size} "
                 f"({width} wide) are linearly dependent; eigenvalue clusters in that "
                 "block: " + _format_clusters(vals[k])
             ) from exc
+        if partner.any():  # a partner takes its mirror's eigensystem, conjugated and permuted
+            source, moved = (np.cumsum(~partner) - 1)[mirror[partner]], slots[partner]
+            spread = [np.empty((partner.size, *part.shape[1:]), dtype=complex)
+                      for part in (vals, right, left)]
+            for part, whole in zip((vals, right, left), spread):
+                whole[~partner] = part
+            spread[0][partner] = vals[source].conj()
+            spread[1][partner] = np.take_along_axis(right[source], moved[:, :, None], 1).conj()
+            spread[2][partner] = np.take_along_axis(left[source], moved[:, None, :], 2).conj()
+            vals, right, left = spread
         residuals[members, 0] = np.abs(subs @ right - right * vals[:, None, :]).max(axis=(1, 2))
         residuals[members, 1] = np.abs(left @ subs - vals[:, :, None] * left).max(axis=(1, 2))
         groups[width] = (members, index, vals, right, left)
@@ -218,11 +211,11 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
     vals = np.concatenate([group[2].ravel() for group in groups.values()])
     scale = max(1.0, float(np.abs(vals).max()))
     worst = int(np.argmax(residuals.max(axis=1)))
-    if residuals[worst].max() > RESIDUAL_TOL * scale:
+    if not residuals[worst].max() <= RESIDUAL_TOL * scale:  # a nan residual fails
         members, _, block_vals, block_right, _ = groups[widths[worst]]
         k = np.searchsorted(members, worst)
         raise DampingBasisError(
-            f"left/right pairing failed in decoupled block {worst} of {len(blocks)} "
+            f"left/right pairing failed in decoupled block {worst} of {widths.size} "
             f"({widths[worst]} wide; residuals {residuals[worst, 0]:.3e}/"
             f"{residuals[worst, 1]:.3e}, its eigenvector matrix cond(R) = "
             f"{np.linalg.cond(block_right[k]):.3e}); near-defective eigenvalue clusters "
@@ -266,7 +259,7 @@ def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray)
         waves = coeff[..., None] * np.exp(basis.eigenvalues[modes][..., None] * times)
         flat[:, index] = np.moveaxis(right @ waves, -1, 0)
     recon_err = np.abs(unvec(recon, dim) - rho0.matrix).max()
-    if recon_err > 1e-10:
+    if not recon_err <= 1e-10:
         raise DampingBasisError(f"initial-state reconstruction error {recon_err:.3e}")
     states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
     return TimeSeries(times, states).validate_states()
@@ -286,7 +279,7 @@ def check_rk4_step(dt: float, diagonal: np.ndarray) -> None:
 
 def _rk4_step_increment(block: np.ndarray, h: float) -> np.ndarray:
     """P(hL) - I for one classical RK4 step of v' = block v: hL + ... + (hL)^4/24."""
-    eye = np.eye(block.shape[0])
+    eye = np.eye(block.shape[-1])
     hl = h * block
     return hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
 
@@ -337,22 +330,22 @@ def evolve_ode(
                             f"interval, more than 2**53")
     n_sub = np.maximum(1, n_sub.astype(int))
     flat = np.zeros((times.size, dim * dim), dtype=complex)
-    for block in _coupled_blocks(liouvillian):
-        if not v0[block].any():
+    for _, index, subs, _, _ in width_groups(liouvillian, coupled_blocks(liouvillian)):
+        touched = v0[index].any(axis=1)
+        if not touched.any():
             continue
-        sub = liouvillian.submatrices(block)
+        sub, v = subs[touched], v0[index[touched], None]
         increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
                       for span, n in zip(lengths, n_sub)]
-        v = v0[block]
-        trajectory = np.empty((times.size, block.size), dtype=complex)
+        trajectory = np.empty((times.size, *v.shape[:2]), dtype=complex)
         for k, j in enumerate(interval):
             v = v + increments[j] @ v
-            trajectory[k] = v
-        flat[:, block] = trajectory
+            trajectory[k] = v[..., 0]
+        flat[:, index[touched]] = trajectory
     states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
 
     drift = abs(np.trace(states[-1]) - np.trace(rho0.matrix))
-    if drift > 1e-10:
+    if not drift <= 1e-10:
         raise RuntimeError(f"RK4 trace drift {drift:.3e} exceeds 1e-10")
     return TimeSeries(times, states).validate_states()
 
@@ -377,72 +370,53 @@ def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:
     return float(freqs[np.argmax(np.where(excited, weights, -1.0))])
 
 
-def _coupled_blocks(liouvillian: Superoperator) -> list[np.ndarray]:
-    """Index sets of the connected components of the nonzero pattern of L.
-
-    Permuting L to these blocks makes it block-diagonal, so its
-    eigenvalues are the union of the blocks' eigenvalues.  An index with
-    no nonzero entry is a block of its own.  Every index carries a label,
-    an index of its block: each pass lowers the labels of both ends of
-    every entry, and of the indices those labels name, to the smaller of
-    the two ends' labels, then replaces labels by their own labels until
-    that changes nothing.  At the fixed point all labels of a block name
-    its smallest index; blocks come ordered by it, each ascending.
-    """
-    rows, cols = liouvillian.rows, liouvillian.cols
-    label, previous = np.arange(liouvillian.size), None
-    while not np.array_equal(label, previous):
-        previous, low = label, np.minimum(label[rows], label[cols])
-        label = label.copy()
-        ends = np.concatenate([rows, cols, previous[rows], previous[cols]])
-        np.minimum.at(label, ends, np.tile(low, 4))
-        while not np.array_equal(label[label], label):
-            label = label[label]
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-
-
-def _width_groups(liouvillian: Superoperator, blocks: list[np.ndarray]):
-    """Blocks of equal width stacked: (block numbers, indices (m, w), sub-matrices (m, w, w))."""
-    widths = np.array([block.size for block in blocks])
-    for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
-        members = np.flatnonzero(widths == width)
-        index = np.stack([blocks[b] for b in members])
-        yield members, index, liouvillian.submatrices(index)
-
-
 def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    The kernel is the eigenvalues with |lambda| < :data:`KERNEL_TOL`.
-    Every eigenvalue of a block B obeys |lambda| >= sigma_min(B), so a
-    decoupled block whose smallest singular value exceeds
-    :data:`KERNEL_TOL` holds none of it; the singular values come from one
-    stacked call per block width, and only the remaining blocks are
-    eigen-solved.  One kernel eigenvalue among them gives the kernel
-    element, which is hermitized and normalized to unit trace.  Any other
-    count raises :class:`KernelMultiplicityError`, whose message reports
-    the kernel dimension and smallest |eigenvalues| of every block.
+    ``eigvals`` counts the kernel, |lambda| < :data:`KERNEL_TOL` (or nan),
+    on the blocks that hold a population and on those whose bound on
+    |lambda| admits it: sigma_min(B), and for a mirror block B'
+    sigma_min(B) - ||B' - conj(P B P^T)||_F (Weyl).  Any count but one
+    raises :class:`KernelMultiplicityError`.  Trace preservation makes a
+    population row of the kernel block redundant; with the trace row in
+    its place one LU solve gives the kernel element, which must meet
+    max|B x| <= KERNEL_TOL max|x|, hermitized and of unit trace.
     """
-    blocks = _coupled_blocks(liouvillian)
-    solved = []  # (block indices, eigenvalues, eigenvectors) of the blocks that may hold a kernel
-    for _, index, subs in _width_groups(liouvillian, blocks):
-        sigma_min = np.linalg.svd(subs, compute_uv=False)[:, -1]
-        for k in np.flatnonzero(sigma_min <= KERNEL_TOL):
-            solved.append((index[k], *np.linalg.eig(subs[k])))
-    counts = [np.count_nonzero(np.abs(vals) < KERNEL_TOL) for _, vals, _ in solved]
-    if sum(counts) != 1:
-        vals = np.concatenate([np.linalg.eigvals(liouvillian.submatrices(b)) for b in blocks])
+    blocks = coupled_blocks(liouvillian)
+    d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count) of counted blocks
+    populated = np.bincount(blocks[0][np.arange(d) * (d + 1)], minlength=blocks[2].size) > 0
+    for members, index, subs, mirror, slots in width_groups(liouvillian, blocks):
+        partner, asym = mirror_partners(subs, mirror, slots)
+        screened, bound = ~populated[members] & ~partner, np.full(members.size, -np.inf)
+        bound[screened] = np.linalg.svd(subs[screened], compute_uv=False)[:, -1]
+        bound[partner] = bound[mirror[partner]] - asym
+        count = np.flatnonzero(~(bound > KERNEL_TOL))  # a nan bound is counted
+        if count.size:
+            stack = subs[count]
+            zero = ~(np.abs(np.linalg.eigvals(stack)) >= KERNEL_TOL)
+            counted += zip(index[count], stack, np.count_nonzero(zero, axis=1))
+    if sum(n for _, _, n in counted) != 1:
+        vals = np.concatenate([np.linalg.eigvals(group[2]).ravel()
+                               for group in width_groups(liouvillian, blocks)])
         raise KernelMultiplicityError(
-            f"kernel dimension {np.count_nonzero(np.abs(vals) < KERNEL_TOL)} at tolerance "
+            f"kernel dimension {np.count_nonzero(~(np.abs(vals) >= KERNEL_TOL))} at tolerance "
             f"{KERNEL_TOL:.1e}; smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
-    block, sub_vals, sub_vecs = solved[counts.index(1)]
+    index, sub = next((index, sub) for index, sub, n in counted if n == 1)
+    system, trace_row = sub.copy(), index % (d + 1) == 0  # positions i + d*i
+    replaced = int(np.argmax(trace_row))  # with no population, a zero row makes it singular
+    system[replaced] = trace_row
+    try:
+        x = np.linalg.solve(system, np.eye(index.size)[replaced])
+    except np.linalg.LinAlgError:
+        x = np.full(index.size, np.nan)
     kernel = np.zeros(liouvillian.size, dtype=complex)
-    kernel[block] = sub_vecs[:, np.argmin(np.abs(sub_vals))]
-    rho = unvec(kernel, liouvillian.dim)
+    kernel[index] = x
+    rho, residual = unvec(kernel, d), np.abs(sub @ x).max()
     rho = (rho + rho.conj().T) / 2.0
     trace = np.trace(rho)
-    if abs(trace) < 1e-12:
-        raise KernelMultiplicityError("kernel element is traceless; no stationary state")
+    if not (residual <= KERNEL_TOL * np.abs(x).max() and abs(trace) > 1e-12 * np.linalg.norm(x)):
+        raise KernelMultiplicityError(
+            f"no kernel element of unit trace (residual {residual:.3e}): it is traceless, or the "
+            "generator does not preserve the trace")
     return DensityMatrix(rho / trace).validate()

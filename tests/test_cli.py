@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -325,6 +326,36 @@ def test_overflowing_energy_scale_is_a_config_error(tmp_path, capsys, command, m
     assert capsys.readouterr().err == (
         "config error: the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1)) "
         "overflows at omega0 = 1.0, rabi = 1e+308 and nmax = 2\n")
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the gates
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "steady"])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+def test_unresolved_energy_scale_fails_a_gate(tmp_path, capsys, command, model):
+    # the Bohr frequencies are finite at rabi 5e307, but micro's channel means overflow and
+    # phen's and dressed's eigenpairs give nan pairing residuals; their steady state is the
+    # T = 0 fixed point |0,g><0,g|, which needs no resolution
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", "rabi = 5e307")
+    cfg, out = _write(tmp_path, "huge.cfg", text), tmp_path / "x.csv"
+    code = cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    if model == "micro":
+        assert (code, err) == (2, "numerical failure: channel frequency -inf is not finite\n")
+    elif command == "steady":
+        assert code == 0 and np.loadtxt(out, delimiter=",", skiprows=1)[0, 2] == 1.0
+    else:
+        assert code == 2 and re.search(r"solver failure: left/right pairing failed .*/nan", err)
+    assert out.exists() == (code == 0)
+
+
+def test_spectrum_refuses_a_non_finite_eigenvalue(tmp_path, capsys, monkeypatch):
+    basis = solver.DampingBasis(np.array([0.0, complex(-1.0, np.inf)]), ())
+    monkeypatch.setattr(cli, "damping_basis", lambda liouvillian: basis)
+    out = tmp_path / "x.csv"
+    argv = ["spectrum", "--config", str(CONFIGS / "rabi_joint_ground.cfg"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "solver failure: non-finite Liouvillian eigenvalue (-1+infj)\n"
     assert not out.exists()
 
 

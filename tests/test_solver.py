@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from jcsim import cli
 from jcsim.acceptance import DT, _SharedRuns
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
+from jcsim.blocks import coupled_blocks
 from jcsim.generators import (
     SparseOperator,
     Superoperator,
@@ -42,7 +44,6 @@ from jcsim.solver import (
     KernelMultiplicityError,
     StepSizeError,
     TimeSeries,
-    _coupled_blocks,
     _format_clusters,
     _tie_ranks,
     damping_basis,
@@ -66,6 +67,14 @@ def _superoperator(matrix: np.ndarray) -> Superoperator:
     # a hand-built matrix as the Superoperator of its nonzero entries
     rows, cols = np.nonzero(matrix)
     return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
+
+
+def _blocks(liouvillian: Superoperator) -> list[np.ndarray]:
+    # the positions of each decoupled block in block order; each label must name its block
+    label, order, starts = coupled_blocks(liouvillian)
+    blocks = np.split(order, starts[1:])
+    assert all((label[block] == k).all() for k, block in enumerate(blocks))
+    return blocks
 
 
 def _sector_generator(bath: BathSpec = SECTOR_BATH) -> Superoperator:
@@ -302,7 +311,7 @@ def test_ode_matches_loop_reference_from_a_later_first_time():
 
 def test_ode_matches_loop_reference_on_merged_blocks():
     liouvillian = _u1_breaking_generator(3)
-    blocks = _coupled_blocks(liouvillian)
+    blocks = _blocks(liouvillian)
     space = build_space(3)
     psi = space.basis_state(0, "g") + space.basis_state(0, "e") + space.basis_state(2, "g")
     rho0 = pure_state(psi / np.linalg.norm(psi))
@@ -417,7 +426,7 @@ def test_steady_state_matches_dense_reference(model):
     if model == "u1-breaking":
         liouvillian = _u1_breaking_generator(6)
         # phen at nmax 6 splits into 15 blocks; the atom flip merges them into 2
-        assert len(_coupled_blocks(liouvillian)) == 2
+        assert len(_blocks(liouvillian)) == 2
     else:
         liouvillian = _thermal_generators(8, 0.22)[model]
     got = steady_state(liouvillian).matrix
@@ -431,7 +440,7 @@ def test_coupled_blocks_partition_the_generator(model):
     else:
         liouvillian = _thermal_generators(5, 0.3)[model]
     mat = liouvillian.matrix
-    blocks = _coupled_blocks(liouvillian)
+    blocks = _blocks(liouvillian)
     assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(mat.shape[0]))
     off_block = mat.copy()
     for block in blocks:
@@ -448,25 +457,109 @@ def test_steady_state_counts_isolated_indices_in_the_kernel():
 def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
     liouvillian = phenomenological_generator(PARAMS, build_space(16), 0.04, occupation(OMEGA0, 0.22))
     solved = []
-    for name in ("eig", "eigvals"):
+    for name in ("eig", "eigvals", "solve"):
         original = getattr(np.linalg, name)
 
-        def recording(matrix, _name=name, _original=original):
+        def recording(matrix, *args, _name=name, _original=original):
             solved.append((_name, matrix.copy()))
-            return _original(matrix)
+            return _original(matrix, *args)
 
         monkeypatch.setattr(np.linalg, name, recording)
     steady_state(liouvillian)
-    # one eig, on the block of |0,g><0,g|; at nmax 16 it is 1 + 4 * 16 + 1 wide
-    kernel_block = next(b for b in _coupled_blocks(liouvillian) if b[0] == 0)
-    assert [name for name, _ in solved] == ["eig"]
+    # one eigvals and one solve, on the block of |0,g><0,g|; at nmax 16 it is 1 + 4 * 16 + 1 wide
+    kernel_block = next(b for b in _blocks(liouvillian) if b[0] == 0)
+    assert [name for name, _ in solved] == ["eigvals", "solve"]
     assert kernel_block.size == 66
-    assert np.array_equal(solved[0][1], liouvillian.submatrices(kernel_block))
+    sub = liouvillian.matrix[np.ix_(kernel_block, kernel_block)]
+    assert np.array_equal(solved[0][1], sub[None])
+    # the solved system is that block with its first population row, |0,g><0,g|'s, replaced
+    # by the trace row
+    assert np.array_equal(solved[1][1][1:], sub[1:])
+    assert np.array_equal(solved[1][1][0], kernel_block % (liouvillian.dim + 1) == 0)
+
+
+def _anti_hermitian_shift(n_max: int, strength: float) -> Superoperator:
+    # phen at T = 0.22 plus -i[k, .] with k = i strength a^dagger a: trace-preserving, its entries
+    # sit at mirrored positions, but L(X^dagger) - L(X)^dagger = 2 strength (n_i - n_j) X_ij
+    space = build_space(n_max)
+    a, _ = ladder_operators(space)
+    k, eye = 1j * strength * (a.conj().T @ a), np.eye(space.dim)
+    phen = _thermal_generators(n_max, 0.22)["phen"].matrix
+    return _superoperator(phen - 1j * (np.kron(eye, k) - np.kron(k.T, eye)))
+
+
+def _mirror_image(liouvillian: Superoperator, block: np.ndarray, mirror: np.ndarray) -> np.ndarray:
+    # conj(P B P^T): the mirror block's sub-matrix moved to the adjoint positions j + d*i of block
+    mat, d = liouvillian.matrix, liouvillian.dim
+    at = np.searchsorted(mirror, (block % d) * d + block // d)
+    return mat[np.ix_(mirror, mirror)][np.ix_(at, at)].conj()
+
+
+@pytest.mark.parametrize("strength", [0.03, 0.3])
+def test_a_generator_that_breaks_hermiticity_keeps_every_solve(strength, monkeypatch):
+    liouvillian = _anti_hermitian_shift(3, strength)
+    solved, original = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda stack: solved.append(len(stack)) or original(stack))
+    got = damping_basis(liouvillian)
+    monkeypatch.undo()
+    assert sum(solved) == len(_blocks(liouvillian)) == 9  # no block takes its mirror's solve
+    vals = _dense_damping_basis(liouvillian)[0]
+    assert np.abs(got.eigenvalues - vals).max() <= 1e-13 * max(1.0, float(np.abs(vals).max()))
+    reference = _dense_steady_reference(liouvillian).matrix
+    assert np.abs(steady_state(liouvillian).matrix - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("strength, widths", [(0.03, [14]), (0.3, [4, 8, 12, 14])])
+def test_steady_state_counts_a_mirror_whose_asymmetry_exceeds_its_bound(strength, widths,
+                                                                        monkeypatch):
+    liouvillian = _anti_hermitian_shift(3, strength)
+    counted, original = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: counted.extend(stack) or original(stack))
+    steady_state(liouvillian)
+    # the population block (14 wide), and the second block of each mirror pair whose Weyl bound
+    # sigma_min(B) - ||B' - conj(P B P^T)||_F does not clear KERNEL_TOL
+    assert [sub.shape[0] for sub in counted] == widths
+    mat, d = liouvillian.matrix, liouvillian.dim
+    for first, second in (b for b in itertools.combinations(_blocks(liouvillian), 2)
+                          if np.array_equal(np.sort(b[0] % d * d + b[0] // d), b[1])):
+        sub = mat[np.ix_(second, second)]
+        asym = np.linalg.norm(sub - _mirror_image(liouvillian, second, first))
+        bound = np.linalg.svd(mat[np.ix_(first, first)], compute_uv=False)[-1] - asym
+        assert (bound <= KERNEL_TOL) == any(np.array_equal(sub, c) for c in counted)
+
+
+@pytest.mark.parametrize("diagonal, into", [([-1.0, -1.0, -1.0, 0.0], (0, 3)),
+                                             ([-1.0, 0.0, -1.0, -1.0], None)])
+def test_steady_state_refuses_a_kernel_without_unit_trace(diagonal, into):
+    # (0, 3): |0><0| decays and |1><1| feeds it, so (1/2, 1/2) is stationary, but probability
+    # leaves through |0><0| and the trace is not preserved; None: the one zero eigenvalue sits
+    # on the coherence |1><0|, whose block holds no population
+    matrix = np.diag(diagonal).astype(complex)
+    if into:
+        matrix[into] = 1.0
+    with pytest.raises(KernelMultiplicityError,
+                       match=r"residual nan\): it is traceless, or the generator does not preserve"):
+        steady_state(_superoperator(matrix))
+
+
+def _reachable_reference(h: np.ndarray, jumps: list, rho0: np.ndarray) -> np.ndarray:
+    # the closure as dim passes over the dense one-step pattern of h, each live A and each A^dagger A
+    step = h != 0
+    for op, g in jumps:
+        if g > 0:
+            a = np.zeros(h.shape)
+            a[op.rows, op.cols] = np.abs(op.values)
+            step |= (a != 0) | (a.T @ a != 0)
+    reached = np.diag(rho0) != 0
+    for _ in range(len(reached)):
+        reached = reached | step[:, reached].any(axis=1)
+    return np.flatnonzero(reached)
 
 
 def _block_spectra(liouvillian: Superoperator) -> list[tuple[np.ndarray, np.ndarray]]:
     # (singular values, eigenvalues) of every decoupled block
-    subs = [liouvillian.submatrices(b) for b in _coupled_blocks(liouvillian)]
+    mat = liouvillian.matrix
+    subs = [mat[np.ix_(b, b)] for b in _blocks(liouvillian)]
     return [(np.linalg.svd(sub, compute_uv=False), np.linalg.eigvals(sub)) for sub in subs]
 
 
@@ -649,6 +742,33 @@ def test_damping_basis_matches_dense_reference(case):
         assert abs(dominant_frequency(got, rho0) - frequency) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
+def test_mirror_blocks_match_a_direct_eig(case):
+    liouvillian = _reference_case(case)
+    basis, mat, d = damping_basis(liouvillian), liouvillian.matrix, liouvillian.dim
+    scale = max(1.0, float(np.abs(basis.eigenvalues).max()))
+    rows = [(index[b], modes[b], right[b], left[b])
+            for index, modes, right, left in basis.groups for b in range(index.shape[0])]
+    mirrored = 0
+    for index, modes, right, left in rows:
+        mirror = np.sort(index % d * d + index // d)
+        if mirror[0] >= index[0]:  # a self-mirror block, or the first of a pair: eigen-solved
+            continue
+        mirrored += 1
+        sub, lam = mat[np.ix_(index, index)], basis.eigenvalues[modes]
+        # micro and dressed mirror exactly; phen's sandwich term rounds some entries one ulp apart
+        image = _mirror_image(liouvillian, index, mirror)
+        assert np.all(np.abs(sub - image) <= np.finfo(float).eps * np.abs(sub))
+        direct = np.abs(lam[:, None] - np.linalg.eigvals(sub)[None, :])
+        assert max(direct.min(axis=0).max(), direct.min(axis=1).max()) <= 1e-13 * scale
+        assert np.abs(sub @ right - right * lam).max() <= 1e-13 * scale
+        assert np.abs(left @ sub - lam[:, None] * left).max() <= 1e-13 * scale
+        modes_of_mirror = next(m for i, m, _, _ in rows if np.array_equal(i, mirror))
+        assert np.array_equal(np.sort_complex(lam), np.sort_complex(
+            basis.eigenvalues[modes_of_mirror].conj()))
+    assert mirrored == (len(rows) - 1) // 2
+
+
 def test_damping_basis_stays_small():
     # the dense D x D right and left arrays alone took 7.5 MB of an 8.1 MB peak (D = 484)
     liouvillian = phenomenological_generator(PARAMS, build_space(10), 0.04, occupation(OMEGA0, 0.22))
@@ -684,7 +804,7 @@ def _dense_coupled_blocks(mat: np.ndarray) -> list[np.ndarray]:
 @pytest.mark.parametrize("case", _REFERENCE_CASES + ["u1-breaking", "lossless-phen", "zero"])
 def test_coupled_blocks_match_the_dense_breadth_first_search(case):
     liouvillian = _reference_case(case)
-    got = _coupled_blocks(liouvillian)
+    got = _blocks(liouvillian)
     reference = _dense_coupled_blocks(liouvillian.matrix)
     assert len(got) == len(reference)
     assert all(np.array_equal(a, b) for a, b in zip(got, reference))
@@ -693,7 +813,7 @@ def test_coupled_blocks_match_the_dense_breadth_first_search(case):
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
 def test_damping_basis_diagonalizes_block_by_block(model, monkeypatch):
     liouvillian = _thermal_generators(8, 0.22)[model]
-    widest = max(block.size for block in _coupled_blocks(liouvillian))
+    widest = max(block.size for block in _blocks(liouvillian))
     widths = []
     for name in ("eig", "inv"):
         original = getattr(np.linalg, name)
@@ -764,6 +884,18 @@ def test_thermal_runs_reach_every_state(initial, model, n_max):
     assert states.tolist() == list(range(scenario.space().dim))
 
 
+@pytest.mark.parametrize("temperature", [0.0, 0.22])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+@_INITIAL_STATES
+def test_reachable_states_stop_at_the_closure(initial, model, temperature):
+    scenario = _joint_ground_scenario(initial=initial, model=model, n_max=8,
+                                      nbar=occupation(OMEGA0, temperature) if temperature else 0.0)
+    scenario = replace(scenario, bath=BathSpec(temperature, scenario.bath.spectrum))
+    h, jumps = _hamiltonian_and_jumps(scenario)
+    rho0 = scenario.initial_state().matrix
+    assert np.array_equal(reachable_states(h, jumps, rho0), _reachable_reference(h, jumps, rho0))
+
+
 def test_evolve_spectral_keeps_unweighted_blocks_exactly_zero():
     space = build_space(3)
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
@@ -797,7 +929,7 @@ def test_pairing_failure_names_its_block_and_only_its_clusters(model):
                       r" near-defective eigenvalue clusters in that block: (.*)$", message)
     assert found, message
     index, count, width = (int(found.group(k)) for k in (1, 2, 3))
-    blocks = _coupled_blocks(liouvillian)
+    blocks = _blocks(liouvillian)
     assert len(blocks) == count and blocks[index].size == width
     assert float(found.group(4)) > 1e4
     block_vals = np.linalg.eigvals(liouvillian.matrix[np.ix_(blocks[index], blocks[index])])
@@ -829,6 +961,17 @@ def test_mode_order_survives_last_bit_changes():
     lam_scaled = damping_basis(scaled).eigenvalues
     lam_folded = damping_basis(folded).eigenvalues
     assert np.abs(lam_scaled - lam_folded).max() <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_validators_refuse_a_state_that_holds_a_nan(entry):
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[entry] = np.nan
+    message = "hermiticity defect nan"  # nan - nan is nan on the diagonal too
+    with pytest.raises(ValueError, match=message):
+        DensityMatrix(rho).validate()
+    with pytest.raises(ValueError, match=rf"sample 1 \(t = 0\.5\): {message}"):
+        TimeSeries(np.array([0.0, 0.5]), np.stack([np.eye(2) / 2, rho])).validate_states()
 
 
 def test_dominant_frequency_selects_excited_mode():
