@@ -1,9 +1,4 @@
-"""The decoupled blocks of a Liouvillian, stacked by width, with their mirrors.
-
-A Lindblad generator keeps hermiticity, L(X^dagger) = L(X)^dagger, and
-X -> X^dagger sends vec position i + d*j to j + d*i, so each block B has a
-mirror block B' of the same width, B' = conj(P B P^T) up to rounding.
-"""
+"""The decoupled blocks of a Liouvillian, stacked by width."""
 
 from __future__ import annotations
 
@@ -38,38 +33,24 @@ def coupled_blocks(liouvillian: Superoperator) -> tuple[np.ndarray, np.ndarray, 
     return label, order, np.flatnonzero(first)
 
 
-def width_groups(liouvillian: Superoperator, blocks: tuple[np.ndarray, np.ndarray, np.ndarray]):
+def width_groups(liouvillian: Superoperator, blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 wanted: np.ndarray | None = None):
     """The blocks of :func:`coupled_blocks` stacked by width, widths ascending.
 
     Yields the m block numbers of width w, their positions (m, w) and
-    sub-matrices (m, w, w), filled by one scatter of L's entries, each
-    block's mirror as a row of the group (-1 if the adjoint positions are
-    not one block) and the slot there of each adjoint (m, w).
+    sub-matrices (m, w, w), filled by one scatter of L's entries; with a
+    boolean ``wanted`` per block, only those blocks.
     """
     label, order, starts = blocks
     widths = np.diff(starts, append=order.size)
+    kept = widths if wanted is None else np.where(wanted, widths, 0)
     slot = np.empty_like(order)
     slot[order] = np.arange(order.size) - np.repeat(starts, widths)
     rows, cols, values = liouvillian.rows, liouvillian.cols, liouvillian.values
-    owner = label[rows]
-    adjoint = np.arange(order.size).reshape(liouvillian.dim, -1).T.ravel()
-    image = label[adjoint[order]]
-    low, high = np.minimum.reduceat(image, starts), np.maximum.reduceat(image, starts)
-    mirror, row = np.where((low == high) & (widths[low] == widths), low, -1), np.empty_like(widths)
-    for width in sorted(set(widths.tolist())):  # np.unique's first call costs ~15 ms
-        members, entries = np.flatnonzero(widths == width), np.flatnonzero(widths[owner] == width)
+    owner, row = label[rows], np.empty_like(widths)
+    for width in sorted(set(kept[kept > 0].tolist())):  # np.unique's first call costs ~15 ms
+        members, entries = np.flatnonzero(kept == width), np.flatnonzero(kept[owner] == width)
         row[members] = np.arange(members.size)
         subs = np.zeros((members.size, width, width), dtype=complex)
         subs[row[owner[entries]], slot[rows[entries]], slot[cols[entries]]] = values[entries]
-        index, partner = order[starts[members][:, None] + np.arange(width)], mirror[members]
-        yield members, index, subs, np.where(partner < 0, -1, row[partner]), slot[adjoint[index]]
-
-
-def mirror_partners(subs: np.ndarray, mirror: np.ndarray, slots: np.ndarray):
-    """Mask of the rows whose mirror row comes first, and ||B' - conj(P B P^T)||_F of each."""
-    partner = (mirror >= 0) & (mirror < np.arange(mirror.size))
-    moved = slots[partner]
-    diff = subs[mirror[partner][:, None, None], moved[:, :, None], moved[:, None, :]]
-    np.conjugate(diff, out=diff)
-    diff -= subs[partner]
-    return partner, np.linalg.norm(np.abs(diff), axis=(1, 2))
+        yield members, order[starts[members][:, None] + np.arange(width)], subs

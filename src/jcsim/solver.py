@@ -14,7 +14,7 @@ family of a block is the inverse of its right eigenvector matrix, the
 dual basis whenever the block is diagonalizable.  A repeated eigenvalue
 whose eigenvectors come back near-parallel gets its eigenspace from an
 SVD; a defective block fails the residual gate with its eigenvalue
-clusters named.  Each Hermitian-conjugate pair of blocks is solved once.
+clusters named.
 
 The fixed-step RK4 integrator is an independent check that never touches
 an eigendecomposition.  One step of size h is the matrix P(hL) = I + hL
@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import coupled_blocks, mirror_partners, width_groups
+from .blocks import coupled_blocks, width_groups
 from .generators import Superoperator, unvec, vec
 from .hilbert import STATE_TOL, DensityMatrix, defect_message, density_diagnostics
 
@@ -154,31 +154,25 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
     dual functionals, for :func:`evolve_spectral`, :func:`dominant_frequency`,
     the ``spectrum`` CSV and acceptance criterion 5; nothing D x D is
     formed.  Blocks of equal width are diagonalized and inverted in one
-    stacked call, except a mirror block within eps ||B'||_F of
-    conj(P B P^T), which takes conj(lambda) and the conjugated, permuted
-    vectors of B.  Modes are sorted by (Re lambda descending, Im lambda
+    stacked call.  Modes are sorted by (Re lambda descending, Im lambda
     ascending), parts within 1e-9 * max(1, max|lambda|) counting as tied,
     then by exact Re lambda descending, so the noise in a real mode's
     Im lambda never decides the order.  Stationary right eigenoperators
     (|lambda| < :data:`KERNEL_TOL`) have unit trace, decaying ones unit
     Frobenius norm and a deterministic phase.  Every block's left/right
-    residuals against its own sub-matrix must lie within
-    :data:`RESIDUAL_TOL` * max(1, max|lambda|).
+    residuals must lie within :data:`RESIDUAL_TOL` * max(1, max|lambda|).
     """
     trace_row = vec(np.eye(liouvillian.dim)).real  # Tr{rho} = vec(1) . vec(rho)
     blocks = coupled_blocks(liouvillian)
     widths = np.diff(blocks[2], append=liouvillian.size)
     groups = {}  # width -> block numbers, stacked indices, eigenvalues, right, left
     residuals = np.empty((widths.size, 2))
-    for members, index, subs, mirror, slots in width_groups(liouvillian, blocks):
+    for members, index, subs in width_groups(liouvillian, blocks):
         width = index.shape[1]
-        partner, asym = mirror_partners(subs, mirror, slots)
-        partner[partner] = asym <= np.finfo(float).eps * np.linalg.norm(subs[partner], axis=(1, 2))
-        lead = subs[~partner]
-        vals, right = np.linalg.eig(lead)
-        _span_repeated_eigenvalues(lead, vals, right)
+        vals, right = np.linalg.eig(subs)
+        _span_repeated_eigenvalues(subs, vals, right)
 
-        traces = np.einsum("bi,bij->bj", trace_row[index[~partner]], right)
+        traces = np.einsum("bi,bij->bj", trace_row[index], right)
         pivot_rows = np.argmax(np.abs(right), axis=1)[:, None, :]
         pivots = np.take_along_axis(right, pivot_rows, axis=1)[:, 0]
         factors = np.abs(pivots) / pivots / np.linalg.norm(right, axis=1)
@@ -190,20 +184,10 @@ def damping_basis(liouvillian: Superoperator) -> DampingBasis:
         except np.linalg.LinAlgError as exc:
             k = int(np.argmax(np.linalg.cond(right)))
             raise DampingBasisError(
-                f"right eigenoperators of decoupled block {members[~partner][k]} of {widths.size} "
+                f"right eigenoperators of decoupled block {members[k]} of {widths.size} "
                 f"({width} wide) are linearly dependent; eigenvalue clusters in that "
                 "block: " + _format_clusters(vals[k])
             ) from exc
-        if partner.any():  # a partner takes its mirror's eigensystem, conjugated and permuted
-            source, moved = (np.cumsum(~partner) - 1)[mirror[partner]], slots[partner]
-            spread = [np.empty((partner.size, *part.shape[1:]), dtype=complex)
-                      for part in (vals, right, left)]
-            for part, whole in zip((vals, right, left), spread):
-                whole[~partner] = part
-            spread[0][partner] = vals[source].conj()
-            spread[1][partner] = np.take_along_axis(right[source], moved[:, :, None], 1).conj()
-            spread[2][partner] = np.take_along_axis(left[source], moved[:, None, :], 2).conj()
-            vals, right, left = spread
         residuals[members, 0] = np.abs(subs @ right - right * vals[:, None, :]).max(axis=(1, 2))
         residuals[members, 1] = np.abs(left @ subs - vals[:, :, None] * left).max(axis=(1, 2))
         groups[width] = (members, index, vals, right, left)
@@ -279,7 +263,7 @@ def check_rk4_step(dt: float, diagonal: np.ndarray) -> None:
 
 def _rk4_step_increment(block: np.ndarray, h: float) -> np.ndarray:
     """P(hL) - I for one classical RK4 step of v' = block v: hL + ... + (hL)^4/24."""
-    eye = np.eye(block.shape[-1])
+    eye = np.eye(block.shape[0])
     hl = h * block
     return hl @ (eye + hl @ (eye + hl @ (eye + hl / 4.0) / 3.0) / 2.0)
 
@@ -330,18 +314,18 @@ def evolve_ode(
                             f"interval, more than 2**53")
     n_sub = np.maximum(1, n_sub.astype(int))
     flat = np.zeros((times.size, dim * dim), dtype=complex)
-    for _, index, subs, _, _ in width_groups(liouvillian, coupled_blocks(liouvillian)):
-        touched = v0[index].any(axis=1)
-        if not touched.any():
-            continue
-        sub, v = subs[touched], v0[index[touched], None]
-        increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
-                      for span, n in zip(lengths, n_sub)]
-        trajectory = np.empty((times.size, *v.shape[:2]), dtype=complex)
-        for k, j in enumerate(interval):
-            v = v + increments[j] @ v
-            trajectory[k] = v[..., 0]
-        flat[:, index[touched]] = trajectory
+    blocks = coupled_blocks(liouvillian)
+    touched = np.bincount(blocks[0][np.flatnonzero(v0)], minlength=blocks[2].size) > 0
+    for _, index, subs in width_groups(liouvillian, blocks, touched):
+        for block, sub in zip(index, subs):
+            increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
+                          for span, n in zip(lengths, n_sub)]
+            v = v0[block]
+            trajectory = np.empty((times.size, block.size), dtype=complex)
+            for k, j in enumerate(interval):
+                v = v + increments[j] @ v
+                trajectory[k] = v
+            flat[:, block] = trajectory
     states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
 
     drift = abs(np.trace(states[-1]) - np.trace(rho0.matrix))
@@ -374,22 +358,31 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
     ``eigvals`` counts the kernel, |lambda| < :data:`KERNEL_TOL` (or nan),
-    on the blocks that hold a population and on those whose bound on
-    |lambda| admits it: sigma_min(B), and for a mirror block B'
-    sigma_min(B) - ||B' - conj(P B P^T)||_F (Weyl).  Any count but one
-    raises :class:`KernelMultiplicityError`.  Trace preservation makes a
+    on the blocks that hold a population and on those whose bound
+    1/||B^-1||_F <= sigma_min(B) <= |lambda| does not clear it (an exactly
+    singular block is counted).  The inverses are taken per block width,
+    in stacks under 64 kB (or one block), so the heap does not grow by a
+    whole width's inverse.  Any count but one raises
+    :class:`KernelMultiplicityError`.  Trace preservation makes a
     population row of the kernel block redundant; with the trace row in
-    its place one LU solve gives the kernel element, which must meet
-    max|B x| <= KERNEL_TOL max|x|, hermitized and of unit trace.
+    place of the first one, one LU solve gives the kernel element.  The
+    solution must meet max|B x| <= KERNEL_TOL max|x|: this guards the
+    solve, which fails it when that row is not redundant (a traceless
+    kernel, say), but it does not prove that the generator preserves the
+    trace.  The element is then hermitized and normalized to unit trace.
     """
     blocks = coupled_blocks(liouvillian)
     d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count) of counted blocks
     populated = np.bincount(blocks[0][np.arange(d) * (d + 1)], minlength=blocks[2].size) > 0
-    for members, index, subs, mirror, slots in width_groups(liouvillian, blocks):
-        partner, asym = mirror_partners(subs, mirror, slots)
-        screened, bound = ~populated[members] & ~partner, np.full(members.size, -np.inf)
-        bound[screened] = np.linalg.svd(subs[screened], compute_uv=False)[:, -1]
-        bound[partner] = bound[mirror[partner]] - asym
+    for members, index, subs in width_groups(liouvillian, blocks):
+        width = index.shape[1]
+        screened, bound = np.flatnonzero(~populated[members]), np.full(members.size, -np.inf)
+        for part in np.array_split(screened, screened.size * width * width // 4096 + 1):
+            try:  # |lambda| >= sigma_min(B) = 1/||B^-1||_2 >= 1/||B^-1||_F
+                parts = np.linalg.inv(subs[part]).view(float)  # real and imaginary parts
+                bound[part] = np.einsum("bij,bij->b", parts, parts) ** -0.5
+            except np.linalg.LinAlgError:  # an exactly singular block: count its part
+                pass
         count = np.flatnonzero(~(bound > KERNEL_TOL))  # a nan bound is counted
         if count.size:
             stack = subs[count]
@@ -417,6 +410,7 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     trace = np.trace(rho)
     if not (residual <= KERNEL_TOL * np.abs(x).max() and abs(trace) > 1e-12 * np.linalg.norm(x)):
         raise KernelMultiplicityError(
-            f"no kernel element of unit trace (residual {residual:.3e}): it is traceless, or the "
-            "generator does not preserve the trace")
+            f"no kernel element of unit trace: the solve with the trace row in place of a "
+            f"population row has residual {residual:.3e} (the kernel is traceless, or that row "
+            "is not redundant)")
     return DensityMatrix(rho / trace).validate()

@@ -11,7 +11,7 @@ import pytest
 from jcsim import cli
 from jcsim.acceptance import DT, _SharedRuns
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
-from jcsim.blocks import coupled_blocks
+from jcsim.blocks import coupled_blocks, width_groups
 from jcsim.generators import (
     SparseOperator,
     Superoperator,
@@ -488,57 +488,51 @@ def _anti_hermitian_shift(n_max: int, strength: float) -> Superoperator:
     return _superoperator(phen - 1j * (np.kron(eye, k) - np.kron(k.T, eye)))
 
 
-def _mirror_image(liouvillian: Superoperator, block: np.ndarray, mirror: np.ndarray) -> np.ndarray:
-    # conj(P B P^T): the mirror block's sub-matrix moved to the adjoint positions j + d*i of block
-    mat, d = liouvillian.matrix, liouvillian.dim
-    at = np.searchsorted(mirror, (block % d) * d + block // d)
-    return mat[np.ix_(mirror, mirror)][np.ix_(at, at)].conj()
-
-
 @pytest.mark.parametrize("strength", [0.03, 0.3])
-def test_a_generator_that_breaks_hermiticity_keeps_every_solve(strength, monkeypatch):
+def test_a_generator_that_breaks_hermiticity_matches_the_dense_solves(strength):
     liouvillian = _anti_hermitian_shift(3, strength)
-    solved, original = [], np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda stack: solved.append(len(stack)) or original(stack))
-    got = damping_basis(liouvillian)
-    monkeypatch.undo()
-    assert sum(solved) == len(_blocks(liouvillian)) == 9  # no block takes its mirror's solve
     vals = _dense_damping_basis(liouvillian)[0]
+    got = damping_basis(liouvillian)
     assert np.abs(got.eigenvalues - vals).max() <= 1e-13 * max(1.0, float(np.abs(vals).max()))
     reference = _dense_steady_reference(liouvillian).matrix
     assert np.abs(steady_state(liouvillian).matrix - reference).max() <= 1e-12
 
 
-@pytest.mark.parametrize("strength, widths", [(0.03, [14]), (0.3, [4, 8, 12, 14])])
-def test_steady_state_counts_a_mirror_whose_asymmetry_exceeds_its_bound(strength, widths,
-                                                                        monkeypatch):
-    liouvillian = _anti_hermitian_shift(3, strength)
-    counted, original = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: counted.extend(stack) or original(stack))
-    steady_state(liouvillian)
-    # the population block (14 wide), and the second block of each mirror pair whose Weyl bound
-    # sigma_min(B) - ||B' - conj(P B P^T)||_F does not clear KERNEL_TOL
-    assert [sub.shape[0] for sub in counted] == widths
-    mat, d = liouvillian.matrix, liouvillian.dim
-    for first, second in (b for b in itertools.combinations(_blocks(liouvillian), 2)
-                          if np.array_equal(np.sort(b[0] % d * d + b[0] // d), b[1])):
-        sub = mat[np.ix_(second, second)]
-        asym = np.linalg.norm(sub - _mirror_image(liouvillian, second, first))
-        bound = np.linalg.svd(mat[np.ix_(first, first)], compute_uv=False)[-1] - asym
-        assert (bound <= KERNEL_TOL) == any(np.array_equal(sub, c) for c in counted)
+@pytest.mark.parametrize("corner, counted", [(1e-3, 1), (10.0, 2)])
+def test_steady_state_counts_the_blocks_its_inverse_bound_does_not_clear(corner, counted,
+                                                                         monkeypatch):
+    # |1><1| decays into |0><0|, the one kernel element; the coherences |1><0| and |0><1| decay
+    # at 1e-5 and `corner` links them, so 1/||B^-1||_F is 1e-7 at 1e-3 and 1e-11 at 10.0
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[0, 3], matrix[3, 3] = 0.5, -0.5
+    matrix[1, 1] = matrix[2, 2] = -1e-5
+    matrix[1, 2] = corner
+    stacks, original = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: stacks.append(len(stack)) or original(stack))
+    rho = steady_state(_superoperator(matrix))
+    # the population block always reaches eigvals; a counted coherence block holds no zero
+    # eigenvalue, so the state is |0><0| either way
+    assert stacks == [counted]
+    assert np.array_equal(rho.matrix, np.diag([1.0, 0.0]).astype(complex))
 
 
-@pytest.mark.parametrize("diagonal, into", [([-1.0, -1.0, -1.0, 0.0], (0, 3)),
-                                             ([-1.0, 0.0, -1.0, -1.0], None)])
-def test_steady_state_refuses_a_kernel_without_unit_trace(diagonal, into):
-    # (0, 3): |0><0| decays and |1><1| feeds it, so (1/2, 1/2) is stationary, but probability
-    # leaves through |0><0| and the trace is not preserved; None: the one zero eigenvalue sits
-    # on the coherence |1><0|, whose block holds no population
+@pytest.mark.parametrize("diagonal, populations, residual", [
+    # the kernel (1/2, 1/2) has unit trace, but |0><0|'s row is not redundant: singular
+    ([0.0, -1.0, -1.0, 0.0], [[-1.0, 1.0], [0.0, 0.0]], "nan"),
+    # the one zero eigenvalue sits on the coherence |1><0|, whose block holds no population
+    ([-1.0, 0.0, -1.0, -1.0], None, "nan"),
+    # the eigenvalue 5e-11 counts, but B has no kernel: the system is solved, x = |1><1|
+    ([0.0, -1.0, -1.0, 0.0], [[1e6, -5e-5], [1.0, 0.0]], "5.000e-05"),
+])
+def test_steady_state_refuses_a_kernel_the_trace_row_solve_misses(diagonal, populations,
+                                                                  residual):
+    # the solve puts the trace row in place of the kernel block's first population row; the
+    # residual check refuses its solution unless that row was redundant
     matrix = np.diag(diagonal).astype(complex)
-    if into:
-        matrix[into] = 1.0
+    if populations:
+        matrix[np.ix_([0, 3], [0, 3])] = populations
     with pytest.raises(KernelMultiplicityError,
-                       match=r"residual nan\): it is traceless, or the generator does not preserve"):
+                       match=rf"has residual {residual} \(the kernel is traceless, or that row is not"):
         steady_state(_superoperator(matrix))
 
 
@@ -742,31 +736,22 @@ def test_damping_basis_matches_dense_reference(case):
         assert abs(dominant_frequency(got, rho0) - frequency) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("case", _REFERENCE_CASES)
-def test_mirror_blocks_match_a_direct_eig(case):
+@pytest.mark.parametrize("case", ["micro-8-0.22", "phen-8-0.22", "dressed-3-0.0", "zero"])
+def test_width_groups_fill_the_blocks_asked_for(case):
     liouvillian = _reference_case(case)
-    basis, mat, d = damping_basis(liouvillian), liouvillian.matrix, liouvillian.dim
-    scale = max(1.0, float(np.abs(basis.eigenvalues).max()))
-    rows = [(index[b], modes[b], right[b], left[b])
-            for index, modes, right, left in basis.groups for b in range(index.shape[0])]
-    mirrored = 0
-    for index, modes, right, left in rows:
-        mirror = np.sort(index % d * d + index // d)
-        if mirror[0] >= index[0]:  # a self-mirror block, or the first of a pair: eigen-solved
-            continue
-        mirrored += 1
-        sub, lam = mat[np.ix_(index, index)], basis.eigenvalues[modes]
-        # micro and dressed mirror exactly; phen's sandwich term rounds some entries one ulp apart
-        image = _mirror_image(liouvillian, index, mirror)
-        assert np.all(np.abs(sub - image) <= np.finfo(float).eps * np.abs(sub))
-        direct = np.abs(lam[:, None] - np.linalg.eigvals(sub)[None, :])
-        assert max(direct.min(axis=0).max(), direct.min(axis=1).max()) <= 1e-13 * scale
-        assert np.abs(sub @ right - right * lam).max() <= 1e-13 * scale
-        assert np.abs(left @ sub - lam[:, None] * left).max() <= 1e-13 * scale
-        modes_of_mirror = next(m for i, m, _, _ in rows if np.array_equal(i, mirror))
-        assert np.array_equal(np.sort_complex(lam), np.sort_complex(
-            basis.eigenvalues[modes_of_mirror].conj()))
-    assert mirrored == (len(rows) - 1) // 2
+    blocks, mat = coupled_blocks(liouvillian), liouvillian.matrix
+    positions = _blocks(liouvillian)
+    for wanted in (None, np.arange(len(positions)) % 3 == 1):
+        filled, widths = [], []
+        for members, index, subs in width_groups(liouvillian, blocks, wanted):
+            widths.append(index.shape[1])
+            for b, block, sub in zip(members, index, subs):
+                assert np.array_equal(block, positions[b])
+                assert np.array_equal(sub, mat[np.ix_(block, block)])
+            filled += members.tolist()
+        assert widths == sorted(set(widths))
+        expected = range(len(positions)) if wanted is None else np.flatnonzero(wanted)
+        assert sorted(filled) == list(expected)
 
 
 def test_damping_basis_stays_small():
