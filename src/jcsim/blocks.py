@@ -1,25 +1,28 @@
-"""The decoupled blocks of a Liouvillian, stacked by width."""
+"""The decoupled blocks of a Liouvillian, stacked by width, and of any sparse pattern."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .generators import Superoperator
+if TYPE_CHECKING:  # generators imports hilbert, which imports this module
+    from .generators import Superoperator
 
 
-def coupled_blocks(liouvillian: Superoperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The connected components of the nonzero pattern of L, as (label, order, starts).
+def connected_components(rows: np.ndarray, cols: np.ndarray,
+                         size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The connected components of the pattern of entries (rows, cols) on ``size`` indices.
 
-    For the Jaynes-Cummings generators these are the sectors of fixed
-    N_row - N_col or finer.  Each pass lowers the labels of both ends of
-    every entry, and of the indices those labels name, to the smaller of
-    the two, then replaces labels by their own labels until that changes
-    nothing; a block's labels then name its smallest index.  The returned
-    ``label[p]`` numbers p's block, which holds ``order[starts[b]:starts[b +
-    1]]``, ascending; blocks are ordered by their smallest index.
+    Returns (label, order, starts).  Each pass lowers the labels of both
+    ends of every entry, and of the indices those labels name, to the
+    smaller of the two, then replaces labels by their own labels until
+    that changes nothing; a block's labels then name its smallest index.
+    The returned ``label[p]`` numbers p's block, which holds
+    ``order[starts[b]:starts[b + 1]]``, ascending; blocks are ordered by
+    their smallest index.  An index no entry touches is a block of its own.
     """
-    rows, cols = liouvillian.rows, liouvillian.cols
-    label, previous = np.arange(liouvillian.size), None
+    label, previous = np.arange(size), None
     while not np.array_equal(label, previous):
         previous, low = label, np.minimum(label[rows], label[cols])
         label = label.copy()
@@ -31,6 +34,15 @@ def coupled_blocks(liouvillian: Superoperator) -> tuple[np.ndarray, np.ndarray, 
     first = np.diff(label[order], prepend=-1) != 0
     label[order] = np.cumsum(first) - 1
     return label, order, np.flatnonzero(first)
+
+
+def coupled_blocks(liouvillian: Superoperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoupled blocks of L: the :func:`connected_components` of its entries.
+
+    For the Jaynes-Cummings generators these are the sectors of fixed
+    N_row - N_col or finer.
+    """
+    return connected_components(liouvillian.rows, liouvillian.cols, liouvillian.size)
 
 
 def width_groups(liouvillian: Superoperator, blocks: tuple[np.ndarray, np.ndarray, np.ndarray],

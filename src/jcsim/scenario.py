@@ -26,6 +26,7 @@ and bath parameters use dotted keys (``bath.kind``, ``bath.gamma0``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -103,10 +104,13 @@ class Scenario:
                 f"top Fock level population to check the cutoff"
             )
         top = self.n_max + 1.0  # Python floats overflow to inf without a warning
-        if 2.0 * (float(self.omega0) * top + float(self.rabi) * top**0.5) == np.inf:
+        largest = 2.0 * (float(self.omega0) * top + float(self.rabi) * top**0.5)
+        freq_tol = 1e-9 * self.omega0 if self.freq_tol is None else self.freq_tol
+        if not math.ulp(largest) < freq_tol:  # ulp(inf) is inf
             raise ConfigError(f"the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1))"
-                              f" overflows at omega0 = {self.omega0}, rabi = {self.rabi} and "
-                              f"nmax = {self.n_max}")
+                              f" = {largest:.6g} is not resolved to freq_tol = {freq_tol:.3g} (one "
+                              f"float step there is {math.ulp(largest):.3g}) at omega0 = "
+                              f"{self.omega0}, rabi = {self.rabi} and nmax = {self.n_max}")
         self._initial_vector(build_space(self.n_max))  # validates the label
 
     def _initial_photons(self) -> int:

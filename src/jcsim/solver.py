@@ -21,9 +21,11 @@ an eigendecomposition.  One step of size h is the matrix P(hL) = I + hL
 + (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a grid interval of n substeps is
 P(hL)^n, formed by repeated squaring once per distinct interval length
 on the blocks where rho(0) has weight, with the identity kept apart so
-that rounding against it cannot accumulate.  The steady state counts
-eigenvalues only on the blocks that may hold a zero one and takes the
-kernel element from one LU solve.
+that rounding against it cannot accumulate.  The steady state deflates
+each populated block that preserves the trace: one inverse of the block
+with its trace row in place of a population row certifies its one zero
+eigenvalue and is the kernel element.  ``eigvals`` counts only the blocks
+the deflation or an inverse bound does not clear.
 """
 
 from __future__ import annotations
@@ -122,7 +124,9 @@ def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.nd
 
     ``blocks``, ``vals`` and ``vecs`` are stacks of equal-width blocks and
     their ``eig`` output.  ``eig`` can return the unit eigenvectors of a
-    repeated, non-defective eigenvalue as near-parallel columns.  A block
+    repeated, non-defective eigenvalue as near-parallel columns.  Only a
+    block with two eigenvalues within (w - 1) * 1e-8 in both parts, or a
+    non-finite one, can hold a cluster, so only those get an SVD.  A block
     whose columns have smallest singular value s below eps /
     :data:`RESIDUAL_TOL` has cond(R) >= 1/s, too large for its inverse to
     meet the pairing gate.  In such a block, for each cluster of m
@@ -135,8 +139,14 @@ def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.nd
     and so keep the inverse's residual small; recomputing them from an SVD
     can break the gate.
     """
-    singular = np.linalg.svd(vecs, compute_uv=False)[:, -1] * RESIDUAL_TOL < np.finfo(float).eps
-    for k in np.flatnonzero(singular):
+    chain = (vals.shape[1] - 1) * 1e-8  # the widest a cluster chained by _clusters can spread
+    near = np.abs(vals.real[:, :, None] - vals.real[:, None, :]) <= chain
+    near &= np.abs(vals.imag[:, :, None] - vals.imag[:, None, :]) <= chain
+    paired = np.flatnonzero((np.count_nonzero(near, axis=(1, 2)) > vals.shape[1])
+                            | ~np.isfinite(vals).all(axis=1))
+    eps = np.finfo(float).eps
+    singular = np.linalg.svd(vecs[paired], compute_uv=False)[:, -1] * RESIDUAL_TOL < eps
+    for k in paired[singular]:
         null_tol = RESIDUAL_TOL * max(1.0, float(np.abs(vals[k]).max()))
         for members in _clusters(vals[k]):
             lam = vals[k, members].mean()
@@ -354,29 +364,75 @@ def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:
     return float(freqs[np.argmax(np.where(excited, weights, -1.0))])
 
 
+def _trace_row_system(index: np.ndarray, sub: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
+    """Block ``sub`` with its trace row t in place of its first population row r; and r."""
+    system, trace_row = sub.copy(), index % (dim + 1) == 0  # positions i + d*i
+    replaced = int(np.argmax(trace_row))  # with no population, a zero row makes it singular
+    system[replaced] = trace_row
+    return system, replaced
+
+
+def _deflated_kernel(index: np.ndarray, sub: np.ndarray, dim: int) -> np.ndarray | None:
+    """Unit-trace kernel element of a populated block whose one zero eigenvalue is certified.
+
+    Let S be the block B with its trace row t in place of row r
+    (:func:`_trace_row_system`) and G the identity with the same row
+    replaced.  Then G B G^-1 holds tB G^-1 in row r and B' = B[~r, ~r] -
+    B[~r, r] t[~r] in the others, and S G^-1 = [[1, 0], [B[~r, r], B']].
+    Where max|tB| <= :data:`KERNEL_TOL`, B has the eigenvalues of B' plus
+    one zero, and one inverse of S settles both questions: S^-1[~r, ~r] is
+    B'^-1, so 1/||S^-1[~r, ~r]||_F > KERNEL_TOL bounds every eigenvalue of
+    B' away from zero, and column r of S^-1, x[~r] = -B'^-1 B[~r, r] with
+    x[r] = 1 - t[~r] x[~r], is the kernel element, the same numbers an LU
+    solve of S x = e_r returns.  Returns None when a test fails.
+    """
+    system, r = _trace_row_system(index, sub, dim)
+    if not np.abs(system[r] @ sub).max() <= KERNEL_TOL:  # a nan column sum fails
+        return None
+    try:
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        return None
+    rest = np.arange(index.size) != r
+    if not np.linalg.norm(inverse[np.ix_(rest, rest)]) * KERNEL_TOL < 1.0:  # nan fails
+        return None
+    return inverse[:, r]
+
+
 def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    ``eigvals`` counts the kernel, |lambda| < :data:`KERNEL_TOL` (or nan),
-    on the blocks that hold a population and on those whose bound
-    1/||B^-1||_F <= sigma_min(B) <= |lambda| does not clear it (an exactly
-    singular block is counted).  The inverses are taken per block width,
-    in stacks under 64 kB (or one block), so the heap does not grow by a
-    whole width's inverse.  Any count but one raises
-    :class:`KernelMultiplicityError`.  Trace preservation makes a
-    population row of the kernel block redundant; with the trace row in
-    place of the first one, one LU solve gives the kernel element.  The
-    solution must meet max|B x| <= KERNEL_TOL max|x|: this guards the
-    solve, which fails it when that row is not redundant (a traceless
-    kernel, say), but it does not prove that the generator preserves the
-    trace.  The element is then hermitized and normalized to unit trace.
+    A block B that holds a population and meets max|tB| <=
+    :data:`KERNEL_TOL` for its trace row t is deflated
+    (:func:`_deflated_kernel`): one inverse certifies that B holds exactly
+    one zero eigenvalue and gives its kernel element.  The deflation
+    certifies the count only where max|tB| <= KERNEL_TOL.  ``eigvals``
+    counts |lambda| < KERNEL_TOL (or nan) on the populated blocks it does
+    not clear and on the other blocks whose bound 1/||B^-1||_F <=
+    sigma_min(B) <= |lambda| does not clear KERNEL_TOL (an exactly singular
+    block is counted).  The bounds are taken per block width, in stacks
+    under 64 kB (or one block), so the heap does not grow by a whole
+    width's inverse.  Any count but one raises
+    :class:`KernelMultiplicityError`.  If ``eigvals`` counted the kernel,
+    one LU solve of its block with the trace row in place of its first
+    population row gives the element.  The element must meet max|B x| <=
+    KERNEL_TOL max|x|: this guards the LU solve, which fails it when that
+    row is not redundant (a traceless kernel, say), but it does not prove
+    that the generator preserves the trace.  The element is then
+    hermitized and normalized to unit trace.
     """
     blocks = coupled_blocks(liouvillian)
-    d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count) of counted blocks
+    d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count, element or None)
     populated = np.bincount(blocks[0][np.arange(d) * (d + 1)], minlength=blocks[2].size) > 0
     for members, index, subs in width_groups(liouvillian, blocks):
         width = index.shape[1]
-        screened, bound = np.flatnonzero(~populated[members]), np.full(members.size, -np.inf)
+        bound = np.full(members.size, -np.inf)
+        for k in np.flatnonzero(populated[members]):
+            x = _deflated_kernel(index[k], subs[k], d)
+            if x is not None:
+                counted.append((index[k], subs[k], 1, x))
+                bound[k] = np.inf
+        screened = np.flatnonzero(~populated[members])
         for part in np.array_split(screened, screened.size * width * width // 4096 + 1):
             try:  # |lambda| >= sigma_min(B) = 1/||B^-1||_2 >= 1/||B^-1||_F
                 parts = np.linalg.inv(subs[part]).view(float)  # real and imaginary parts
@@ -387,22 +443,21 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
         if count.size:
             stack = subs[count]
             zero = ~(np.abs(np.linalg.eigvals(stack)) >= KERNEL_TOL)
-            counted += zip(index[count], stack, np.count_nonzero(zero, axis=1))
-    if sum(n for _, _, n in counted) != 1:
+            counted += zip(index[count], stack, np.count_nonzero(zero, axis=1), [None] * count.size)
+    if sum(n for _, _, n, _ in counted) != 1:
         vals = np.concatenate([np.linalg.eigvals(group[2]).ravel()
                                for group in width_groups(liouvillian, blocks)])
         raise KernelMultiplicityError(
             f"kernel dimension {np.count_nonzero(~(np.abs(vals) >= KERNEL_TOL))} at tolerance "
             f"{KERNEL_TOL:.1e}; smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
-    index, sub = next((index, sub) for index, sub, n in counted if n == 1)
-    system, trace_row = sub.copy(), index % (d + 1) == 0  # positions i + d*i
-    replaced = int(np.argmax(trace_row))  # with no population, a zero row makes it singular
-    system[replaced] = trace_row
-    try:
-        x = np.linalg.solve(system, np.eye(index.size)[replaced])
-    except np.linalg.LinAlgError:
-        x = np.full(index.size, np.nan)
+    index, sub, x = next((index, sub, x) for index, sub, n, x in counted if n == 1)
+    if x is None:
+        system, replaced = _trace_row_system(index, sub, d)
+        try:
+            x = np.linalg.solve(system, np.eye(index.size)[replaced])
+        except np.linalg.LinAlgError:
+            x = np.full(index.size, np.nan)
     kernel = np.zeros(liouvillian.size, dtype=complex)
     kernel[index] = x
     rho, residual = unvec(kernel, d), np.abs(sub @ x).max()

@@ -10,9 +10,11 @@ import pytest
 from jcsim import analytic, cli, hilbert, solver
 from jcsim.acceptance import DT, CriterionResult, _SharedRuns, run_all_criteria, run_criterion
 from jcsim.analytic import rabi_micro
-from jcsim.bath import occupation, rate
-from jcsim.generators import Superoperator, restricted_lindblad
-from jcsim.scenario import MODELS, scenario_from_config
+from jcsim.bath import BathSpec, FlatSpectrum, occupation, rate
+from jcsim.generators import Superoperator, microscopic_channels, restricted_lindblad
+from jcsim.hilbert import build_space
+from jcsim.jcmodel import JCParams
+from jcsim.scenario import MODELS, ConfigError, scenario_from_config
 
 BASE = """
 model = micro
@@ -316,37 +318,65 @@ def test_overflowing_time_grid_is_a_config_error(tmp_path, capsys, argv, tau_max
     assert not out.exists()
 
 
+def _unresolved_message(largest: str, step: str, rabi: str) -> str:
+    return ("config error: the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1)) = "
+            f"{largest} is not resolved to freq_tol = 1e-09 (one float step there is {step}) at "
+            f"omega0 = 1.0, rabi = {rabi} and nmax = 2\n")
+
+
 @pytest.mark.parametrize("command", ["steady", "evolve", "spectrum"])
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
 def test_overflowing_energy_scale_is_a_config_error(tmp_path, capsys, command, model):
-    # rabi is finite, but the Bohr frequencies are not: inf - inf made them nan
+    # rabi is finite, but the largest Bohr frequency is not, and one float step of inf is inf
     text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", "rabi = 1e308")
     cfg, out = _write(tmp_path, "huge.cfg", text), tmp_path / "x.csv"
     assert cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "config error: the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1)) "
-        "overflows at omega0 = 1.0, rabi = 1e+308 and nmax = 2\n")
+    assert capsys.readouterr().err == _unresolved_message("inf", "inf", "1e+308")
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the gates
 @pytest.mark.parametrize("command", ["spectrum", "evolve", "steady"])
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
 def test_unresolved_energy_scale_fails_a_gate(tmp_path, capsys, command, model):
-    # the Bohr frequencies are finite at rabi 5e307, but micro's channel means overflow and
-    # phen's and dressed's eigenpairs give nan pairing residuals; their steady state is the
-    # T = 0 fixed point |0,g><0,g|, which needs no resolution
+    # the Bohr frequencies are finite at rabi 5e307, but one float step there is 2e292; micro's
+    # channel means used to overflow and phen's and dressed's pairing residuals to come out nan
     text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", "rabi = 5e307")
     cfg, out = _write(tmp_path, "huge.cfg", text), tmp_path / "x.csv"
-    code = cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)])
-    err = capsys.readouterr().err
-    if model == "micro":
-        assert (code, err) == (2, "numerical failure: channel frequency -inf is not finite\n")
-    elif command == "steady":
-        assert code == 0 and np.loadtxt(out, delimiter=",", skiprows=1)[0, 2] == 1.0
+    assert cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == _unresolved_message("1.73205e+308", "2e+292", "5e+307")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rabi, largest, step, channels", [
+    ("4e15", "1.38564e+16", "2", 16), ("1e16", "3.4641e+16", "4", 10)])
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+def test_bohr_frequencies_finer_than_a_float_step_are_a_config_error(
+        tmp_path, capsys, model, rabi, largest, step, channels):
+    # far below overflow, rounding already decides which Bohr frequencies merge: at nmax 2 the
+    # micro build finds 16 channels at rabi 4e15 (as at 0.41) but 10 at 1e16
+    params = JCParams(1.0, float(rabi))
+    assert len(microscopic_channels(params, build_space(2), BathSpec(0.0, FlatSpectrum(0.082)))) == channels
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", f"rabi = {rabi}")
+    cfg, out = _write(tmp_path, "fine.cfg", text), tmp_path / "x.csv"
+    assert cli.main(["evolve", "--model", model, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == _unresolved_message(largest, step, f"{float(rabi)}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rabi, freq_tol, resolved", [
+    (2e6, None, True), (3e6, None, False), (3e6, 1e-8, True)])
+def test_resolution_check_compares_one_float_step_with_freq_tol(rabi, freq_tol, resolved):
+    # at nmax 2 the largest Bohr frequency is 2(3 + rabi sqrt(3)); one float step of it stays
+    # below the default 1e-9 up to 2**23 (rabi ~ 2.4e6), and below 1e-8 up to 2**26
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", f"rabi = {rabi}")
+    if freq_tol is not None:
+        text += f"freq_tol = {freq_tol}\n"
+    if resolved:
+        scenario_from_config(text)
     else:
-        assert code == 2 and re.search(r"solver failure: left/right pairing failed .*/nan", err)
-    assert out.exists() == (code == 0)
+        with pytest.raises(ConfigError, match=r"is not resolved to freq_tol = 1e-09 \(one float "
+                                              r"step there is 1\.86e-09\)"):
+            scenario_from_config(text)
 
 
 def test_spectrum_refuses_a_non_finite_eigenvalue(tmp_path, capsys, monkeypatch):

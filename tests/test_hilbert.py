@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,58 @@ def test_density_diagnostics_of_a_stack_of_invalid_states():
     assert min_eig == pytest.approx([0.0, 0.0, -5e-4, -0.5], abs=1e-15)
     # each result owns its data: a kept min_eig pins no (n, d) eigenvalue array
     assert all(defect.base is None for defect in (trace_defect, herm_defect, min_eig))
+
+
+def _block_diagonal_stack(widths: tuple, samples: int, seed: int) -> np.ndarray:
+    # random non-hermitian states, block diagonal on blocks of these widths under one shuffle of
+    # the basis, with entries of order 1 to 100
+    rng = np.random.default_rng(seed)
+    d = sum(widths)
+    states = np.zeros((samples, d, d), dtype=complex)
+    start = 0
+    for w in widths:
+        re, im = rng.standard_normal((2, samples, w, w)) * 10.0 ** rng.uniform(0, 2)
+        states[:, start:start + w, start:start + w] = re + 1j * im
+        start += w
+    shuffle = rng.permutation(d)
+    return states[:, shuffle][:, :, shuffle]
+
+
+@pytest.mark.parametrize("widths", [(1, 1), (2, 1), (1, 2, 2), (3, 1), (3, 2, 1, 3, 2, 1)])
+def test_min_eigenvalue_by_blocks_matches_one_stacked_eigvalsh(widths, monkeypatch):
+    states = _block_diagonal_stack(widths, 200, seed=len(widths))
+    herm = (states + np.conjugate(np.swapaxes(states, -2, -1))) / 2.0
+    reference = np.linalg.eigvalsh(herm)
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
+    min_eig = density_diagnostics(states)[2]
+    # eigvalsh itself is off by up to ~4 eps ||A||_F here (against an exact 2x2 answer, see
+    # below), so the two agree to a few rounding steps of each sample's norm
+    scale = np.linalg.norm(herm, axis=(1, 2))
+    assert (np.abs(min_eig - reference[:, 0]) <= 10 * np.finfo(float).eps * scale).all()
+    # 1x1 and 2x2 blocks take closed forms; each wider width is one stacked call
+    wide = sorted({w for w in widths if w > 2})
+    assert calls == [(200, widths.count(w), w, w) for w in wide]
+    # one sample is a stack of its own
+    assert abs(density_diagnostics(states[7])[2] - reference[7, 0]) <= 1e-14 * scale[7]
+
+
+def test_two_by_two_closed_form_meets_the_exact_minimum_eigenvalue():
+    # a 2x2 block beside a 1x1 block that lies above its spectrum
+    states = np.zeros((500, 3, 3), dtype=complex)
+    states[:, :2, :2] = _block_diagonal_stack((2,), 500, seed=3)
+    states[:, 2, 2] = 1e6
+    min_eig = density_diagnostics(states)[2]
+    with localcontext() as context:
+        context.prec = 50
+        for state, got in zip(states, min_eig):
+            a, c, b = (Decimal(state[0, 0].real), Decimal(state[1, 1].real),
+                       (state[0, 1] + np.conj(state[1, 0])) / 2)
+            exact = (a + c) / 2 - (((a - c) / 2) ** 2 + Decimal(b.real) ** 2
+                                   + Decimal(b.imag) ** 2).sqrt()
+            norm = np.sqrt(float(a * a + c * c) + 2 * abs(b) ** 2)
+            assert abs(got - float(exact)) <= 1e-15 * norm
 
 
 def test_trace_defect_bound_is_state_tol():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jcsim import cli
+from jcsim import cli, solver
 from jcsim.acceptance import DT, _SharedRuns
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
 from jcsim.blocks import coupled_blocks, width_groups
@@ -44,6 +44,7 @@ from jcsim.solver import (
     KernelMultiplicityError,
     StepSizeError,
     TimeSeries,
+    _clusters,
     _format_clusters,
     _tie_ranks,
     damping_basis,
@@ -454,28 +455,82 @@ def test_steady_state_counts_isolated_indices_in_the_kernel():
         steady_state(_superoperator(np.zeros((4, 4))))
 
 
-def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
-    liouvillian = phenomenological_generator(PARAMS, build_space(16), 0.04, occupation(OMEGA0, 0.22))
-    solved = []
-    for name in ("eig", "eigvals", "solve"):
+def _record_linalg(monkeypatch, names=("eig", "eigvals", "solve", "inv")) -> list:
+    # every call of the named np.linalg functions, as (name, copy of the first argument)
+    calls = []
+    for name in names:
         original = getattr(np.linalg, name)
 
         def recording(matrix, *args, _name=name, _original=original):
-            solved.append((_name, matrix.copy()))
+            calls.append((_name, np.array(matrix, copy=True)))
             return _original(matrix, *args)
 
         monkeypatch.setattr(np.linalg, name, recording)
+    return calls
+
+
+def test_steady_state_never_diagonalizes_more_than_one_block(monkeypatch):
+    # it now diagonalizes none: the kernel block is counted and solved by one inverse
+    liouvillian = phenomenological_generator(PARAMS, build_space(16), 0.04, occupation(OMEGA0, 0.22))
+    calls = _record_linalg(monkeypatch)
     steady_state(liouvillian)
-    # one eigvals and one solve, on the block of |0,g><0,g|; at nmax 16 it is 1 + 4 * 16 + 1 wide
+    assert [name for name, _ in calls if name != "inv"] == []
+    # one inverse of a single matrix: the block of |0,g><0,g|, 1 + 4 * 16 + 1 wide, with its
+    # first population row, |0,g><0,g|'s, replaced by the trace row; the coherence blocks'
+    # inverse bounds come from stacks
     kernel_block = next(b for b in _blocks(liouvillian) if b[0] == 0)
-    assert [name for name, _ in solved] == ["eigvals", "solve"]
     assert kernel_block.size == 66
     sub = liouvillian.matrix[np.ix_(kernel_block, kernel_block)]
-    assert np.array_equal(solved[0][1], sub[None])
-    # the solved system is that block with its first population row, |0,g><0,g|'s, replaced
-    # by the trace row
-    assert np.array_equal(solved[1][1][1:], sub[1:])
-    assert np.array_equal(solved[1][1][0], kernel_block % (liouvillian.dim + 1) == 0)
+    (system,) = [matrix for name, matrix in calls if matrix.ndim == 2]
+    trace_row = kernel_block % (liouvillian.dim + 1) == 0
+    assert np.array_equal(system[1:], sub[1:]) and np.array_equal(system[0], trace_row)
+    # its inverse holds that of the deflated block B' = B[~r, ~r] - B[~r, r] t[~r], r = 0
+    deflated = sub[1:, 1:] - np.outer(sub[1:, 0], trace_row[1:])
+    inverse = np.linalg.inv(system)[1:, 1:]
+    assert np.abs(inverse - np.linalg.inv(deflated)).max() <= 1e-12 * np.abs(inverse).max()
+
+
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed", "u1-breaking"])
+def test_trace_preserving_steady_states_make_no_eigen_or_lu_solve(model, monkeypatch):
+    liouvillian = (_u1_breaking_generator(6) if model == "u1-breaking"
+                   else _thermal_generators(8, 0.22)[model])
+    expected = _dense_steady_reference(liouvillian).matrix
+    calls = _record_linalg(monkeypatch)
+    got = steady_state(liouvillian).matrix
+    assert {name for name, _ in calls} == {"inv"}
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+def _two_level_superoperator(populations: list) -> Superoperator:
+    # d = 2: the populations |0><0|, |1><1| at vec positions 0 and 3 couple through
+    # ``populations``; the coherences decay at rate 1
+    matrix = np.diag([0.0, -1.0, -1.0, 0.0]).astype(complex)
+    matrix[np.ix_([0, 3], [0, 3])] = populations
+    return _superoperator(matrix)
+
+
+def test_steady_state_refuses_a_populated_block_with_a_second_small_eigenvalue(monkeypatch):
+    # trace-preserving rates 5e-12 each way: the eigenvalues are 0 and -1e-11, so the
+    # deflated block's inverse bound 1e-11 does not clear KERNEL_TOL and eigvals counts two
+    liouvillian = _two_level_superoperator([[-5e-12, 5e-12], [5e-12, -5e-12]])
+    calls = _record_linalg(monkeypatch, ("eigvals",))
+    with pytest.raises(KernelMultiplicityError, match=r"^kernel dimension 2 at tolerance 1\.0e-10"):
+        steady_state(liouvillian)
+    assert np.array_equal(calls[0][1], liouvillian.matrix[np.ix_([0, 3], [0, 3])][None])
+
+
+def test_steady_state_counts_a_block_that_breaks_the_trace_with_eigvals(monkeypatch):
+    # column sums 1 and -2: tB != 0, so the deflation certifies nothing; eigvals counts the
+    # eigenvalues 0 and -5, and the LU solve finds the kernel (2, 1) / 3
+    liouvillian = _two_level_superoperator([[-1.0, 2.0], [2.0, -4.0]])
+    calls = _record_linalg(monkeypatch, ("eigvals", "solve", "inv"))
+    rho = steady_state(liouvillian)
+    calls = [(name, matrix) for name, matrix in calls if matrix.size]  # skip empty stacks
+    assert [name for name, _ in calls] == ["inv", "eigvals", "solve"]
+    assert calls[0][1].shape == (2, 1, 1)  # the coherences' inverse bounds, 1x1 blocks
+    assert np.array_equal(calls[1][1], liouvillian.matrix[np.ix_([0, 3], [0, 3])][None])
+    assert np.array_equal(calls[2][1], [[1.0, 1.0], [2.0, -4.0]])
+    assert np.abs(rho.matrix - np.diag([2.0, 1.0]) / 3.0).max() <= 1e-15
 
 
 def _anti_hermitian_shift(n_max: int, strength: float) -> Superoperator:
@@ -507,12 +562,12 @@ def test_steady_state_counts_the_blocks_its_inverse_bound_does_not_clear(corner,
     matrix[0, 3], matrix[3, 3] = 0.5, -0.5
     matrix[1, 1] = matrix[2, 2] = -1e-5
     matrix[1, 2] = corner
-    stacks, original = [], np.linalg.eigvals
-    monkeypatch.setattr(np.linalg, "eigvals", lambda stack: stacks.append(len(stack)) or original(stack))
+    calls = _record_linalg(monkeypatch, ("eigvals",))
     rho = steady_state(_superoperator(matrix))
-    # the population block always reaches eigvals; a counted coherence block holds no zero
-    # eigenvalue, so the state is |0><0| either way
-    assert stacks == [counted]
+    # `counted` blocks enter the count: the population block always, through its inverse, and
+    # the coherence block too where its bound does not clear; that one reaches eigvals, holds
+    # no zero eigenvalue, and the state is |0><0| either way
+    assert [len(stack) for _, stack in calls] == [1] * (counted - 1)
     assert np.array_equal(rho.matrix, np.diag([1.0, 0.0]).astype(complex))
 
 
@@ -922,6 +977,34 @@ def test_pairing_failure_names_its_block_and_only_its_clusters(model):
     assert clusters
     for value, members in clusters:
         assert np.count_nonzero(np.abs(block_vals - complex(value)) < 1e-5) >= int(members)
+
+
+def _svd_every_block(blocks: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    # _span_repeated_eigenvalues without its screen: an SVD of every block's eigenvectors
+    singular = np.linalg.svd(vecs, compute_uv=False)[:, -1] * RESIDUAL_TOL < np.finfo(float).eps
+    for k in np.flatnonzero(singular):
+        null_tol = RESIDUAL_TOL * max(1.0, float(np.abs(vals[k]).max()))
+        for members in _clusters(vals[k]):
+            lam = vals[k, members].mean()
+            _, sing, vh = np.linalg.svd(blocks[k] - lam * np.eye(vals.shape[1]))
+            if np.count_nonzero(sing <= null_tol) == members.size:
+                vals[k, members] = lam
+                vecs[k][:, members] = vh[-members.size:].conj().T
+
+
+@pytest.mark.parametrize("case", ["lossless-phen", "phen-8-0.22", "micro-8-0.0",
+                                  "dressed-10-0.22", "u1-breaking", "zero"])
+def test_repeated_eigenvalue_screen_keeps_the_damping_basis_bit_identical(case, monkeypatch):
+    # lossless phen has two blocks whose repeated eigenvalues eig returns near-parallel
+    # vectors for; the screen must still send them to the SVD
+    liouvillian = _reference_case(case)
+    screened = damping_basis(liouvillian)
+    monkeypatch.setattr(solver, "_span_repeated_eigenvalues", _svd_every_block)
+    reference = damping_basis(liouvillian)
+    assert screened.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+    assert len(screened.groups) == len(reference.groups)
+    for got, expected in zip(screened.groups, reference.groups):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
 
 def test_defective_liouvillian_raises_with_cluster():
