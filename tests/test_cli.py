@@ -1,5 +1,4 @@
 import os
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
