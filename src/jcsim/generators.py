@@ -202,6 +202,11 @@ def _closest_coupled_pair(eigensystem: Eigensystem,
     )
 
 
+def default_freq_tol(omega0: float) -> float:
+    """The ``freq_tol`` of a channel build that is given none: 1e-9 omega0."""
+    return 1e-9 * omega0
+
+
 def microscopic_channels(
     params: JCParams,
     space: StateSpace,
@@ -212,7 +217,7 @@ def microscopic_channels(
     if space.n_max < 2:
         raise ValueError("microscopic generator needs n_max >= 2")
     if freq_tol is None:
-        freq_tol = 1e-9 * params.omega0
+        freq_tol = default_freq_tol(params.omega0)
     a, a_dag = ladder_operators(space)
     eigensystem = complete_eigensystem(params, space)
     pieces = eigenoperators(a + a_dag, eigensystem, freq_tol)
@@ -369,7 +374,7 @@ def dressed_channels(
     rate gamma0(nbar+1), then those of a† at the photon-gain rate gamma0*nbar.
     """
     if freq_tol is None:
-        freq_tol = 1e-9 * params.omega0
+        freq_tol = default_freq_tol(params.omega0)
     eigensystem = complete_eigensystem(params, space)
     return [(omega, op, g) for jump, g in _ladder_jumps(space, gamma0, nbar)
             for omega, op in eigenoperators(jump, eigensystem, freq_tol)]

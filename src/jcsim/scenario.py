@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
-from .generators import (SparseOperator, Superoperator, _lindblad, _photon_loss, dressed_channels,
-                         microscopic_channels, restricted_lindblad)
+from .generators import (SparseOperator, Superoperator, _lindblad, _photon_loss, default_freq_tol,
+                         dressed_channels, microscopic_channels, restricted_lindblad)
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
@@ -105,7 +105,7 @@ class Scenario:
             )
         top = self.n_max + 1.0  # Python floats overflow to inf without a warning
         largest = 2.0 * (float(self.omega0) * top + float(self.rabi) * top**0.5)
-        freq_tol = 1e-9 * self.omega0 if self.freq_tol is None else self.freq_tol
+        freq_tol = default_freq_tol(self.omega0) if self.freq_tol is None else self.freq_tol
         if not math.ulp(largest) < freq_tol:  # ulp(inf) is inf
             raise ConfigError(f"the largest Bohr frequency 2*(omega0*(nmax+1) + rabi*sqrt(nmax+1))"
                               f" = {largest:.6g} is not resolved to freq_tol = {freq_tol:.3g} (one "

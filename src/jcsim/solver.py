@@ -364,76 +364,70 @@ def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:
     return float(freqs[np.argmax(np.where(excited, weights, -1.0))])
 
 
-def _trace_row_system(index: np.ndarray, sub: np.ndarray, dim: int) -> tuple[np.ndarray, int]:
-    """Block ``sub`` with its trace row t in place of its first population row r; and r."""
-    system, trace_row = sub.copy(), index % (dim + 1) == 0  # positions i + d*i
-    replaced = int(np.argmax(trace_row))  # with no population, a zero row makes it singular
-    system[replaced] = trace_row
-    return system, replaced
+def _trace_row_element(index: np.ndarray, sub: np.ndarray, dim: int) -> tuple[np.ndarray, bool]:
+    """Column r of S^-1, and whether S^-1 certifies that block B holds one zero eigenvalue.
 
-
-def _deflated_kernel(index: np.ndarray, sub: np.ndarray, dim: int) -> np.ndarray | None:
-    """Unit-trace kernel element of a populated block whose one zero eigenvalue is certified.
-
-    Let S be the block B with its trace row t in place of row r
-    (:func:`_trace_row_system`) and G the identity with the same row
-    replaced.  Then G B G^-1 holds tB G^-1 in row r and B' = B[~r, ~r] -
-    B[~r, r] t[~r] in the others, and S G^-1 = [[1, 0], [B[~r, r], B']].
-    Where max|tB| <= :data:`KERNEL_TOL`, B has the eigenvalues of B' plus
-    one zero, and one inverse of S settles both questions: S^-1[~r, ~r] is
-    B'^-1, so 1/||S^-1[~r, ~r]||_F > KERNEL_TOL bounds every eigenvalue of
-    B' away from zero, and column r of S^-1, x[~r] = -B'^-1 B[~r, r] with
-    x[r] = 1 - t[~r] x[~r], is the kernel element, the same numbers an LU
-    solve of S x = e_r returns.  Returns None when a test fails.
+    S is the block B (``sub``, at vec positions ``index``) with its trace
+    row t, positions i + d*i, in place of its first population row r.  If
+    B's kernel element has unit trace and that row is redundant, column r
+    of S^-1 is that element; where S is exactly singular, as for a block
+    with no population (its row r is zero), the column is nan.  With G the
+    identity with row r replaced by t, G B G^-1 holds tB G^-1 in row r and
+    B' = B[~r, ~r] - B[~r, r] t[~r] in the others, and S G^-1 = [[1, 0],
+    [B[~r, r], B']].  Where max|tB| <= :data:`KERNEL_TOL`, B has the
+    eigenvalues of B' plus one zero, and S^-1[~r, ~r] = B'^-1, so
+    1/||S^-1[~r, ~r]||_F > KERNEL_TOL bounds every eigenvalue of B' away
+    from zero: B then holds exactly one zero eigenvalue.
     """
-    system, r = _trace_row_system(index, sub, dim)
-    if not np.abs(system[r] @ sub).max() <= KERNEL_TOL:  # a nan column sum fails
-        return None
+    system, trace_row = sub.copy(), index % (dim + 1) == 0
+    r = int(np.argmax(trace_row))
+    system[r] = trace_row
     try:
         inverse = np.linalg.inv(system)
     except np.linalg.LinAlgError:
-        return None
+        return np.full(index.size, np.nan, dtype=complex), False
     rest = np.arange(index.size) != r
-    if not np.linalg.norm(inverse[np.ix_(rest, rest)]) * KERNEL_TOL < 1.0:  # nan fails
-        return None
-    return inverse[:, r]
+    certified = (np.abs(trace_row @ sub).max() <= KERNEL_TOL  # a nan column sum fails
+                 and np.linalg.norm(inverse[np.ix_(rest, rest)]) * KERNEL_TOL < 1.0)  # nan fails
+    return inverse[:, r], bool(certified)
 
 
 def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     """Unique stationary density matrix of an ergodic generator.
 
-    A block B that holds a population and meets max|tB| <=
-    :data:`KERNEL_TOL` for its trace row t is deflated
-    (:func:`_deflated_kernel`): one inverse certifies that B holds exactly
-    one zero eigenvalue and gives its kernel element.  The deflation
-    certifies the count only where max|tB| <= KERNEL_TOL.  ``eigvals``
-    counts |lambda| < KERNEL_TOL (or nan) on the populated blocks it does
-    not clear and on the other blocks whose bound 1/||B^-1||_F <=
-    sigma_min(B) <= |lambda| does not clear KERNEL_TOL (an exactly singular
-    block is counted).  The bounds are taken per block width, in stacks
-    under 64 kB (or one block), so the heap does not grow by a whole
-    width's inverse.  Any count but one raises
-    :class:`KernelMultiplicityError`.  If ``eigvals`` counted the kernel,
-    one LU solve of its block with the trace row in place of its first
-    population row gives the element.  The element must meet max|B x| <=
-    KERNEL_TOL max|x|: this guards the LU solve, which fails it when that
-    row is not redundant (a traceless kernel, say), but it does not prove
-    that the generator preserves the trace.  The element is then
-    hermitized and normalized to unit trace.
+    Each block B that holds a population is inverted once with its trace
+    row in place of its first population row (:func:`_trace_row_element`).
+    Where B meets max|tB| <= :data:`KERNEL_TOL` for its trace row t, that
+    inverse certifies that B holds exactly one zero eigenvalue; the
+    certificate holds only there.  ``eigvals`` counts |lambda| <
+    KERNEL_TOL (or nan) on the populated blocks it does not certify and on
+    the other blocks whose bound 1/||B^-1||_F <= sigma_min(B) <= |lambda|
+    does not clear KERNEL_TOL (an exactly singular block is counted).  The
+    bounds are taken per block width, in stacks under 64 kB (or one
+    block), so the heap does not grow by a whole width's inverse.  Any
+    count but one raises :class:`KernelMultiplicityError`.  The kernel
+    element is column r of the kernel block's inverse, nan for a block
+    with no population.  It must meet max|B x| <= KERNEL_TOL max|x|: this
+    fails when the replaced row is not redundant (a traceless kernel,
+    say), but it does not prove that the generator preserves the trace.
+    The element is then hermitized and normalized to unit trace.
     """
     blocks = coupled_blocks(liouvillian)
-    d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count, element or None)
+    d, counted = liouvillian.dim, []  # (positions, sub-matrix, kernel count, element) per block
     populated = np.bincount(blocks[0][np.arange(d) * (d + 1)], minlength=blocks[2].size) > 0
     for members, index, subs in width_groups(liouvillian, blocks):
         width = index.shape[1]
         bound = np.full(members.size, -np.inf)
+        elements = np.full((members.size, width), np.nan, dtype=complex)
         for k in np.flatnonzero(populated[members]):
-            x = _deflated_kernel(index[k], subs[k], d)
-            if x is not None:
-                counted.append((index[k], subs[k], 1, x))
+            elements[k], certified = _trace_row_element(index[k], subs[k], d)
+            if certified:
+                counted.append((index[k], subs[k], 1, elements[k]))
                 bound[k] = np.inf
         screened = np.flatnonzero(~populated[members])
         for part in np.array_split(screened, screened.size * width * width // 4096 + 1):
+            if not part.size:
+                continue
             try:  # |lambda| >= sigma_min(B) = 1/||B^-1||_2 >= 1/||B^-1||_F
                 parts = np.linalg.inv(subs[part]).view(float)  # real and imaginary parts
                 bound[part] = np.einsum("bij,bij->b", parts, parts) ** -0.5
@@ -443,7 +437,7 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
         if count.size:
             stack = subs[count]
             zero = ~(np.abs(np.linalg.eigvals(stack)) >= KERNEL_TOL)
-            counted += zip(index[count], stack, np.count_nonzero(zero, axis=1), [None] * count.size)
+            counted += zip(index[count], stack, np.count_nonzero(zero, axis=1), elements[count])
     if sum(n for _, _, n, _ in counted) != 1:
         vals = np.concatenate([np.linalg.eigvals(group[2]).ravel()
                                for group in width_groups(liouvillian, blocks)])
@@ -452,12 +446,6 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
             f"{KERNEL_TOL:.1e}; smallest |eigenvalues|: {np.sort(np.abs(vals))[:4]}"
         )
     index, sub, x = next((index, sub, x) for index, sub, n, x in counted if n == 1)
-    if x is None:
-        system, replaced = _trace_row_system(index, sub, d)
-        try:
-            x = np.linalg.solve(system, np.eye(index.size)[replaced])
-        except np.linalg.LinAlgError:
-            x = np.full(index.size, np.nan)
     kernel = np.zeros(liouvillian.size, dtype=complex)
     kernel[index] = x
     rho, residual = unvec(kernel, d), np.abs(sub @ x).max()

@@ -535,6 +535,14 @@ def test_zero_frequency_channel_merged_by_freq_tol_names_freq_tol():
     assert "and (2, -1) at energy 0.92017" in message
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the channel means overflow on the way
+def test_non_finite_channel_frequency_is_refused():
+    # at rabi 5e307 the Bohr frequencies are finite, but a channel's mean frequency overflows;
+    # configs refuse this energy scale before any build, so only a library call gets here
+    with pytest.raises(ValueError, match=r"^channel frequency -inf is not finite$"):
+        microscopic_channels(JCParams(1.0, 5e307), build_space(2), COLD_BATH)
+
+
 def _reached(channels, h, rho0):
     # the states a run of these channels from rho0 reaches, as the CLI hands them over
     return reachable_states(h, [(op, g) for _, op, g in channels], rho0)
