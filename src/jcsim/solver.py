@@ -399,13 +399,14 @@ def steady_state(liouvillian: Superoperator) -> DensityMatrix:
     row in place of its first population row (:func:`_trace_row_element`).
     Where B meets max|tB| <= :data:`KERNEL_TOL` for its trace row t, that
     inverse certifies that B holds exactly one zero eigenvalue; the
-    certificate holds only there.  ``eigvals`` counts |lambda| <
-    KERNEL_TOL (or nan) on the populated blocks it does not certify and on
-    the other blocks whose bound 1/||B^-1||_F <= sigma_min(B) <= |lambda|
-    does not clear KERNEL_TOL (an exactly singular block is counted).  The
-    bounds are taken per block width, in stacks under 64 kB (or one
-    block), so the heap does not grow by a whole width's inverse.  Any
-    count but one raises :class:`KernelMultiplicityError`.  The kernel
+    deflation certifies the count only where max|tB| <= KERNEL_TOL.
+    ``eigvals`` counts |lambda| < KERNEL_TOL (or nan) on the populated
+    blocks it does not certify and on the other blocks whose bound
+    1/||B^-1||_F <= sigma_min(B) <= |lambda| does not clear KERNEL_TOL (an
+    exactly singular block is counted).  The bounds are taken per block
+    width, in stacks under 64 kB (or one block), so the heap does not grow
+    by a whole width's inverse.  Any count but one raises
+    :class:`KernelMultiplicityError`.  The kernel
     element is column r of the kernel block's inverse, nan for a block
     with no population.  It must meet max|B x| <= KERNEL_TOL max|x|: this
     fails when the replaced row is not redundant (a traceless kernel,
