@@ -288,7 +288,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{key} = {_fmt(value)}")
         elif args.command == "steady":
             rho = run_steady(scenario, args.out)
-            _print_edge_population(_edge_population(scenario, rho.matrix, np.arange(rho.dim)))
+            _print_edge_population(_edge_population(scenario, np.diagonal(rho.matrix),
+                                                     np.arange(rho.dim)))
         elif args.command == "spectrum":
             run_spectrum(scenario, args.out)
         return 0

@@ -9,7 +9,8 @@ superoperator built on top of this module is bit-reproducible.
 The builders below return plain dense complex ``numpy`` arrays of shape
 ``(dim, dim)``, filled from index arrays in that ordering.  The jump
 operators the generators build from them hold only their nonzero
-entries (``generators.SparseOperator``).
+entries (``generators.SparseOperator``), and a trajectory holds its
+states as the entries its blocks populate (:func:`entry_diagnostics`).
 """
 
 from __future__ import annotations
@@ -145,6 +146,53 @@ def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return trace_defect, herm_defect, _min_eigenvalue(work)
 
 
+def entry_diagonal(entries: np.ndarray, positions: np.ndarray, dim: int) -> np.ndarray:
+    """The diagonals (..., d) of states held as ``entries`` (..., nnz) at vec ``positions``.
+
+    Entry e of a state sits at row ``positions[e] % dim`` and column
+    ``positions[e] // dim`` (vec is column-major); every other entry is
+    zero.  The result is contiguous and in index order.
+    """
+    diag = np.zeros(entries.shape[:-1] + (dim,), dtype=complex)
+    on = positions % (dim + 1) == 0
+    diag[..., positions[on] // (dim + 1)] = entries[..., on]
+    return diag
+
+
+def entry_diagnostics(entries: np.ndarray, positions: np.ndarray,
+                      dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`density_diagnostics` of states held as entries at vec positions.
+
+    The states are read as in :func:`entry_diagonal`, and each result has
+    shape (...).  The trace and hermiticity defects are those of the dense
+    states bit for bit: the trace sums the contiguous diagonal in index
+    order, and the entry at i + d*j meets its mirror j + d*i, or zero where
+    no entry sits there.  The minimum eigenvalue is that of the hermitian
+    part, taken block by block (:func:`_entry_min_eigenvalue`).
+    """
+    excess = entry_diagonal(entries, positions, dim).sum(axis=-1) - 1.0
+    trace_defect = np.hypot(excess.real, excess.imag)
+    slot = np.full(dim * dim, -1)  # the column that holds each vec position; -1 reads zero
+    slot[positions] = np.arange(positions.size)
+    mirror = slot[positions // dim + dim * (positions % dim)]
+    # One buffer holds the adjoint minus the states, then the hermitian part.
+    work = _adjoint(entries, mirror)
+    work -= entries
+    herm_defect = np.abs(work).max(axis=-1, initial=0.0)
+    _adjoint(entries, mirror, out=work)
+    work += entries
+    work /= 2.0
+    return trace_defect, herm_defect, _entry_min_eigenvalue(work, positions, dim, slot)
+
+
+def _adjoint(entries: np.ndarray, mirror: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The adjoint's entries: each mirror entry conjugated, zero where ``mirror`` is -1."""
+    out = np.take(entries, mirror, axis=-1, mode="clip", out=out)  # "clip" needs no buffer
+    np.conjugate(out, out=out)
+    out[..., mirror < 0] = 0.0
+    return out
+
+
 def _min_eigenvalue(herm: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each hermitian matrix of the stack ``herm`` (..., d, d).
 
@@ -152,11 +200,10 @@ def _min_eigenvalue(herm: np.ndarray) -> np.ndarray:
     every matrix is block diagonal on them, so its spectrum is the union of
     its blocks' spectra.  Where no block is wider than 2, as for every state
     of a generator that conserves the excitation number started in one
-    manifold, a 1x1 block's eigenvalue is its entry and a 2x2 block's
-    smaller one is (a + c)/2 - hypot((a - c)/2, |b|).  A wider block sends
-    the stack to one ``eigvalsh``: per matrix, LAPACK's call overhead
-    dominates at these widths, so a stacked ``eigvalsh`` per block width
-    costs about as much as one of the whole stack.
+    manifold, the closed forms of :func:`_small_block_minimum` give it.  A
+    wider block sends the stack to one ``eigvalsh``: per matrix, LAPACK's
+    call overhead dominates at these widths, so a stacked ``eigvalsh`` per
+    block width costs about as much as one of the whole stack.
     """
     d = herm.shape[-1]
     rows, cols = np.nonzero((herm != 0).any(axis=tuple(range(herm.ndim - 2))))
@@ -164,14 +211,48 @@ def _min_eigenvalue(herm: np.ndarray) -> np.ndarray:
     widths = np.diff(starts, append=d)
     if widths.max() > 2:
         return np.linalg.eigvalsh(herm)[..., 0].copy()  # a view would keep every eigenvalue
-    min_eig = np.full(herm.shape[:-2], np.inf)
-    i = order[starts[widths == 1]]
-    np.minimum(min_eig, herm[..., i, i].real.min(axis=-1, initial=np.inf), out=min_eig)
-    i, j = order[starts[widths == 2]], order[starts[widths == 2] + 1]
-    a, c = herm[..., i, i].real, herm[..., j, j].real
-    low = (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(herm[..., i, j]))
-    np.minimum(min_eig, low.min(axis=-1, initial=np.inf), out=min_eig)
+    return _small_block_minimum(lambda i, j: herm[..., i, j], order, starts, widths)
+
+
+def _entry_min_eigenvalue(herm: np.ndarray, positions: np.ndarray, dim: int,
+                          slot: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each d x d hermitian matrix held as entries (..., nnz).
+
+    Column e holds vec position ``positions[e]``, and ``slot`` maps each
+    vec position to its column, -1 for a zero entry.  The blocks are those
+    of the union nonzero pattern, as in :func:`_min_eigenvalue`; 1x1 and
+    2x2 blocks take the closed forms, and each wider block one ``eigvalsh``
+    of the sub-matrices built from its own entries.
+    """
+    def at(i, j):  # where no entry sits, the conjugate of the mirror entry, or zero
+        column, mirror = slot[i + dim * j], slot[j + dim * i]
+        adjoint = np.where(mirror >= 0, np.conjugate(herm[..., mirror]), 0.0)
+        return np.where(column >= 0, herm[..., column], adjoint)
+
+    live = positions[(herm != 0).any(axis=tuple(range(herm.ndim - 1)))]
+    _, order, starts = connected_components(live % dim, live // dim, dim)
+    widths = np.diff(starts, append=dim)
+    min_eig = _small_block_minimum(at, order, starts, widths)
+    for start, width in zip(starts[widths > 2], widths[widths > 2]):
+        block = order[start:start + width]
+        np.minimum(min_eig, np.linalg.eigvalsh(at(block[:, None], block))[..., 0], out=min_eig)
     return min_eig
+
+
+def _small_block_minimum(at, order: np.ndarray, starts: np.ndarray,
+                         widths: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue over the 1x1 and 2x2 blocks; inf where there are none.
+
+    ``at(i, j)`` reads the hermitian entries (..., k) at rows i and columns
+    j.  A 1x1 block's eigenvalue is its entry and a 2x2 block's smaller one
+    is (a + c)/2 - hypot((a - c)/2, |b|).
+    """
+    i = order[starts[widths == 1]]
+    min_eig = at(i, i).real.min(axis=-1, initial=np.inf)
+    i, j = order[starts[widths == 2]], order[starts[widths == 2] + 1]
+    a, c = at(i, i).real, at(j, j).real
+    low = (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(at(i, j)))
+    return np.minimum(min_eig, low.min(axis=-1, initial=np.inf))
 
 
 def defect_message(trace_defect, herm_defect, min_eig) -> str | None:

@@ -43,11 +43,12 @@ OBSERVABLE_NAMES = (*_BARE_LABELS, *_ATOM_LEVELS, "photon_number", "excitation_n
 
 def evaluate(name: str, series: TimeSeries, space: StateSpace,
              basis: np.ndarray | None = None) -> np.ndarray:
-    """One named observable of a validated series of states (n, m, m); returns shape (n,).
+    """One named observable of a validated series of n states on m basis states; shape (n,).
 
-    Row k of the states is basis state ``basis[k]`` of ``space`` (by
+    Index k of the states is basis state ``basis[k]`` of ``space`` (by
     default all of them in order); the others hold nothing and are left
-    out of every sum, and add only zero eigenvalues.  Diagnostics read
+    out of every sum, and add only zero eigenvalues.  Every observable
+    but the diagnostics reads only the states' diagonals.  Diagnostics read
     the defects that :meth:`TimeSeries.validate_states` measured.
     """
     basis = np.arange(space.dim) if basis is None else np.asarray(basis)
@@ -55,7 +56,7 @@ def evaluate(name: str, series: TimeSeries, space: StateSpace,
         if name == "min_eigenvalue" and basis.size < space.dim:
             return np.minimum(series.min_eigenvalue, 0.0)
         return getattr(series, name)
-    diag = np.diagonal(series.states, axis1=-2, axis2=-1)
+    diag = series.diagonal()
     if name in _BARE_LABELS:
         held = np.flatnonzero(basis == space.index(*_BARE_LABELS[name]))
         return _real(diag[..., held[0]]) if held.size else np.zeros(diag.shape[:-1])
@@ -70,7 +71,8 @@ def evaluate(name: str, series: TimeSeries, space: StateSpace,
         op = excitation_number(space)
     else:
         raise ValueError(f"unknown observable {name!r}")
-    return _real(np.trace(op[np.ix_(basis, basis)] @ series.states, axis1=-2, axis2=-1))
+    # a diagonal operator's trace against a state weighs its populations by the op's diagonal
+    return _real((np.diagonal(op)[basis] * diag).sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ class Trajectory(NamedTuple):
     liouvillian: Superoperator  # the generator on S
     rho0: DensityMatrix  # the initial state on S
     basis: DampingBasis | None  # None on the ode route, which never diagonalizes
-    series: TimeSeries  # the validated states on S, with their defects
+    series: TimeSeries  # the validated states' entries on S, with their defects
     observables: dict[str, np.ndarray]  # on the time grid
     edge: float  # the top Fock level's largest population along the grid
     reached: np.ndarray  # S
@@ -221,15 +221,15 @@ def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajecto
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
     observables = scenario.observables.evaluate(series, scenario.space(), reached)
-    edge = _edge_population(scenario, series.states, reached)
+    edge = _edge_population(scenario, series.diagonal(), reached)
     return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached)
 
 
-def _edge_population(scenario: Scenario, states: np.ndarray, basis: np.ndarray) -> float:
-    """Largest top Fock level population of states (..., n, n) held on ``basis``; 0 off it."""
+def _edge_population(scenario: Scenario, diagonal: np.ndarray, basis: np.ndarray) -> float:
+    """Largest top Fock level population of state diagonals (..., n) held on ``basis``; 0 off it."""
     space = scenario.space()
     top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
-    return float(np.diagonal(states, axis1=-2, axis2=-1)[..., top].real.sum(axis=-1).max())
+    return float(diagonal[..., top].real.sum(axis=-1).max())
 
 
 _BATH_KEYS = {

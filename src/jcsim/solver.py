@@ -9,7 +9,9 @@ delta_kj.  Any initial state then evolves in closed form,
 
     rho(t) = sum_k  Tr{rho_check_k rho(0)}  exp(lambda_k t)  rho_k,
 
-where only the modes of the blocks rho(0) touches have weight.  The left
+where only the modes of the blocks rho(0) touches have weight.  Both
+trajectory routes hold each sample as the entries of those blocks alone
+(:class:`TimeSeries`), never as a dense matrix, and validate it there.  The left
 family of a block is the inverse of its right eigenvector matrix, the
 dual basis whenever the block is diagonalizable.  A repeated eigenvalue
 whose eigenvectors come back near-parallel gets its eigenspace from an
@@ -37,7 +39,7 @@ import numpy as np
 
 from .blocks import coupled_blocks, width_groups
 from .generators import Superoperator, unvec, vec
-from .hilbert import STATE_TOL, DensityMatrix, defect_message, density_diagnostics
+from .hilbert import STATE_TOL, DensityMatrix, defect_message, entry_diagnostics, entry_diagonal
 
 RESIDUAL_TOL = 1e-10  # eigenpair residual bound of a damping basis, relative to max(1, max|lambda|)
 KERNEL_TOL = 1e-10  # |lambda| below which a Liouvillian eigenvalue counts as zero
@@ -78,17 +80,30 @@ class DampingBasis:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Sampled trajectory: time grid, density matrices and, once validated, their defects."""
+    """Sampled trajectory held as the entries its touched blocks populate.
+
+    Sample k is the dim x dim density matrix with ``states[k, e]`` at the
+    vec position ``positions[e]`` (row ``positions[e] % dim``, column
+    ``positions[e] // dim``) and zeros elsewhere; once validated, the
+    series also holds each sample's defects.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (n_times, dim, dim)
+    states: np.ndarray  # (n_times, nnz)
+    positions: np.ndarray  # (nnz,)
+    dim: int
     trace_defect: np.ndarray | None = None  # (n_times,) each, None until validated
     herm_defect: np.ndarray | None = None
     min_eigenvalue: np.ndarray | None = None
 
+    def diagonal(self) -> np.ndarray:
+        """The populations (n_times, dim) in index order; see :func:`entry_diagonal`."""
+        return entry_diagonal(self.states, self.positions, self.dim)
+
     def validate_states(self) -> "TimeSeries":
         """Check each state against the density-matrix invariants at STATE_TOL; keep the defects."""
-        trace_defect, herm_defect, min_eig = density_diagnostics(self.states)
+        trace_defect, herm_defect, min_eig = entry_diagnostics(self.states, self.positions,
+                                                               self.dim)
         ok = (herm_defect <= STATE_TOL) & (trace_defect <= STATE_TOL) & (min_eig >= -STATE_TOL)
         bad = np.flatnonzero(~ok)  # a nan defect fails
         if bad.size:
@@ -144,6 +159,8 @@ def _span_repeated_eigenvalues(blocks: np.ndarray, vals: np.ndarray, vecs: np.nd
     near &= np.abs(vals.imag[:, :, None] - vals.imag[:, None, :]) <= chain
     paired = np.flatnonzero((np.count_nonzero(near, axis=(1, 2)) > vals.shape[1])
                             | ~np.isfinite(vals).all(axis=1))
+    if not paired.size:
+        return
     eps = np.finfo(float).eps
     singular = np.linalg.svd(vecs[paired], compute_uv=False)[:, -1] * RESIDUAL_TOL < eps
     for k in paired[singular]:
@@ -242,21 +259,24 @@ def _touched_blocks(basis: DampingBasis, v: np.ndarray):
 
 
 def evolve_spectral(basis: DampingBasis, rho0: DensityMatrix, times: np.ndarray) -> TimeSeries:
-    """Closed-form trajectory from the modes of the blocks rho0 touches, validated."""
+    """Closed-form trajectory on the entries of the blocks rho0 touches, validated."""
     times = np.asarray(times, dtype=float)
-    dim = rho0.dim
     v = vec(rho0.matrix)
     recon = np.zeros_like(v)
-    flat = np.zeros((times.size, v.size), dtype=complex)
-    for index, modes, right, coeff in _touched_blocks(basis, v):
+    touched = list(_touched_blocks(basis, v))
+    positions = np.concatenate([index.ravel() for index, _, _, _ in touched])
+    states = np.empty((times.size, positions.size), dtype=complex)
+    start = 0
+    for index, modes, right, coeff in touched:
         recon[index] = (right @ coeff[..., None])[..., 0]
         waves = coeff[..., None] * np.exp(basis.eigenvalues[modes][..., None] * times)
-        flat[:, index] = np.moveaxis(right @ waves, -1, 0)
-    recon_err = np.abs(unvec(recon, dim) - rho0.matrix).max()
+        states[:, start:start + index.size] = np.moveaxis(right @ waves, -1, 0).reshape(
+            times.size, index.size)
+        start += index.size
+    recon_err = np.abs(unvec(recon, rho0.dim) - rho0.matrix).max()
     if not recon_err <= 1e-10:
         raise DampingBasisError(f"initial-state reconstruction error {recon_err:.3e}")
-    states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
-    return TimeSeries(times, states).validate_states()
+    return TimeSeries(times, states, positions, rho0.dim).validate_states()
 
 
 def rk4_step_limit(diagonal: np.ndarray) -> float:
@@ -304,8 +324,9 @@ def evolve_ode(
     is multiplication by P(hL), the 4th-order Taylor polynomial of
     exp(hL), so each interval applies P(hL)^n_sub - I, formed once per
     distinct interval length, as v <- v + (P^n_sub - I) v.  Both are
-    built on each decoupled block of L in which rho0 has weight; the
-    other blocks stay exactly zero.  ``dt`` must resolve the fastest
+    built on each decoupled block of L in which rho0 has weight, and the
+    series holds only those blocks' entries, in the order of
+    :func:`evolve_spectral`'s.  ``dt`` must resolve the fastest
     scale of the generator: dt <= :func:`rk4_step_limit`, the diagonal of
     L carrying every Bohr frequency and decay rate, and no interval may
     need more than 2**53 substeps.
@@ -314,7 +335,6 @@ def evolve_ode(
     if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
         raise ValueError("times must be a nonempty strictly increasing grid with t >= 0")
     check_rk4_step(dt, liouvillian.diagonal())
-    dim = liouvillian.dim
     v0 = vec(rho0.matrix)
     lengths, interval = np.unique(np.diff(times, prepend=0.0), return_inverse=True)
     with np.errstate(over="ignore"):
@@ -323,25 +343,28 @@ def evolve_ode(
         raise StepSizeError(f"dt = {dt:.3e} needs {n_sub.max():.3e} RK4 substeps on one grid "
                             f"interval, more than 2**53")
     n_sub = np.maximum(1, n_sub.astype(int))
-    flat = np.zeros((times.size, dim * dim), dtype=complex)
     blocks = coupled_blocks(liouvillian)
     touched = np.bincount(blocks[0][np.flatnonzero(v0)], minlength=blocks[2].size) > 0
-    for _, index, subs in width_groups(liouvillian, blocks, touched):
+    groups = list(width_groups(liouvillian, blocks, touched))
+    positions = np.concatenate([index.ravel() for _, index, _ in groups])
+    states = np.empty((times.size, positions.size), dtype=complex)
+    start = 0
+    for _, index, subs in groups:
         for block, sub in zip(index, subs):
             increments = [_power_increment(_rk4_step_increment(sub, span / n), n)
                           for span, n in zip(lengths, n_sub)]
             v = v0[block]
-            trajectory = np.empty((times.size, block.size), dtype=complex)
+            trajectory = states[:, start:start + block.size]
             for k, j in enumerate(interval):
                 v = v + increments[j] @ v
                 trajectory[k] = v
-            flat[:, block] = trajectory
-    states = np.transpose(flat.reshape(times.size, dim, dim), (0, 2, 1))  # vec is column-major
+            start += block.size
 
-    drift = abs(np.trace(states[-1]) - np.trace(rho0.matrix))
+    last = entry_diagonal(states[-1], positions, liouvillian.dim).sum()
+    drift = abs(last - np.trace(rho0.matrix))
     if not drift <= 1e-10:
         raise RuntimeError(f"RK4 trace drift {drift:.3e} exceeds 1e-10")
-    return TimeSeries(times, states).validate_states()
+    return TimeSeries(times, states, positions, liouvillian.dim).validate_states()
 
 
 def dominant_frequency(basis: DampingBasis, rho0: DensityMatrix) -> float:

@@ -7,6 +7,7 @@ from jcsim.generators import microscopic_channels, restricted_lindblad
 from jcsim.hilbert import DensityMatrix, build_space, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
+from stacks import dense
 
 RABI = 0.41
 GAMMA = 0.082  # gamma / (2 rabi) = 0.1
@@ -189,7 +190,7 @@ def test_micro_density_matches_sector_solver():
     series = evolve_spectral(damping_basis(liouvillian), pure_state(np.eye(3)[1]), times)
     for k, t in enumerate(times):
         oracle = u @ rabi_micro_density(t, gamma_a, gamma_b, RABI, 1.0).matrix @ u.conj().T
-        assert np.abs(series.states[k] - oracle).max() < 1e-10
+        assert np.abs(dense(series)[k] - oracle).max() < 1e-10
 
 
 def test_sector_populations_sum_to_one():

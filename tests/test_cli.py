@@ -597,18 +597,26 @@ def test_csv_writes_each_value_as_its_repr():
 
 
 def _count_trajectory_diagnostics(monkeypatch) -> list:
-    """The shapes of the state stacks each jcsim module passes to density_diagnostics."""
-    calls = []
-    diagnostics = hilbert.density_diagnostics
+    """The entry arrays each jcsim module validates as a trajectory.
 
-    def counting(states):
-        if np.ndim(states) == 3:  # a trajectory, not one DensityMatrix
-            calls.append(np.shape(states))
+    No module may pass density_diagnostics more than one state.
+    """
+    calls = []
+    entries, diagnostics = hilbert.entry_diagnostics, hilbert.density_diagnostics
+
+    def counting(states, positions, dim):
+        calls.append(np.shape(states))
+        return entries(states, positions, dim)
+
+    def single(states):
+        assert np.ndim(states) == 2, "a trajectory's states reached density_diagnostics"
         return diagnostics(states)
 
     for module in [m for name, m in sys.modules.items() if name.startswith("jcsim.")]:
+        if getattr(module, "entry_diagnostics", None) is entries:
+            monkeypatch.setattr(module, "entry_diagnostics", counting)
         if getattr(module, "density_diagnostics", None) is diagnostics:
-            monkeypatch.setattr(module, "density_diagnostics", counting)
+            monkeypatch.setattr(module, "density_diagnostics", single)
     return calls
 
 
@@ -621,13 +629,16 @@ def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert cli.main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "d.csv")]
                         + route) == 0
-        assert len(calls) == 1  # the trajectory's validation; the columns read its defects
+        # the trajectory's validation, on the 5 entries of the population block of |S| = 3;
+        # the columns read its defects
+        assert calls == [(400, 5)]
 
 
 def test_verify_runs_diagnostics_once_per_shared_run(monkeypatch):
     calls = _count_trajectory_diagnostics(monkeypatch)
     assert all(result.passed for result in run_all_criteria())
-    assert len(calls) == 6  # three battery scenarios on two routes; criterion 9 reads them
+    # three battery scenarios on two routes, each on its 5 entries; criterion 9 reads them
+    assert calls == [(2000, 5)] * 6
     runs = _SharedRuns()
     run_criterion(10, runs)  # solves the six shared runs
     calls.clear()

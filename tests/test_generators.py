@@ -25,6 +25,7 @@ from jcsim.generators import (
 from jcsim.hilbert import atomic_operators, build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
+from stacks import dense
 
 OMEGA0 = 1.0
 RABI = 0.2  # keeps every downward transition below every upward one for n_max <= 4
@@ -601,7 +602,7 @@ def test_secular_margin_follows_the_anticommutator():
     jumps = [(op, g) for _, op, g in channels]
     assert reachable_states(h, jumps, _projector(1, 1)).tolist() == [0, 1, 2]
     basis = damping_basis(_lindblad(h, jumps))
-    rho = evolve_spectral(basis, pure_state(np.eye(3)[1]), np.array([5.0])).states[0]
+    rho = dense(evolve_spectral(basis, pure_state(np.eye(3)[1]), np.array([5.0])))[0]
     assert rho[2, 2].real > 1e-3
     spacing_ratio, omega_ratio, pair = secular_margin(
         channels, _reached(channels, h, _projector(1, 1)))

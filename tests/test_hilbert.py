@@ -9,6 +9,8 @@ from jcsim.hilbert import (
     atomic_operators,
     build_space,
     density_diagnostics,
+    entry_diagnostics,
+    entry_diagonal,
     excitation_number,
     ladder_operators,
     pure_state,
@@ -173,6 +175,33 @@ def test_min_eigenvalue_by_blocks_matches_one_stacked_eigvalsh(widths, monkeypat
     assert calls == ([(200, sum(widths), sum(widths))] if max(widths) > 2 else [])
     # one sample is a stack of its own
     assert abs(density_diagnostics(states[7])[2] - reference[7, 0]) <= 1e-14 * scale[7]
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("widths", [(1, 1), (2, 1, 2, 2, 1), (3, 1), (3, 2, 1, 3, 2, 1), (4,)])
+def test_entry_diagnostics_match_the_dense_stack(widths, upper, monkeypatch):
+    # the stack held as the entries of its nonzero pattern, in a shuffled order; with upper, only
+    # those on and above the diagonal, so that no entry below it has a mirror to meet
+    states = _block_diagonal_stack(widths, 200, seed=len(widths))
+    if upper:
+        states = np.triu(states)
+    d = states.shape[-1]
+    flat = np.swapaxes(states, 1, 2).reshape(200, d * d)  # vec is column-major
+    positions = np.random.default_rng(5).permutation(np.flatnonzero(flat.any(axis=0)))
+    assert np.array_equal(entry_diagonal(flat[:, positions], positions, d),
+                          np.diagonal(states, axis1=1, axis2=2))
+    trace_defect, herm_defect, min_eig = density_diagnostics(states)
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
+    got = entry_diagnostics(flat[:, positions], positions, d)
+    assert got[0].tobytes() == trace_defect.tobytes()
+    assert got[1].tobytes() == herm_defect.tobytes()
+    herm = (states + np.conjugate(np.swapaxes(states, -2, -1))) / 2.0
+    scale = np.linalg.norm(herm, axis=(1, 2))
+    assert (np.abs(got[2] - min_eig) <= 10 * np.finfo(float).eps * scale).all()
+    # one eigvalsh per block wider than 2, of that block's entries alone
+    assert sorted(calls) == sorted((200, w, w) for w in widths if w > 2)
 
 
 def test_two_by_two_closed_form_meets_the_exact_minimum_eigenvalue():

@@ -7,12 +7,13 @@ from jcsim.generators import microscopic_generator, phenomenological_generator
 from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem
 from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate
-from jcsim.solver import TimeSeries, damping_basis, evolve_ode, evolve_spectral
+from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
+from stacks import dense, series_of
 
 
 def _series(states):
     """States shaped (n, d, d) as a validated series."""
-    return TimeSeries(np.arange(len(states), dtype=float), states).validate_states()
+    return series_of(states).validate_states()
 
 
 def _one(name, rho, space):
@@ -128,7 +129,7 @@ _POPULATION_TYPE = ("pop_0g", "pop_1g", "pop_0e", "atomic_ground", "atomic_excit
 def test_stacked_evaluate_matches_per_state_loop(name, solver):
     space, trajectories = _trajectories()
     series = trajectories[solver]
-    states = series.states
+    states = dense(series)
     got = evaluate(name, series, space)
     expected = np.array([_reference(name, rho, space) for rho in states])
     assert got.shape == (states.shape[0],)

@@ -31,11 +31,12 @@ from jcsim.hilbert import (
     DensityMatrix,
     atomic_operators,
     build_space,
+    density_diagnostics,
     ladder_operators,
     pure_state,
 )
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
-from jcsim.scenario import scenario_from_config
+from jcsim.scenario import run_trajectory, scenario_from_config
 from jcsim.solver import (
     KERNEL_TOL,
     RESIDUAL_TOL,
@@ -43,7 +44,6 @@ from jcsim.solver import (
     DampingBasisError,
     KernelMultiplicityError,
     StepSizeError,
-    TimeSeries,
     _clusters,
     _format_clusters,
     _tie_ranks,
@@ -54,6 +54,7 @@ from jcsim.solver import (
     rk4_step_limit,
     steady_state,
 )
+from stacks import dense, series_of
 from test_analytic import rabi_micro_density
 
 OMEGA0 = 1.0
@@ -195,7 +196,7 @@ def test_spectral_reproduces_initial_state():
     liouvillian = _sector_generator()
     rho0 = _sector_state_excited_atom()
     series = evolve_spectral(damping_basis(liouvillian), rho0, np.array([0.0, 1.0]))
-    assert np.abs(series.states[0] - rho0.matrix).max() < 1e-12
+    assert np.abs(dense(series)[0] - rho0.matrix).max() < 1e-12
 
 
 def test_spectral_matches_closed_form_density():
@@ -204,7 +205,7 @@ def test_spectral_matches_closed_form_density():
     series = evolve_spectral(damping_basis(liouvillian), _sector_state_excited_atom(), times)
     for k, t in enumerate(times):
         oracle = _dressed_to_sector(rabi_micro_density(t, GAMMA_A, GAMMA_B, RABI, OMEGA0).matrix)
-        assert np.abs(series.states[k] - oracle).max() < 1e-10
+        assert np.abs(dense(series)[k] - oracle).max() < 1e-10
 
 
 def test_spectral_bell_decay_has_two_modes_only():
@@ -214,7 +215,7 @@ def test_spectral_bell_decay_has_two_modes_only():
     for k, t in enumerate(times):
         decay = np.exp(-GAMMA_B * t / 2.0)
         expected = _dressed_to_sector(np.diag([1.0 - decay, 0.0, decay]).astype(complex))
-        assert np.abs(series.states[k] - expected).max() < 1e-12
+        assert np.abs(dense(series)[k] - expected).max() < 1e-12
 
 
 def test_expansion_completeness_random_states():
@@ -238,6 +239,8 @@ def test_ode_matches_spectral():
     times = np.linspace(0.0, 40.0, 80)
     spectral = evolve_spectral(damping_basis(liouvillian), rho0, times)
     ode = evolve_ode(liouvillian, rho0, times, dt=2e-3)
+    # both routes hold the entries of the blocks rho0 touches, in one order
+    assert np.array_equal(spectral.positions, ode.positions)
     assert np.abs(spectral.states - ode.states).max() < 1e-8
 
 
@@ -254,8 +257,8 @@ def test_ode_unitary_limit_keeps_populations():
     times = np.linspace(0.0, 20.0, 30)
     series = evolve_ode(liouvillian, rho0, times, dt=2e-3)
     populations = [
-        (plus.conj() @ series.states[k] @ plus).real
-        for k in range(times.size)
+        (plus.conj() @ rho @ plus).real
+        for rho in dense(series)
     ]
     assert np.abs(np.array(populations) - 1.0).max() < 1e-10
 
@@ -265,7 +268,7 @@ def test_ode_trace_conservation():
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
     series = evolve_ode(liouvillian, pure_state(_doublet_plus(space)),
                         np.linspace(0.0, 60.0, 50), dt=2e-3)
-    assert abs(np.trace(series.states[-1]) - 1.0) < 1e-10
+    assert abs(np.trace(dense(series)[-1]) - 1.0) < 1e-10
 
 
 def _rk4_loop_reference(mat: np.ndarray, rho0: np.ndarray, times: np.ndarray,
@@ -295,7 +298,7 @@ def test_ode_matches_loop_reference_on_battery_scenarios(key):
     scenario = _SharedRuns().scenario(key)
     liouvillian, rho0 = scenario.generator(), scenario.initial_state()
     times = scenario.time_grid()[:80]
-    got = evolve_ode(liouvillian, rho0, times, DT).states
+    got = dense(evolve_ode(liouvillian, rho0, times, DT))
     reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, DT)
     assert np.abs(got - reference).max() <= 1e-12
 
@@ -305,7 +308,7 @@ def test_ode_matches_loop_reference_from_a_later_first_time():
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.1)
     rho0 = pure_state(space.basis_state(1, "e"))
     times = np.linspace(0.7, 9.0, 37)  # the first interval runs from t = 0 to 0.7
-    got = evolve_ode(liouvillian, rho0, times, 2e-3).states
+    got = dense(evolve_ode(liouvillian, rho0, times, 2e-3))
     reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, 2e-3)
     assert np.abs(got - reference).max() <= 1e-12
 
@@ -320,7 +323,7 @@ def test_ode_matches_loop_reference_on_merged_blocks():
     assert len(blocks) == 2 and all(v0[b].any() for b in blocks)
     times = np.linspace(0.0, 12.0, 25)
     dt = rk4_step_limit(np.diag(liouvillian.matrix))
-    got = evolve_ode(liouvillian, rho0, times, dt).states
+    got = dense(evolve_ode(liouvillian, rho0, times, dt))
     reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, dt)
     assert np.abs(got - reference).max() <= 1e-12
 
@@ -331,7 +334,7 @@ def test_ode_keeps_unweighted_blocks_exactly_zero():
     rho0 = pure_state(space.basis_state(1, "g"))  # diagonal: weight in the k = 0 block only
     series = evolve_ode(liouvillian, rho0, np.linspace(0.0, 5.0, 11), 2e-3)
     n_exc = np.array([n + (s == "e") for n in range(4) for s in ("g", "e")])
-    assert not series.states[:, n_exc[:, None] != n_exc[None, :]].any()
+    assert not dense(series)[:, n_exc[:, None] != n_exc[None, :]].any()
 
 
 def test_ode_never_diagonalizes(monkeypatch):
@@ -344,7 +347,7 @@ def test_ode_never_diagonalizes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", refuse)
     monkeypatch.setattr(np.linalg, "eigvals", refuse)
     series = evolve_ode(liouvillian, rho0, scenario.time_grid()[:200], DT)
-    assert abs(np.trace(series.states[-1]) - 1.0) < 1e-10
+    assert abs(np.trace(dense(series)[-1]) - 1.0) < 1e-10
 
 
 def test_ode_step_size_guard():
@@ -783,7 +786,7 @@ def test_damping_basis_matches_dense_reference(case):
         coeff = left @ vec(rho0.matrix)
         flat = right @ (coeff[:, None] * np.exp(np.outer(vals, times)))
         expected = np.transpose(flat.T.reshape(times.size, dim, dim), (0, 2, 1))
-        assert np.abs(evolve_spectral(got, rho0, times).states - expected).max() <= 1e-13 * scale
+        assert np.abs(dense(evolve_spectral(got, rho0, times)) - expected).max() <= 1e-13 * scale
         weights, floor = np.abs(coeff), 1e-9 * max(1.0, float(np.abs(vals.imag).max()))
         excited = (vals.imag > floor) & (weights > 1e-8 * weights.max())
         frequency = vals.imag[np.argmax(np.where(excited, weights, -1.0))] if excited.any() else 0.0
@@ -905,9 +908,9 @@ def test_restricted_generator_reproduces_the_full_trajectory(initial, model, n_m
     dt = rk4_step_limit(np.diag(full.matrix))
     for route in (lambda gen, rho: evolve_spectral(damping_basis(gen), rho, times),
                   lambda gen, rho: evolve_ode(gen, rho, times, dt)):
-        reference = route(full, rho0).states
+        reference = dense(route(full, rho0))
         embedded = np.zeros_like(reference)
-        embedded[:, states[:, None], states[None, :]] = route(restricted, rho0_cut).states
+        embedded[:, states[:, None], states[None, :]] = dense(route(restricted, rho0_cut))
         assert np.abs(embedded - reference).max() <= 1e-13
 
 
@@ -941,7 +944,7 @@ def test_evolve_spectral_keeps_unweighted_blocks_exactly_zero():
     rho0 = pure_state(space.basis_state(1, "g"))  # diagonal: weight in the k = 0 block only
     series = evolve_spectral(damping_basis(liouvillian), rho0, np.linspace(0.0, 5.0, 11))
     n_exc = np.array([n + (s == "e") for n in range(4) for s in ("g", "e")])
-    assert not series.states[:, n_exc[:, None] != n_exc[None, :]].any()
+    assert not dense(series)[:, n_exc[:, None] != n_exc[None, :]].any()
 
 
 @pytest.mark.parametrize("model", ["phen", "dressed"])
@@ -953,7 +956,7 @@ def test_damping_basis_meets_the_pairing_gate_at_nmax_12(config, model):
                        model=model, n_max=12)
     rho0 = scenario.initial_state()
     series = evolve_spectral(damping_basis(scenario.generator()), rho0, np.array([0.0, 1.0]))
-    assert np.abs(series.states[0] - rho0.matrix).max() <= 1e-10
+    assert np.abs(dense(series)[0] - rho0.matrix).max() <= 1e-10
 
 
 @pytest.mark.parametrize("model", ["micro", "phen"])
@@ -1049,7 +1052,7 @@ def test_validators_refuse_a_state_that_holds_a_nan(entry):
     with pytest.raises(ValueError, match=message):
         DensityMatrix(rho).validate()
     with pytest.raises(ValueError, match=rf"sample 1 \(t = 0\.5\): {message}"):
-        TimeSeries(np.array([0.0, 0.5]), np.stack([np.eye(2) / 2, rho])).validate_states()
+        series_of(np.stack([np.eye(2) / 2, rho]), np.array([0.0, 0.5])).validate_states()
 
 
 def test_dominant_frequency_selects_excited_mode():
@@ -1083,7 +1086,7 @@ def test_validate_states_names_the_corrupted_sample(defect):
                              np.linspace(0.0, 50.0, 2000))
     series.validate_states()
     for k in (1234, 1900):  # the error names the first of them
-        series.states[k] = _CORRUPTIONS[defect](series.states[k])
+        series.states[k] = vec(_CORRUPTIONS[defect](dense(series)[k]))[series.positions]
     with pytest.raises(ValueError, match=f"^sample 1234 \\(t = .*\\): {defect} "):
         series.validate_states()
 
@@ -1092,8 +1095,58 @@ def test_validate_states_trace_bound_is_state_tol():
     def state(defect):
         return np.diag([0.5 + defect, 0.5, 0.0]).astype(complex)
 
-    TimeSeries(np.array([0.0, 1.0]), np.stack([state(0.0), state(0.9e-8)])).validate_states()
-    series = TimeSeries(np.array([0.0, 1.0]), np.stack([state(0.9e-8), state(1.1e-8)]))
+    series_of(np.stack([state(0.0), state(0.9e-8)]), np.array([0.0, 1.0])).validate_states()
+    series = series_of(np.stack([state(0.9e-8), state(1.1e-8)]), np.array([0.0, 1.0]))
     message = r"^sample 1 \(t = 1\): trace defect 1\.100e-08 > 1\.000e-08$"
     with pytest.raises(ValueError, match=message):
         series.validate_states()
+
+
+def _entry_series(case: str, route: str):
+    """A validated trajectory of a bundled config on ``route``, or of a u1-breaking state."""
+    if case != "u1-breaking":
+        scenario = scenario_from_config((CONFIGS / case).read_text())
+        return run_trajectory(replace(scenario, solver=route,
+                                      dt=DT if route == "ode" else None)).series
+    # |0,g> + |0,e> + |2,g> links three states at once, so its blocks are wider than 2
+    liouvillian, psi = _u1_breaking_generator(3), np.eye(8)[[0, 1, 4]].sum(axis=0)
+    rho0, times = pure_state(psi / np.linalg.norm(psi)), np.linspace(0.0, 12.0, 25)
+    if route == "spectral":
+        return evolve_spectral(damping_basis(liouvillian), rho0, times)
+    return evolve_ode(liouvillian, rho0, times, rk4_step_limit(liouvillian.diagonal()))
+
+
+@pytest.mark.parametrize("route", ["spectral", "ode"])
+@pytest.mark.parametrize("case", sorted(p.name for p in CONFIGS.glob("*.cfg")) + ["u1-breaking"])
+def test_entry_defects_match_the_dense_stack(case, route, monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    series = _entry_series(case, route)
+    # the bundled configs' states split into 1x1 and 2x2 blocks; the u1-breaking state fills
+    # all 8 x 8 entries, one block for eigvalsh
+    assert calls == ([(series.times.size, 8, 8)] if case == "u1-breaking" else [])
+    states = dense(series)
+    trace_defect, herm_defect, min_eig = density_diagnostics(states)
+    assert series.trace_defect.tobytes() == trace_defect.tobytes()
+    assert series.herm_defect.tobytes() == herm_defect.tobytes()
+    scale = np.linalg.norm(states, axis=(1, 2))
+    assert (np.abs(series.min_eigenvalue - min_eig) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("route, n_max, bound", [("ode", 30, 40e6), ("spectral", 10, None)])
+def test_a_thermal_trajectory_holds_only_its_entries(route, n_max, bound):
+    # phen at T = 0.22 from |0,e> reaches every state; at nmax 30 the (2000, 62, 62) stack of
+    # all its states would take 123 MB, against 3.9 MB for the 122 entries of its one block
+    scenario = replace(scenario_from_config((CONFIGS / "rabi_joint_ground.cfg").read_text()),
+                       model="phen", nbar=occupation(OMEGA0, 0.22), n_max=n_max, solver=route,
+                       dt=1e-4 if route == "ode" else None)
+    tracemalloc.start()
+    try:
+        run = run_trajectory(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.reached.size == scenario.space().dim
+    stack = run.series.states.shape[0] * run.reached.size ** 2 * 16  # (steps, |S|, |S|) complex
+    assert peak < min(stack, bound or stack)
