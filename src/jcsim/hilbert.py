@@ -10,7 +10,9 @@ The builders below return plain dense complex ``numpy`` arrays of shape
 ``(dim, dim)``, filled from index arrays in that ordering.  The jump
 operators the generators build from them hold only their nonzero
 entries (``generators.SparseOperator``), and a trajectory holds its
-states as the entries its blocks populate (:func:`entry_diagnostics`).
+states as the entries its blocks populate.  Every state is measured on
+its entries by :func:`entry_diagnostics`: a trajectory on the entries it
+holds, a single :class:`DensityMatrix` on its nonzero entries.
 """
 
 from __future__ import annotations
@@ -115,35 +117,17 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def diagnostics(self) -> tuple[float, float, float]:
-        """(trace defect, hermiticity defect, min eigenvalue)."""
-        return tuple(float(defect) for defect in density_diagnostics(self.matrix))
+        """(trace defect, hermiticity defect, min eigenvalue), by :func:`entry_diagnostics`."""
+        flat = self.matrix.reshape(-1, order="F")  # vec is column-major
+        positions = np.flatnonzero(flat)
+        defects = entry_diagnostics(flat[positions], positions, self.dim)
+        return tuple(float(defect) for defect in defects)
 
     def validate(self) -> "DensityMatrix":
         message = defect_message(*self.diagnostics())
         if message:
             raise ValueError(message)
         return self
-
-
-def density_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trace defects, hermiticity defects and minimum eigenvalues of states shaped (..., d, d).
-
-    Each result has shape (...).  The minimum eigenvalue is that of the
-    hermitian part, taken block by block (:func:`_min_eigenvalue`).
-    """
-    states = np.asarray(states, dtype=complex)
-    # The contiguous copy sums each trace in ndarray.trace's order, and hypot rounds like
-    # abs() of one complex number, which np.abs on a complex array may not.
-    excess = np.diagonal(states, axis1=-2, axis2=-1).copy().sum(axis=-1) - 1.0
-    trace_defect = np.hypot(excess.real, excess.imag)
-    # One full-stack buffer holds the adjoint minus the states, then the hermitian part.
-    work = np.conjugate(np.swapaxes(states, -2, -1))
-    work -= states
-    herm_defect = np.abs(work).max(axis=(-2, -1))
-    np.conjugate(np.swapaxes(states, -2, -1), out=work)
-    work += states
-    work /= 2.0
-    return trace_defect, herm_defect, _min_eigenvalue(work)
 
 
 def entry_diagonal(entries: np.ndarray, positions: np.ndarray, dim: int) -> np.ndarray:
@@ -161,16 +145,17 @@ def entry_diagonal(entries: np.ndarray, positions: np.ndarray, dim: int) -> np.n
 
 def entry_diagnostics(entries: np.ndarray, positions: np.ndarray,
                       dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`density_diagnostics` of states held as entries at vec positions.
+    """Trace defects, hermiticity defects and minimum eigenvalues of states held as entries.
 
     The states are read as in :func:`entry_diagonal`, and each result has
     shape (...).  The trace and hermiticity defects are those of the dense
     states bit for bit: the trace sums the contiguous diagonal in index
     order, and the entry at i + d*j meets its mirror j + d*i, or zero where
     no entry sits there.  The minimum eigenvalue is that of the hermitian
-    part, taken block by block (:func:`_entry_min_eigenvalue`).
+    part, taken block by block (:func:`_min_eigenvalue`).
     """
     excess = entry_diagonal(entries, positions, dim).sum(axis=-1) - 1.0
+    # hypot rounds like abs() of one complex number, which np.abs on a complex array may not
     trace_defect = np.hypot(excess.real, excess.imag)
     slot = np.full(dim * dim, -1)  # the column that holds each vec position; -1 reads zero
     slot[positions] = np.arange(positions.size)
@@ -182,7 +167,7 @@ def entry_diagnostics(entries: np.ndarray, positions: np.ndarray,
     _adjoint(entries, mirror, out=work)
     work += entries
     work /= 2.0
-    return trace_defect, herm_defect, _entry_min_eigenvalue(work, positions, dim, slot)
+    return trace_defect, herm_defect, _min_eigenvalue(work, positions, dim, slot)
 
 
 def _adjoint(entries: np.ndarray, mirror: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -193,36 +178,17 @@ def _adjoint(entries: np.ndarray, mirror: np.ndarray, out: np.ndarray | None = N
     return out
 
 
-def _min_eigenvalue(herm: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each hermitian matrix of the stack ``herm`` (..., d, d).
-
-    The union nonzero pattern of the stack splits into connected blocks;
-    every matrix is block diagonal on them, so its spectrum is the union of
-    its blocks' spectra.  Where no block is wider than 2, as for every state
-    of a generator that conserves the excitation number started in one
-    manifold, the closed forms of :func:`_small_block_minimum` give it.  A
-    wider block sends the stack to one ``eigvalsh``: per matrix, LAPACK's
-    call overhead dominates at these widths, so a stacked ``eigvalsh`` per
-    block width costs about as much as one of the whole stack.
-    """
-    d = herm.shape[-1]
-    rows, cols = np.nonzero((herm != 0).any(axis=tuple(range(herm.ndim - 2))))
-    _, order, starts = connected_components(rows, cols, d)
-    widths = np.diff(starts, append=d)
-    if widths.max() > 2:
-        return np.linalg.eigvalsh(herm)[..., 0].copy()  # a view would keep every eigenvalue
-    return _small_block_minimum(lambda i, j: herm[..., i, j], order, starts, widths)
-
-
-def _entry_min_eigenvalue(herm: np.ndarray, positions: np.ndarray, dim: int,
-                          slot: np.ndarray) -> np.ndarray:
+def _min_eigenvalue(herm: np.ndarray, positions: np.ndarray, dim: int,
+                    slot: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each d x d hermitian matrix held as entries (..., nnz).
 
     Column e holds vec position ``positions[e]``, and ``slot`` maps each
-    vec position to its column, -1 for a zero entry.  The blocks are those
-    of the union nonzero pattern, as in :func:`_min_eigenvalue`; 1x1 and
-    2x2 blocks take the closed forms, and each wider block one ``eigvalsh``
-    of the sub-matrices built from its own entries.
+    vec position to its column, -1 for a zero entry.  The union nonzero
+    pattern splits into connected blocks; every matrix is block diagonal on
+    them, so its spectrum is the union of its blocks' spectra.  A 1x1
+    block's eigenvalue is its entry and a 2x2 block's smaller one is
+    (a + c)/2 - hypot((a - c)/2, |b|); each wider block takes one
+    ``eigvalsh`` of the sub-matrices built from its own entries.
     """
     def at(i, j):  # where no entry sits, the conjugate of the mirror entry, or zero
         column, mirror = slot[i + dim * j], slot[j + dim * i]
@@ -232,27 +198,16 @@ def _entry_min_eigenvalue(herm: np.ndarray, positions: np.ndarray, dim: int,
     live = positions[(herm != 0).any(axis=tuple(range(herm.ndim - 1)))]
     _, order, starts = connected_components(live % dim, live // dim, dim)
     widths = np.diff(starts, append=dim)
-    min_eig = _small_block_minimum(at, order, starts, widths)
-    for start, width in zip(starts[widths > 2], widths[widths > 2]):
-        block = order[start:start + width]
-        np.minimum(min_eig, np.linalg.eigvalsh(at(block[:, None], block))[..., 0], out=min_eig)
-    return min_eig
-
-
-def _small_block_minimum(at, order: np.ndarray, starts: np.ndarray,
-                         widths: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue over the 1x1 and 2x2 blocks; inf where there are none.
-
-    ``at(i, j)`` reads the hermitian entries (..., k) at rows i and columns
-    j.  A 1x1 block's eigenvalue is its entry and a 2x2 block's smaller one
-    is (a + c)/2 - hypot((a - c)/2, |b|).
-    """
     i = order[starts[widths == 1]]
     min_eig = at(i, i).real.min(axis=-1, initial=np.inf)
     i, j = order[starts[widths == 2]], order[starts[widths == 2] + 1]
     a, c = at(i, i).real, at(j, j).real
     low = (a + c) / 2.0 - np.hypot((a - c) / 2.0, np.abs(at(i, j)))
-    return np.minimum(min_eig, low.min(axis=-1, initial=np.inf))
+    min_eig = np.minimum(min_eig, low.min(axis=-1, initial=np.inf))
+    for start, width in zip(starts[widths > 2], widths[widths > 2]):
+        block = order[start:start + width]
+        min_eig = np.minimum(min_eig, np.linalg.eigvalsh(at(block[:, None], block))[..., 0])
+    return min_eig
 
 
 def defect_message(trace_defect, herm_defect, min_eig) -> str | None:

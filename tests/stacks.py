@@ -1,4 +1,4 @@
-"""Dense (n, d, d) stacks of trajectories that hold their states as entries, for test oracles."""
+"""Test oracles: dense (n, d, d) stacks of trajectories held as entries, and their defects."""
 
 import numpy as np
 
@@ -19,3 +19,16 @@ def series_of(states: np.ndarray, times: np.ndarray | None = None) -> TimeSeries
     n, d = states.shape[0], states.shape[-1]
     times = np.arange(n, dtype=float) if times is None else np.asarray(times, dtype=float)
     return TimeSeries(times, np.swapaxes(states, 1, 2).reshape(n, d * d), np.arange(d * d), d)
+
+
+def dense_diagnostics(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace defects, hermiticity defects and minimum eigenvalues of dense states (..., d, d).
+
+    The trace sums the contiguous diagonal in index order, the hermiticity defect is
+    max|A^dagger - A|, and the minimum eigenvalue is eigvalsh's of the whole hermitian part.
+    """
+    states = np.asarray(states, dtype=complex)
+    excess = np.diagonal(states, axis1=-2, axis2=-1).copy().sum(-1) - 1.0
+    adjoint = np.conjugate(np.swapaxes(states, -2, -1))
+    return (np.hypot(excess.real, excess.imag), np.abs(adjoint - states).max(axis=(-2, -1)),
+            np.linalg.eigvalsh((adjoint + states) / 2.0)[..., 0])

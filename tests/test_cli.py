@@ -596,32 +596,26 @@ def test_csv_writes_each_value_as_its_repr():
         assert cli._csv(header, rows) == ",".join(header) + "\n" + reference
 
 
-def _count_trajectory_diagnostics(monkeypatch) -> list:
-    """The entry arrays each jcsim module validates as a trajectory.
+def _count_entry_diagnostics(monkeypatch) -> list:
+    """The shape of the entries each jcsim module hands to entry_diagnostics.
 
-    No module may pass density_diagnostics more than one state.
+    A trajectory's entries are (steps, nnz); a single state's are (nnz,).
     """
     calls = []
-    entries, diagnostics = hilbert.entry_diagnostics, hilbert.density_diagnostics
+    entries = hilbert.entry_diagnostics
 
     def counting(states, positions, dim):
         calls.append(np.shape(states))
         return entries(states, positions, dim)
 
-    def single(states):
-        assert np.ndim(states) == 2, "a trajectory's states reached density_diagnostics"
-        return diagnostics(states)
-
     for module in [m for name, m in sys.modules.items() if name.startswith("jcsim.")]:
         if getattr(module, "entry_diagnostics", None) is entries:
             monkeypatch.setattr(module, "entry_diagnostics", counting)
-        if getattr(module, "density_diagnostics", None) is diagnostics:
-            monkeypatch.setattr(module, "density_diagnostics", single)
     return calls
 
 
 def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch, capsys):
-    calls = _count_trajectory_diagnostics(monkeypatch)
+    calls = _count_entry_diagnostics(monkeypatch)
     text = BASE.replace("observables = pop_0g,atomic_ground",
                         "observables = trace_defect,herm_defect,min_eigenvalue")
     cfg = _write(tmp_path, "diag.cfg", text)
@@ -635,14 +629,24 @@ def test_evolve_runs_diagnostics_once_per_pass(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_runs_diagnostics_once_per_shared_run(monkeypatch):
-    calls = _count_trajectory_diagnostics(monkeypatch)
+    calls = _count_entry_diagnostics(monkeypatch)
     assert all(result.passed for result in run_all_criteria())
-    # three battery scenarios on two routes, each on its 5 entries; criterion 9 reads them
-    assert calls == [(2000, 5)] * 6
+    # three battery scenarios on two routes, each on its 5 entries, which criterion 9 reads;
+    # and criterion 7's two steady states at nmax 20, each on its 82 nonzero entries
+    assert sorted(calls) == [(82,)] * 2 + [(2000, 5)] * 6
     runs = _SharedRuns()
     run_criterion(10, runs)  # solves the six shared runs
     calls.clear()
     assert run_criterion(9, runs).passed and calls == []
+
+
+def test_steady_runs_diagnostics_once_on_its_entries(tmp_path, monkeypatch, capsys):
+    calls = _count_entry_diagnostics(monkeypatch)
+    cfg = _write(tmp_path, "thermal.cfg", BASE.replace("bath.temperature = 0.0",
+                                                       "bath.temperature = 0.25"))
+    assert cli.main(["steady", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    # one state, on its 10 nonzeros: |0,g>, the 2x2 blocks of manifolds 1 and 2, and |2,e>
+    assert calls == [(10,)]
 
 
 @pytest.mark.parametrize("argv, solves", [

@@ -8,7 +8,6 @@ from jcsim.hilbert import (
     DensityMatrix,
     atomic_operators,
     build_space,
-    density_diagnostics,
     entry_diagnostics,
     entry_diagonal,
     excitation_number,
@@ -16,6 +15,7 @@ from jcsim.hilbert import (
     pure_state,
 )
 from jcsim.jcmodel import JCParams, hamiltonian
+from stacks import dense_diagnostics, series_of
 
 
 @pytest.mark.parametrize("n_max,dim", [(0, 2), (1, 4), (15, 32)])
@@ -126,18 +126,24 @@ def test_density_matrix_diagnostics_and_validation():
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex)).validate()
 
 
-def test_density_diagnostics_of_a_stack_of_invalid_states():
+def _held_diagnostics(states: np.ndarray) -> tuple:
+    # entry_diagnostics of a dense (n, d, d) stack held as all its entries, zeros included
+    series = series_of(states)
+    return entry_diagnostics(series.states, series.positions, series.dim)
+
+
+def test_entry_diagnostics_of_a_stack_of_invalid_states():
     # one sample per defect, each measured on its own; no validation would pass them
     rho = pure_state(build_space(1).basis_state(1, "e")).matrix
     skewed = rho.copy()
     skewed[0, 1] = 1e-3
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    trace_defect, herm_defect, min_eig = density_diagnostics(
+    trace_defect, herm_defect, min_eig = _held_diagnostics(
         np.stack([rho, 1.01 * rho, skewed, negative]))
     assert trace_defect == pytest.approx([0.0, 0.01, 0.0, 0.0], abs=1e-15)
     assert herm_defect == pytest.approx([0.0, 0.0, 1e-3, 0.0], abs=1e-15)
     assert min_eig == pytest.approx([0.0, 0.0, -5e-4, -0.5], abs=1e-15)
-    # each result owns its data: a kept min_eig pins no (n, d) eigenvalue array
+    # each result owns its data: a kept min_eig pins no (n, nnz) work array
     assert all(defect.base is None for defect in (trace_defect, herm_defect, min_eig))
 
 
@@ -158,23 +164,15 @@ def _block_diagonal_stack(widths: tuple, samples: int, seed: int) -> np.ndarray:
 
 @pytest.mark.parametrize("widths", [(1, 1), (2, 1), (1, 2, 2), (2, 1, 2, 2, 1), (3, 1),
                                     (3, 2, 1, 3, 2, 1), (4,)])
-def test_min_eigenvalue_by_blocks_matches_one_stacked_eigvalsh(widths, monkeypatch):
+def test_min_eigenvalue_by_blocks_matches_one_stacked_eigvalsh(widths):
     states = _block_diagonal_stack(widths, 200, seed=len(widths))
     herm = (states + np.conjugate(np.swapaxes(states, -2, -1))) / 2.0
     reference = np.linalg.eigvalsh(herm)
-    calls = []
-    original = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
-    min_eig = density_diagnostics(states)[2]
+    min_eig = _held_diagnostics(states)[2]
     # eigvalsh itself is off by up to ~4 eps ||A||_F here (against an exact 2x2 answer, see
     # below), so the two agree to a few rounding steps of each sample's norm
     scale = np.linalg.norm(herm, axis=(1, 2))
     assert (np.abs(min_eig - reference[:, 0]) <= 10 * np.finfo(float).eps * scale).all()
-    # 1x1 and 2x2 blocks take closed forms; a wider block, or a fully linked pattern (4,),
-    # sends the whole stack to one call
-    assert calls == ([(200, sum(widths), sum(widths))] if max(widths) > 2 else [])
-    # one sample is a stack of its own
-    assert abs(density_diagnostics(states[7])[2] - reference[7, 0]) <= 1e-14 * scale[7]
 
 
 @pytest.mark.parametrize("upper", [False, True])
@@ -190,7 +188,7 @@ def test_entry_diagnostics_match_the_dense_stack(widths, upper, monkeypatch):
     positions = np.random.default_rng(5).permutation(np.flatnonzero(flat.any(axis=0)))
     assert np.array_equal(entry_diagonal(flat[:, positions], positions, d),
                           np.diagonal(states, axis1=1, axis2=2))
-    trace_defect, herm_defect, min_eig = density_diagnostics(states)
+    trace_defect, herm_defect, min_eig = dense_diagnostics(states)
     calls = []
     original = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
@@ -202,6 +200,14 @@ def test_entry_diagnostics_match_the_dense_stack(widths, upper, monkeypatch):
     assert (np.abs(got[2] - min_eig) <= 10 * np.finfo(float).eps * scale).all()
     # one eigvalsh per block wider than 2, of that block's entries alone
     assert sorted(calls) == sorted((200, w, w) for w in widths if w > 2)
+    # one state is 1-D entries, measured alike
+    calls.clear()
+    one = entry_diagnostics(flat[7, positions], positions, d)
+    assert all(np.ndim(defect) == 0 for defect in one)
+    assert one[0].tobytes() == trace_defect[7].tobytes()
+    assert one[1].tobytes() == herm_defect[7].tobytes()
+    assert abs(one[2] - min_eig[7]) <= 10 * np.finfo(float).eps * scale[7]
+    assert calls == [(w, w) for w in widths if w > 2]
 
 
 def test_two_by_two_closed_form_meets_the_exact_minimum_eigenvalue():
@@ -209,7 +215,7 @@ def test_two_by_two_closed_form_meets_the_exact_minimum_eigenvalue():
     states = np.zeros((500, 3, 3), dtype=complex)
     states[:, :2, :2] = _block_diagonal_stack((2,), 500, seed=3)
     states[:, 2, 2] = 1e6
-    min_eig = density_diagnostics(states)[2]
+    min_eig = _held_diagnostics(states)[2]
     with localcontext() as context:
         context.prec = 50
         for state, got in zip(states, min_eig):
@@ -219,6 +225,22 @@ def test_two_by_two_closed_form_meets_the_exact_minimum_eigenvalue():
                                    + Decimal(b.imag) ** 2).sqrt()
             norm = np.sqrt(float(a * a + c * c) + 2 * abs(b) ** 2)
             assert abs(got - float(exact)) <= 1e-15 * norm
+
+
+def test_a_negative_eigenvalue_that_only_a_three_wide_block_shows(monkeypatch):
+    # rho = [[1, x, x], [x, 1, -x], [x, -x, 1]]/3 beside an empty fourth level: every 1x1 and
+    # 2x2 principal minor is positive semidefinite, but rho has eigenvalue (1 - 2x)/3 < 0
+    x = 0.6
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[:3, :3] = np.array([[1, x, x], [x, 1, -x], [x, -x, 1]]) / 3
+    for pair in ([0, 1], [0, 2], [1, 2]):
+        assert np.linalg.eigvalsh(rho[np.ix_(pair, pair)])[0] == pytest.approx((1 - x) / 3)
+    calls = []
+    original = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
+    with pytest.raises(ValueError, match=r"^min eigenvalue -6\.667e-02 < -1\.000e-08$"):
+        DensityMatrix(rho).validate()
+    assert calls == [(3, 3)]
 
 
 def test_trace_defect_bound_is_state_tol():

@@ -64,7 +64,7 @@ def test_ground_plus_excited_is_unity():
 
 
 def test_diagnostics_examples():
-    # defects of states that fail validation: test_hilbert's density_diagnostics tests
+    # defects of states that fail validation: test_hilbert's entry_diagnostics tests
     space = build_space(1)
     series = _series(pure_state(space.basis_state(1, "e")).matrix[None])
     for name in ("trace_defect", "herm_defect", "min_eigenvalue"):

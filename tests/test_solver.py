@@ -31,7 +31,6 @@ from jcsim.hilbert import (
     DensityMatrix,
     atomic_operators,
     build_space,
-    density_diagnostics,
     ladder_operators,
     pure_state,
 )
@@ -54,7 +53,7 @@ from jcsim.solver import (
     rk4_step_limit,
     steady_state,
 )
-from stacks import dense, series_of
+from stacks import dense, dense_diagnostics, series_of
 from test_analytic import rabi_micro_density
 
 OMEGA0 = 1.0
@@ -1127,7 +1126,7 @@ def test_entry_defects_match_the_dense_stack(case, route, monkeypatch):
     # all 8 x 8 entries, one block for eigvalsh
     assert calls == ([(series.times.size, 8, 8)] if case == "u1-breaking" else [])
     states = dense(series)
-    trace_defect, herm_defect, min_eig = density_diagnostics(states)
+    trace_defect, herm_defect, min_eig = dense_diagnostics(states)
     assert series.trace_defect.tobytes() == trace_defect.tobytes()
     assert series.herm_defect.tobytes() == herm_defect.tobytes()
     scale = np.linalg.norm(states, axis=(1, 2))
