@@ -28,7 +28,7 @@ from .analytic import bell_phen, rabi_phen
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum, occupation, rate
 from .generators import (microscopic_generator, phenomenological_generator,
                          dressed_approx_generator, restricted_lindblad)
-from .hilbert import DensityMatrix, build_space
+from .hilbert import build_space
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
 from .scenario import Scenario, Trajectory, run_trajectory
@@ -186,9 +186,8 @@ def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
 
 def _frequency(scenario: Scenario) -> float:
     """:func:`dominant_frequency` of the generator on the states S rho0 reaches, as in compare."""
-    rho0 = scenario.initial_state().matrix
-    liouvillian, reached = restricted_lindblad(*scenario.lindblad_terms(), rho0)
-    rho0 = DensityMatrix(rho0[np.ix_(reached, reached)])
+    liouvillian, rho0, _ = restricted_lindblad(*scenario.lindblad_terms(),
+                                               scenario.initial_state().matrix)
     return dominant_frequency(damping_basis(liouvillian), rho0)
 
 
@@ -241,8 +240,8 @@ def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
                           (FlatSpectrum(GAMMA), "degenerate")):
         bath = BathSpec(0.0, spectrum)
         scenario = replace(_micro_rabi_scenario(), bath=bath)  # S: |0,g>, |0,e> and |1,g>
-        rho0 = scenario.initial_state().matrix
-        liouvillian, _ = restricted_lindblad(*scenario.lindblad_terms(), rho0)
+        liouvillian, _, _ = restricted_lindblad(*scenario.lindblad_terms(),
+                                                scenario.initial_state().matrix)
         basis = damping_basis(liouvillian)
         expected = _expected_sector_eigenvalues(bath)
         order = np.lexsort((expected.imag, -expected.real))
@@ -264,13 +263,14 @@ def _criterion_6(runs: _SharedRuns, scale: float) -> CriterionResult:
     _, v, labels = complete_eigensystem(params, space)
     # the manifold N of each doublet state; nan, equal to nothing, elsewhere
     manifold = np.array([label[0] if isinstance(label, tuple) else np.nan for label in labels])
-    i, j = np.nonzero(manifold[:, None] == manifold)
-    rows = i + space.dim * j
-    # only the compared rows of the generators in the dressed basis
-    to_dressed = np.kron(v.T, v.conj().T)[rows]
-    to_bare = np.kron(v.conj(), v)
-    micro_d = to_dressed @ micro.matrix @ to_bare
-    dressed_d = to_dressed @ dressed.matrix @ to_bare
+    p, q = np.nonzero(manifold[:, None] == manifold)
+    # the compared dressed row p + d*q of L weighs L's row i + d*j by conj(v[i, p]) v[j, q]
+    weights = (v.T[q][:, :, None] * v.T.conj()[p][:, None, :]).reshape(p.size, -1)
+    rows = np.zeros((2,) + weights.shape, dtype=complex)
+    for k, gen in enumerate((micro, dressed)):  # apart, so what both share cancels exactly
+        np.add.at(rows[k], (slice(None), gen.cols), weights[:, gen.rows] * gen.values)
+    # row r is vec(Y) of an operator Y, and the dressed basis maps it to vec(v.T Y conj(v))
+    micro_d, dressed_d = v.T @ rows.reshape(2, p.size, *v.shape).transpose(0, 1, 3, 2) @ v.conj()
     dev = np.abs(micro_d - dressed_d).max()
     check.less("dressed populations + intra-manifold coherences", dev, 1e-12)
     return check.result(6, "generator-equivalence")

@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from .acceptance import run_all_criteria
-from .generators import _lindblad, microscopic_channels, secular_margin
+from .generators import microscopic_channels, secular_margin
 from .hilbert import DensityMatrix
 from .scenario import (ConfigError, Scenario, Trajectory, _edge_population, run_trajectory,
                        scenario_from_config)
@@ -75,7 +75,7 @@ def _ode_step_bound(diagonal: np.ndarray) -> str:
     return f"{steps * scale:.3g}"
 
 
-def run_evolve(scenario: Scenario, out_path: str, channels: list | None = None) -> Trajectory:
+def run_evolve(scenario: Scenario, out_path: str) -> Trajectory:
     """Write 'tau,<observables>' CSV for one scenario and return its trajectory.
 
     A damping basis that fails on the spectral route names the RK4 route
@@ -83,9 +83,9 @@ def run_evolve(scenario: Scenario, out_path: str, channels: list | None = None) 
     silently.
     """
     try:
-        run = run_trajectory(scenario, channels)
+        run = run_trajectory(scenario)
     except DampingBasisError as exc:
-        bound = _ode_step_bound(_lindblad(*scenario.lindblad_terms(channels)).diagonal())
+        bound = _ode_step_bound(scenario.generator().diagonal())
         raise DampingBasisError(f"{exc}; rerun with --solver ode --dt {bound}") from exc
     tau = scenario.tau_grid()
     header = ["tau"] + list(scenario.observables.names)
@@ -267,11 +267,9 @@ def main(argv: list[str] | None = None) -> int:
             return run_verify()
         scenario = _load_scenario(args)
         if args.command == "evolve":
-            # the photon-loss jumps involve no secular approximation, so phen has no margin
-            channels = scenario.channels() if scenario.model in ("micro", "dressed") else None
-            run = run_evolve(scenario, args.out, channels)
-            if channels is not None:
-                _print_advisories(scenario, channels, run.reached)
+            run = run_evolve(scenario, args.out)
+            if run.channels is not None:  # phen's jumps a and a† involve no secular approximation
+                _print_advisories(scenario, run.channels, run.reached)
             _print_edge_population(run.edge)
         elif args.command == "compare":
             if not args.model or "," not in args.model:

@@ -14,9 +14,9 @@ list of (jump operator, rate) pairs; the three differ in their jumps:
   for a flat zero-temperature bath, built from the Bohr-frequency
   components of a and a† at their photon-loss and photon-gain rates.
 
-``restricted_lindblad`` builds a generator exactly on the states
-(``reachable_states``) a run can populate; the CLI solves every
-trajectory on it.  ``secular_margin`` measures how close the micro or
+``restricted_lindblad`` cuts a run's problem down to the states
+(``reachable_states``) it can populate; the CLI solves every trajectory
+there.  ``secular_margin`` measures how close the micro or
 dressed jump channels a run reaches come to breaking the secular
 approximation behind both.
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import BathSpec, rate
-from .hilbert import StateSpace, ladder_operators
+from .hilbert import DensityMatrix, StateSpace, ladder_operators
 from .jcmodel import Eigensystem, JCParams, complete_eigensystem, hamiltonian
 
 
@@ -420,11 +420,11 @@ def reachable_states(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
 
 
 def restricted_lindblad(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
-                        rho0: np.ndarray) -> tuple[Superoperator, np.ndarray]:
-    """:func:`_lindblad` of ``h`` and the live jumps, both sliced to S, and S.
+                        rho0: np.ndarray) -> tuple[Superoperator, DensityMatrix, np.ndarray]:
+    """A run's restricted problem: the generator on S, rho0 on S, and S (:func:`reachable_states`).
 
-    S is :func:`reachable_states`; the trajectory of the sliced generator
-    from rho0[S, S] is the full trajectory's S x S block, which holds all of it.
+    The generator is :func:`_lindblad` of ``h`` and the live jumps, both sliced to S; its
+    trajectory from rho0[S, S] is the full trajectory's S x S block, which holds all of it.
     """
     states = reachable_states(h, jumps, rho0)
     at = np.full(h.shape[0], -1)
@@ -436,7 +436,8 @@ def restricted_lindblad(h: np.ndarray, jumps: list[tuple[SparseOperator, float]]
             inside = (rows >= 0) & (cols >= 0)
             sliced.append((SparseOperator(rows[inside], cols[inside], op.values[inside],
                                           states.size), g))
-    return _lindblad(h[np.ix_(states, states)], sliced), states
+    cut = np.ix_(states, states)
+    return _lindblad(h[cut], sliced), DensityMatrix(rho0[cut]), states
 
 
 def secular_margin(

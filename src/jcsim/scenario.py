@@ -198,20 +198,20 @@ class Trajectory(NamedTuple):
     observables: dict[str, np.ndarray]  # on the time grid
     edge: float  # the top Fock level's largest population along the grid
     reached: np.ndarray  # S
+    channels: list | None  # micro's or dressed's (omega, operator, rate) channels; phen: None
 
 
-def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajectory:
+def run_trajectory(scenario: Scenario) -> Trajectory:
     """Solve the scenario with its configured solver on the states S rho0 reaches.
 
-    The trajectory is exactly the full one's S x S block (see
-    :func:`restricted_lindblad`); the RK4 step is held to the full
-    generator's bound.  Micro and dressed take their jumps from
-    ``channels`` when given (see :meth:`Scenario.lindblad_terms`).
+    The problem is :func:`restricted_lindblad`'s, so the trajectory is
+    exactly the full one's S x S block; the RK4 step is held to the full
+    generator's bound.  A micro or dressed run builds its channels once
+    and returns them.
     """
+    channels = None if scenario.model == "phen" else scenario.channels()
     h, jumps = scenario.lindblad_terms(channels)
-    full_rho0 = scenario.initial_state().matrix
-    liouvillian, reached = restricted_lindblad(h, jumps, full_rho0)
-    rho0 = DensityMatrix(full_rho0[np.ix_(reached, reached)])
+    liouvillian, rho0, reached = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
     times = scenario.time_grid()
     basis = None
     if scenario.solver == "ode":
@@ -222,7 +222,7 @@ def run_trajectory(scenario: Scenario, channels: list | None = None) -> Trajecto
         series = evolve_spectral(basis, rho0, times)
     observables = scenario.observables.evaluate(series, scenario.space(), reached)
     edge = _edge_population(scenario, series.diagonal(), reached)
-    return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached)
+    return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached, channels)
 
 
 def _edge_population(scenario: Scenario, diagonal: np.ndarray, basis: np.ndarray) -> float:

@@ -183,7 +183,7 @@ def test_micro_density_matches_sector_solver():
     gamma_a, gamma_b = rate(1.0 - RABI, bath), rate(1.0 + RABI, bath)
     jumps = [(op, g) for _, op, g in microscopic_channels(params, space, bath)]
     rho0 = pure_state(space.basis_state(0, "e"))
-    liouvillian, states = restricted_lindblad(hamiltonian(params, space), jumps, rho0.matrix)
+    liouvillian, _, states = restricted_lindblad(hamiltonian(params, space), jumps, rho0.matrix)
     assert states.tolist() == [0, 1, 2]
     u = complete_eigensystem(params, build_space(1)).vectors[:3, :3]  # ground, (1, -), (1, +)
     times = np.linspace(0.0, 35.0, 30)

@@ -13,7 +13,7 @@ from jcsim.bath import BathSpec, FlatSpectrum, occupation, rate
 from jcsim.generators import Superoperator, microscopic_channels, restricted_lindblad
 from jcsim.hilbert import build_space
 from jcsim.jcmodel import JCParams
-from jcsim.scenario import MODELS, ConfigError, scenario_from_config
+from jcsim.scenario import MODELS, ConfigError, Scenario, run_trajectory, scenario_from_config
 
 BASE = """
 model = micro
@@ -431,7 +431,7 @@ def test_ode_step_is_held_to_the_full_generator(tmp_path, capsys):
     cfg = CONFIGS / "bell_atomic_ground.cfg"
     scenario = replace(scenario_from_config(cfg.read_text()), n_max=13)
     h, jumps = scenario.lindblad_terms()
-    restricted, _ = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
+    restricted, _, _ = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
     dt = 2.0 * solver.rk4_step_limit(np.diag(scenario.generator().matrix))
     assert dt < solver.rk4_step_limit(np.diag(restricted.matrix))
     assert cli.main(["evolve", "--config", str(cfg), "--nmax", "13", "--solver", "ode",
@@ -671,6 +671,26 @@ def test_one_damping_basis_per_generator(tmp_path, monkeypatch, capsys, argv, so
     assert len(calls) == solves
 
 
+@pytest.mark.parametrize("model, builds", [("micro", 1), ("dressed", 1), ("phen", 0)])
+def test_evolve_builds_its_channels_once(tmp_path, monkeypatch, capsys, model, builds):
+    calls = []
+
+    def counting(self):
+        calls.append(self.model)
+        return channels(self)
+
+    channels = Scenario.channels
+    monkeypatch.setattr(Scenario, "channels", counting)
+    cfg = _write(tmp_path, "rabi.cfg", BASE)
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model,
+                     "--out", str(tmp_path / "c.csv")]) == 0
+    # the one build gives the run's jumps and its secular margin; phen has neither
+    assert calls == [model] * builds
+    assert ("# secular margin" in capsys.readouterr().out) == (builds == 1)
+    run = run_trajectory(replace(scenario_from_config(BASE), model=model))
+    assert (run.channels is None) == (model == "phen")
+
+
 def test_compare_ode_route_matches_spectral(tmp_path, capsys):
     cfg = _write(tmp_path, "rabi.cfg", BASE)
     grid = ["--tau-max", "5", "--steps", "50"]
@@ -737,7 +757,7 @@ def test_compare_reports_frequency_shift(tmp_path, capsys):
 
 def test_compare_rejects_equal_models(tmp_path, monkeypatch, capsys):
     # equal models would write two columns of one name and one frequency line
-    def unsolved(scenario, channels=None):
+    def unsolved(scenario):
         raise AssertionError("compare solved a scenario")
 
     monkeypatch.setattr(cli, "run_trajectory", unsolved)

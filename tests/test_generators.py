@@ -40,7 +40,7 @@ def _single_excitation_sector(n_max=2):
     space = build_space(n_max)
     jumps = [(op, g) for _, op, g in microscopic_channels(PARAMS, space, SECTOR_BATH)]
     excited = np.outer(space.basis_state(0, "e"), space.basis_state(0, "e").conj())
-    liouvillian, states = restricted_lindblad(hamiltonian(PARAMS, space), jumps, excited)
+    liouvillian, _, states = restricted_lindblad(hamiltonian(PARAMS, space), jumps, excited)
     assert states.tolist() == [0, 1, 2]
     return liouvillian
 
