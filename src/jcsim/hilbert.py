@@ -6,11 +6,12 @@ photons and a two-level atom with states ``g`` (ground) and ``e``
 ``s(g) = 0`` and ``s(e) = 1``, so every file output and vectorized
 superoperator built on top of this module is bit-reproducible.
 
-The builders below return plain dense complex ``numpy`` arrays of shape
-``(dim, dim)``, filled from index arrays in that ordering.  The jump
-operators the generators build from them hold only their nonzero
-entries (``generators.SparseOperator``), and a trajectory holds its
-states as the entries its blocks populate.  Every state is measured on
+:func:`ladder_operators` returns a and a† as dense complex ``(dim, dim)``
+arrays and :func:`photon_numbers` the diagonal of a†a, both filled from
+index arrays in that ordering; no atomic operator is formed.  The jump
+operators the generators build hold only their nonzero entries
+(``generators.SparseOperator``), and a trajectory holds its states as
+the entries its blocks populate.  Every state is measured on
 its entries by :func:`entry_diagnostics`: a trajectory on the entries it
 holds, a single :class:`DensityMatrix` on its nonzero entries.
 """
@@ -74,25 +75,13 @@ def ladder_operators(space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
     return a, a.conj().T
 
 
-def atomic_operators(space: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Atomic operators (sigma_minus, sigma_plus, sigma_z), identity on the mode."""
-    sm = np.zeros((space.dim, space.dim), dtype=complex)
-    g = np.arange(0, space.dim, 2)  # |n, g>; |n, e> is g + 1
-    sm[g, g + 1] = 1.0
-    sz = np.diag(np.tile([-1.0 + 0j, 1.0], space.n_max + 1))
-    return sm, sm.conj().T, sz
+def photon_numbers(space: StateSpace) -> np.ndarray:
+    """The diagonal of a†a: the photon number n at each basis index i = 2n + s.
 
-
-def excitation_number(space: StateSpace) -> np.ndarray:
-    """Total excitation operator a†a + (sigma_z + 1)/2.
-
-    Diagonal in the bare basis with integer eigenvalue n + s; it commutes
-    with the resonant Hamiltonian, which is what makes the dressed
-    manifolds well defined.
+    Each entry is spelled sqrt(n)**2, as the product a†a rounds it (2.0000000000000004
+    at n = 2), so the Hamiltonian and the observables built on it keep their bytes.
     """
-    a, a_dag = ladder_operators(space)
-    _, _, sz = atomic_operators(space)
-    return a_dag @ a + (sz + np.eye(space.dim)) / 2.0
+    return np.sqrt(np.arange(space.dim) // 2) ** 2
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import StateSpace, atomic_operators, ladder_operators
+from .hilbert import StateSpace, photon_numbers
 
 GROUND = "ground"
 BARE_TOP = "bare_top"
@@ -62,11 +62,17 @@ class Eigensystem(NamedTuple):
 
 
 def hamiltonian(params: JCParams, space: StateSpace) -> np.ndarray:
-    """Resonant atom-cavity Hamiltonian matrix in the bare basis."""
-    a, a_dag = ladder_operators(space)
-    sm, sp, sz = atomic_operators(space)
-    return (params.omega0 / 2.0) * sz + params.omega0 * (a_dag @ a) \
-        + params.rabi * (a @ sp + a_dag @ sm)
+    """Resonant atom-cavity Hamiltonian in the bare basis, written from its closed-form entries.
+
+    Diagonal (omega0/2)(2s - 1) + omega0 n at i = 2n + s, with n from :func:`photon_numbers`;
+    coupling rabi sqrt(N) between |N - 1, e> and |N, g>, at indices 2N - 1 and 2N.
+    """
+    i = np.arange(space.dim)
+    h = np.zeros((space.dim, space.dim), dtype=complex)
+    h[i, i] = (params.omega0 / 2.0) * (2 * (i % 2) - 1) + params.omega0 * photon_numbers(space)
+    upper = i[2::2]  # |N, g> at 2N for N >= 1
+    h[upper - 1, upper] = h[upper, upper - 1] = params.rabi * np.sqrt(upper // 2)
+    return h
 
 
 def complete_eigensystem(params: JCParams, space: StateSpace) -> Eigensystem:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateSpace, excitation_number, ladder_operators
+from .hilbert import StateSpace, photon_numbers
 from .solver import TimeSeries
 
 _IMAG_TOL = 1e-12
@@ -35,7 +35,7 @@ def _real(values):
 
 
 _BARE_LABELS = {"pop_0g": (0, "g"), "pop_1g": (1, "g"), "pop_0e": (0, "e")}
-_ATOM_LEVELS = {"atomic_ground": "g", "atomic_excited": "e"}
+_ATOM_LEVELS = {"atomic_ground": 0, "atomic_excited": 1}  # s of the level
 _DIAGNOSTICS = ("trace_defect", "herm_defect", "min_eigenvalue")  # TimeSeries' defect fields
 OBSERVABLE_NAMES = (*_BARE_LABELS, *_ATOM_LEVELS, "photon_number", "excitation_number",
                     *_DIAGNOSTICS)
@@ -61,18 +61,13 @@ def evaluate(name: str, series: TimeSeries, space: StateSpace,
         held = np.flatnonzero(basis == space.index(*_BARE_LABELS[name]))
         return _real(diag[..., held[0]]) if held.size else np.zeros(diag.shape[:-1])
     if name in _ATOM_LEVELS:
-        level = [space.index(n, _ATOM_LEVELS[name]) for n in range(space.n_max + 1)]
-        held = np.flatnonzero(np.isin(basis, level))
+        held = np.flatnonzero(basis % 2 == _ATOM_LEVELS[name])  # basis index i = 2n + s
         return sum((_real(diag[..., k]) for k in held), np.zeros(diag.shape[:-1]))
-    if name == "photon_number":
-        a, a_dag = ladder_operators(space)
-        op = a_dag @ a
-    elif name == "excitation_number":
-        op = excitation_number(space)
-    else:
+    if name not in ("photon_number", "excitation_number"):
         raise ValueError(f"unknown observable {name!r}")
-    # a diagonal operator's trace against a state weighs its populations by the op's diagonal
-    return _real((np.diagonal(op)[basis] * diag).sum(axis=-1))
+    # the trace of a†a, or of a†a + (sigma_z + 1)/2, weighs the populations by n, or n + s
+    weights = photon_numbers(space) + (name == "excitation_number") * (np.arange(space.dim) % 2)
+    return _real((weights[basis] * diag).sum(axis=-1))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,26 @@ def test_criterion(results, number):
     assert result.passed, f"criterion {number} ({result.name}) failed:\n" + "\n".join(result.lines)
 
 
+def test_shared_runs_are_solved_before_any_criterion(monkeypatch):
+    solved = []
+
+    def recording(scenario):
+        solved.append((scenario.model, scenario.n_max, scenario.solver))
+        return run_trajectory(scenario)
+
+    run_trajectory = acceptance.run_trajectory
+    monkeypatch.setattr(acceptance, "run_trajectory", recording)
+    runs = acceptance._SharedRuns()
+    routes = [(key, solver) for key in ("micro_rabi", "phen_rabi", "phen_bell")
+              for solver in ("spectral", "ode")]
+    assert list(runs.runs) == list(runs.runtimes) == routes  # micro_rabi spectral first
+    assert solved == [(model, n_max, solver) for model, n_max in
+                      (("micro", 2), ("phen", 2), ("phen", 3)) for solver in ("spectral", "ode")]
+    solved.clear()
+    assert all(acceptance.run_criterion(n, runs).passed for n in range(1, 11))
+    assert solved == []
+
+
 def test_battery_solves_only_on_the_reached_states(monkeypatch):
     def refuse(self):
         raise AssertionError("the battery solves on the states rho0 reaches, as evolve does")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from jcsim import analytic, cli, hilbert, solver
-from jcsim.acceptance import DT, CriterionResult, _SharedRuns, run_all_criteria, run_criterion
+from jcsim.acceptance import (_SCENARIOS, DT, CriterionResult, _SharedRuns, run_all_criteria,
+                              run_criterion)
 from jcsim.analytic import rabi_micro
 from jcsim.bath import BathSpec, FlatSpectrum, occupation, rate
 from jcsim.generators import Superoperator, microscopic_channels, restricted_lindblad
@@ -634,8 +635,7 @@ def test_verify_runs_diagnostics_once_per_shared_run(monkeypatch):
     # three battery scenarios on two routes, each on its 5 entries, which criterion 9 reads;
     # and criterion 7's two steady states at nmax 20, each on its 82 nonzero entries
     assert sorted(calls) == [(82,)] * 2 + [(2000, 5)] * 6
-    runs = _SharedRuns()
-    run_criterion(10, runs)  # solves the six shared runs
+    runs = _SharedRuns()  # solves the six shared runs
     calls.clear()
     assert run_criterion(9, runs).passed and calls == []
 
@@ -904,7 +904,7 @@ observables = pop_0g,pop_1g,atomic_ground
 def test_evolve_writes_the_curves_verify_checks(tmp_path, route):
     text = PHEN_RABI + (f"solver = ode\ndt = {DT!r}\n" if route == "ode" else "")
     battery = _SharedRuns()
-    expected = battery.scenario("phen_rabi")
+    expected = _SCENARIOS["phen_rabi"]
     if route == "ode":
         expected = replace(expected, solver="ode", dt=DT)
     assert scenario_from_config(text) == expected

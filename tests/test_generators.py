@@ -22,9 +22,10 @@ from jcsim.generators import (
     unvec,
     vec,
 )
-from jcsim.hilbert import atomic_operators, build_space, ladder_operators, pure_state
+from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
+from dense_operators import atomic_operators
 from stacks import dense
 
 OMEGA0 = 1.0

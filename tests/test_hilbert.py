@@ -6,15 +6,15 @@ import pytest
 from jcsim.hilbert import (
     STATE_TOL,
     DensityMatrix,
-    atomic_operators,
     build_space,
     entry_diagnostics,
     entry_diagonal,
-    excitation_number,
     ladder_operators,
+    photon_numbers,
     pure_state,
 )
 from jcsim.jcmodel import JCParams, hamiltonian
+from dense_operators import atomic_operators, excitation_number
 from stacks import dense_diagnostics, series_of
 
 
@@ -96,6 +96,13 @@ def test_excitation_number_diagonal_integers():
     assert set(np.rint(diag).astype(int)) == set(range(space.n_max + 2))
     assert diag[space.index(0, "g")] == 0
     assert diag[space.index(0, "e")] == 1
+
+
+@pytest.mark.parametrize("n_max", range(31))
+def test_photon_numbers_are_the_product_diagonal_bit_for_bit(n_max):
+    space = build_space(n_max)
+    a, a_dag = ladder_operators(space)
+    assert photon_numbers(space).tobytes() == np.diagonal(a_dag @ a).real.tobytes()
 
 
 def test_excitation_number_commutes_with_hamiltonian():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from jcsim.hilbert import atomic_operators, build_space, ladder_operators
+from jcsim.hilbert import build_space, ladder_operators
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
+from dense_operators import atomic_operators, dense_hamiltonian
 
 
 def test_hamiltonian_matrix_elements():
@@ -12,6 +13,17 @@ def test_hamiltonian_matrix_elements():
     assert h[space.index(0, "g"), space.index(0, "g")] == pytest.approx(-omega0 / 2)
     assert h[space.index(0, "e"), space.index(1, "g")] == pytest.approx(rabi)
     assert np.abs(h - h.conj().T).max() == 0.0
+
+
+@pytest.mark.parametrize("omega0", [1.0, 0.7])
+@pytest.mark.parametrize("rabi", [0.0, 0.2, 0.41, 1e3])
+def test_hamiltonian_is_the_dense_products_bit_for_bit(omega0, rabi):
+    # signed zeros and the sqrt(n)**2 rounding of a†a's diagonal count
+    params = JCParams(omega0, rabi)
+    for n_max in range(1, 31):
+        space = build_space(n_max)
+        h = hamiltonian(params, space)
+        assert h.dtype == complex and h.tobytes() == dense_hamiltonian(params, space).tobytes()
 
 
 def test_dressed_energies_first_manifold():

@@ -8,6 +8,7 @@ from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem
 from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate
 from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
+from dense_operators import excitation_number
 from stacks import dense, series_of
 
 
@@ -84,6 +85,16 @@ def test_evaluate_named_observables():
     assert _one("min_eigenvalue", rho, space) == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
         _one("nonsense", rho, space)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 30])
+def test_number_weights_are_the_product_diagonals_bit_for_bit(n_max):
+    # on each basis state |i><i| the observable reads its weight at i alone
+    space = build_space(n_max)
+    series = _series(np.eye(space.dim, dtype=complex)[:, None, :] * np.eye(space.dim))
+    a, a_dag = ladder_operators(space)
+    for name, op in (("photon_number", a_dag @ a), ("excitation_number", excitation_number(space))):
+        assert evaluate(name, series, space).tobytes() == np.diagonal(op).real.tobytes(), name
 
 
 def _reference(name, rho, space):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jcsim import cli, solver
-from jcsim.acceptance import DT, _SharedRuns
+from jcsim.acceptance import _SCENARIOS, DT
 from jcsim.bath import BathSpec, FlatSpectrum, OhmicSpectrum, occupation, rate
 from jcsim.blocks import coupled_blocks, width_groups
 from jcsim.generators import (
@@ -28,7 +28,6 @@ from jcsim.generators import (
 )
 from jcsim.hilbert import (
     DensityMatrix,
-    atomic_operators,
     build_space,
     ladder_operators,
     pure_state,
@@ -52,6 +51,7 @@ from jcsim.solver import (
     rk4_step_limit,
     steady_state,
 )
+from dense_operators import atomic_operators
 from stacks import dense, dense_diagnostics, series_of
 from test_analytic import rabi_micro_density
 
@@ -293,7 +293,7 @@ def _rk4_loop_reference(mat: np.ndarray, rho0: np.ndarray, times: np.ndarray,
 
 @pytest.mark.parametrize("key", ["micro_rabi", "phen_rabi", "phen_bell"])
 def test_ode_matches_loop_reference_on_battery_scenarios(key):
-    scenario = _SharedRuns().scenario(key)
+    scenario = _SCENARIOS[key]
     liouvillian, rho0 = scenario.generator(), scenario.initial_state()
     times = scenario.time_grid()[:80]
     got = dense(evolve_ode(liouvillian, rho0, times, DT))
@@ -336,7 +336,7 @@ def test_ode_keeps_unweighted_blocks_exactly_zero():
 
 
 def test_ode_never_diagonalizes(monkeypatch):
-    scenario = _SharedRuns().scenario("phen_bell")
+    scenario = _SCENARIOS["phen_bell"]
     liouvillian, rho0 = scenario.generator(), scenario.initial_state()
 
     def refuse(*args, **kwargs):
