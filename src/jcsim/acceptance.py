@@ -29,11 +29,11 @@ from .analytic import bell_phen, rabi_phen
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum, occupation, rate
 from .generators import (microscopic_generator, phenomenological_generator,
                          dressed_approx_generator, restricted_lindblad)
-from .hilbert import build_space
+from .hilbert import DensityMatrix, build_space
 from .jcmodel import JCParams, complete_eigensystem, hamiltonian
 from .observables import ObservableSet
 from .scenario import Scenario, Trajectory, run_trajectory
-from .solver import damping_basis, dominant_frequency, steady_state
+from .solver import DampingBasis, damping_basis, dominant_frequency, steady_state
 
 OMEGA0 = 1.0
 RABI = 0.41
@@ -174,26 +174,36 @@ def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
     return check.result(3, "oscillation-signature")
 
 
-def _frequency(scenario: Scenario) -> float:
-    """:func:`dominant_frequency` of the generator on the states S rho0 reaches, as in compare."""
+def _basis(runs: _SharedRuns, key: str, **changes) -> tuple[DampingBasis, DensityMatrix]:
+    """Damping basis and rho0 on the states S rho0 reaches, as in compare, of a changed scenario.
+
+    A scenario the changes leave equal to the shared run's reads that run's basis, solved once.
+    """
+    scenario = replace(_SCENARIOS[key], **changes)
+    if scenario == _SCENARIOS[key]:
+        run = runs.get(key)
+        return run.basis, run.rho0
     liouvillian, rho0, _ = restricted_lindblad(*scenario.lindblad_terms(),
                                                scenario.initial_state().matrix)
-    return dominant_frequency(damping_basis(liouvillian), rho0)
+    return damping_basis(liouvillian), rho0
 
 
 def _criterion_4(runs: _SharedRuns, scale: float) -> CriterionResult:
+    """Phen's frequency against its closed form, and the micro-phen shift's slope in gamma.
+
+    The sweep's point gamma = 0.1 * 2 * rabi is ``GAMMA``, so it reads the shared runs.
+    """
     check = _Checker(scale)
-    run = runs.get("phen_rabi")
-    f_phen = dominant_frequency(run.basis, run.rho0)
+    f_phen = dominant_frequency(*_basis(runs, "phen_rabi"))
     expected = np.sqrt(16.0 * RABI**2 - GAMMA**2) / 2.0
     check.less("|phen frequency - sqrt(16 rabi^2 - gamma^2)/2|", abs(f_phen - expected), 1e-10)
 
     gammas = np.array([0.02, 0.05, 0.1]) * 2.0 * RABI
     shifts = []
     for gamma in gammas:
-        bath = BathSpec(0.0, FlatSpectrum(gamma))
-        f_micro = _frequency(replace(_SCENARIOS["micro_rabi"], bath=bath))
-        f_phen = _frequency(replace(_SCENARIOS["phen_rabi"], gamma0=gamma))
+        f_micro = dominant_frequency(*_basis(runs, "micro_rabi",
+                                             bath=BathSpec(0.0, FlatSpectrum(gamma))))
+        f_phen = dominant_frequency(*_basis(runs, "phen_rabi", gamma0=gamma))
         shifts.append((f_micro - f_phen) / f_micro)
     slope = np.polyfit(np.log(gammas), np.log(shifts), 1)[0]
     check.less("|log-log slope of shift vs gamma - 2|", abs(slope - 2.0), 0.1)
@@ -225,14 +235,15 @@ def _expected_sector_eigenvalues(bath: BathSpec) -> np.ndarray:
 
 
 def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
+    """Micro's spectrum on S = {|0,g>, |0,e>, |1,g>} against its jumps, and biorthonormality.
+
+    The "degenerate" flat bath is ``micro_rabi``'s, so it reads that shared run's basis.
+    """
     check = _Checker(scale)
     for spectrum, tag in ((OhmicSpectrum(0.15, 2.0 * OMEGA0), "distinct"),
                           (FlatSpectrum(GAMMA), "degenerate")):
         bath = BathSpec(0.0, spectrum)
-        scenario = replace(_SCENARIOS["micro_rabi"], bath=bath)  # S: |0,g>, |0,e> and |1,g>
-        liouvillian, _, _ = restricted_lindblad(*scenario.lindblad_terms(),
-                                                scenario.initial_state().matrix)
-        basis = damping_basis(liouvillian)
+        basis, _ = _basis(runs, "micro_rabi", bath=bath)
         expected = _expected_sector_eigenvalues(bath)
         order = np.lexsort((expected.imag, -expected.real))
         dev = np.abs(basis.eigenvalues - expected[order]).max()

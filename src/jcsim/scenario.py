@@ -160,14 +160,21 @@ class Scenario:
     def channels(self) -> list[tuple[float, SparseOperator, float]]:
         """The (omega, operator, rate) jump channels of a micro or dressed model.
 
-        Each operator holds only its nonzero entries.
+        Each operator holds only its nonzero entries.  Both models take their
+        channels from the dressed levels, with |0,g> the lowest; at rabi >=
+        omega0 the level (1,-) at omega0/2 - rabi lies at or below |0,g> at
+        -omega0/2, and the build is a :class:`ConfigError`.
         """
+        if self.model == "phen":
+            raise ValueError("phen's jumps a and a† are no Bohr-frequency channels")
+        if self.rabi >= self.omega0:
+            raise ConfigError(f"model = {self.model} needs rabi < omega0: at rabi = {self.rabi} "
+                              f"and omega0 = {self.omega0} the dressed level (1,-) lies at or "
+                              f"below |0,g>, so the excitation manifolds cross")
         params, space = self.params, self.space()
         if self.model == "micro":
             return microscopic_channels(params, space, self.bath, self.freq_tol)
-        if self.model == "dressed":
-            return dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
-        raise ValueError("phen's jumps a and a† are no Bohr-frequency channels")
+        return dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
 
     def lindblad_terms(self, channels: list | None = None
                        ) -> tuple[np.ndarray, list[tuple[SparseOperator, float]]]:

@@ -4,10 +4,14 @@ One pass/fail line per criterion is printed (visible with `pytest -s`,
 or through `jcsim verify`, which drives the same checks).
 """
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from jcsim import acceptance, generators, scenario
-from jcsim.acceptance import run_all_criteria
+from jcsim import acceptance, generators, scenario, solver
+from jcsim.acceptance import RABI, run_all_criteria
+from jcsim.bath import BathSpec, FlatSpectrum
 
 
 @pytest.fixture(scope="module")
@@ -63,5 +67,24 @@ def test_battery_solves_only_on_the_reached_states(monkeypatch):
     for module in (acceptance, scenario):
         monkeypatch.setattr(module, "damping_basis", counting)
     assert [r.number for r in run_all_criteria() if not r.passed] == []
-    # three spectral runs, criterion 4's sweep over 3 gammas x 2 models, criterion 5's 2 baths
-    assert len(solves) == 11
+    # three spectral runs, criterion 4's sweep over the 2 gammas no shared run solves x 2
+    # models, and criterion 5's Ohmic bath; its flat bath is micro_rabi's
+    assert len(solves) == 8
+
+
+def test_criteria_4_and_5_read_the_shared_bases_a_fresh_solve_gives():
+    runs = acceptance._SharedRuns()
+    for key, changes in (("micro_rabi", {"bath": BathSpec(0.0, FlatSpectrum(0.1 * 2.0 * RABI))}),
+                         ("phen_rabi", {"gamma0": 0.1 * 2.0 * RABI})):
+        reused, rho0 = acceptance._basis(runs, key, **changes)
+        assert reused is runs.get(key).basis and rho0 is runs.get(key).rho0
+        scenario = replace(acceptance._SCENARIOS[key], **changes)
+        liouvillian, fresh_rho0, _ = generators.restricted_lindblad(
+            *scenario.lindblad_terms(), scenario.initial_state().matrix)
+        fresh = solver.damping_basis(liouvillian)
+        assert np.array_equal(reused.eigenvalues, fresh.eigenvalues)
+        assert len(reused.groups) == len(fresh.groups)
+        for got, want in zip(reused.groups, fresh.groups):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert (solver.dominant_frequency(reused, rho0)
+                == solver.dominant_frequency(fresh, fresh_rho0))

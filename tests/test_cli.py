@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jcsim import analytic, cli, hilbert, solver
+from jcsim import acceptance, analytic, cli, hilbert, solver
 from jcsim.acceptance import (_SCENARIOS, DT, CriterionResult, _SharedRuns, run_all_criteria,
                               run_criterion)
 from jcsim.analytic import rabi_micro
@@ -377,6 +377,34 @@ def test_resolution_check_compares_one_float_step_with_freq_tol(rabi, freq_tol, 
         with pytest.raises(ConfigError, match=r"is not resolved to freq_tol = 1e-09 \(one float "
                                               r"step there is 1\.86e-09\)"):
             scenario_from_config(text)
+
+
+@pytest.mark.parametrize("rabi", ["1.0", "1e3"])
+@pytest.mark.parametrize("command", ["evolve", "steady", "spectrum"])
+@pytest.mark.parametrize("model", ["micro", "dressed"])
+def test_a_crossed_ground_level_is_a_config_error(tmp_path, capsys, model, command, rabi):
+    # at rabi >= omega0 the dressed level (1,-) at omega0/2 - rabi lies at or below |0,g>;
+    # micro's build used to fail on a zero-frequency channel at rabi 1.0, and to exit 0 with a
+    # plausible wrong curve at rabi 1e3
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", f"rabi = {rabi}")
+    cfg, out = _write(tmp_path, "crossed.cfg", text), tmp_path / "x.csv"
+    assert cli.main([command, "--model", model, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: model = {model} needs rabi < omega0: at rabi = {float(rabi)} and "
+        "omega0 = 1.0 the dressed level (1,-) lies at or below |0,g>, so the excitation "
+        "manifolds cross\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rabi", [1.0, 1e3])
+def test_phen_runs_past_a_crossed_ground_level(tmp_path, rabi):
+    # phen's jumps are a and a†, no dressed-level channels, so it needs no ordering of levels
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text().replace("rabi = 0.41", f"rabi = {rabi}")
+    cfg, out = _write(tmp_path, "crossed.cfg", text), tmp_path / "x.csv"
+    assert cli.main(["evolve", "--model", "phen", "--config", str(cfg), "--out", str(out)]) == 0
+    _, data = _read_csv(out)
+    p0g, _, _ = analytic.rabi_phen(data[:, 0] / (2.0 * rabi), 0.082, rabi)
+    assert np.abs(data[:, 1] - p0g).max() < 1e-8
 
 
 def test_spectrum_refuses_a_non_finite_eigenvalue(tmp_path, capsys, monkeypatch):
@@ -918,7 +946,14 @@ def test_evolve_writes_the_curves_verify_checks(tmp_path, route):
         assert np.array_equal(data[:, k], observables[name]), name
 
 
-def test_tolerance_corruption_hook():
-    # the hook must be able to push a healthy criterion into failure
-    assert run_criterion(8).passed
-    assert not run_criterion(8, tolerance_scale=1e-8).passed
+def test_tolerance_corruption_hook(monkeypatch):
+    # the hook must be able to push a healthy criterion into failure; both calls share one
+    # solve of the six shared runs
+    solved = []
+    solve = acceptance.run_trajectory
+    monkeypatch.setattr(acceptance, "run_trajectory",
+                        lambda scenario: solved.append(scenario) or solve(scenario))
+    runs = _SharedRuns()
+    assert run_criterion(8, runs).passed
+    assert not run_criterion(8, runs, tolerance_scale=1e-8).passed
+    assert len(solved) == 6

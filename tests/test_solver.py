@@ -326,6 +326,53 @@ def test_ode_matches_loop_reference_on_merged_blocks():
     assert np.abs(got - reference).max() <= 1e-12
 
 
+def test_ode_matches_loop_reference_on_a_whole_battery_grid():
+    # all 2000 samples: doubling reaches its 11th level, 1024 samples advanced at once
+    scenario = _SCENARIOS["phen_rabi"]
+    liouvillian, rho0 = scenario.generator(), scenario.initial_state()
+    times = scenario.time_grid()
+    got = dense(evolve_ode(liouvillian, rho0, times, DT))
+    reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, DT)
+    assert np.abs(got - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
+def test_ode_forms_two_propagators_per_touched_block(config, monkeypatch):
+    # one for the span up to the first sample, one for the grid step, whatever the sample count
+    calls = []
+    power_increment = solver._power_increment
+    monkeypatch.setattr(solver, "_power_increment",
+                        lambda q, n: calls.append(q.shape) or power_increment(q, n))
+    scenario = scenario_from_config((CONFIGS / config).read_text())
+    run = run_trajectory(replace(scenario, solver="ode", dt=DT))
+    labels = coupled_blocks(run.liouvillian)[0]
+    touched = np.unique(labels[np.flatnonzero(vec(run.rho0.matrix))])
+    assert touched.size >= 1 and len(calls) == 2 * touched.size
+
+
+def test_ode_refuses_a_non_uniform_grid():
+    liouvillian, rho0 = _sector_generator(), _sector_state_excited_atom()
+    with pytest.raises(ValueError, match="times must be uniform after the first sample"):
+        evolve_ode(liouvillian, rho0, np.array([0.0, 1.0, 2.0, 3.5]), dt=1e-3)
+    times = np.linspace(0.0, 5.0, 11)
+    times[5] += 2 * np.spacing(5.0)  # two intervals 2 float steps of t_last off: uniform
+    evolve_ode(liouvillian, rho0, times, dt=1e-3)
+    times[5] += 14 * np.spacing(5.0)  # 16 off
+    with pytest.raises(ValueError, match="more than 8 float steps of t = 5"):
+        evolve_ode(liouvillian, rho0, times, dt=1e-3)
+
+
+def test_ode_takes_a_long_linspace_as_uniform():
+    # a linspace's intervals spread further from its step the more samples it has; the rule
+    # counts float steps of its last time, so 10**5 samples still pass
+    liouvillian, rho0 = _sector_generator(), _sector_state_excited_atom()
+    times = np.linspace(0.0, 300.0, 10 ** 5)
+    assert np.abs(np.diff(times) - times[-1] / (times.size - 1)).max() > 1e-12 * times[1]
+    ode = evolve_ode(liouvillian, rho0, times, rk4_step_limit(liouvillian.diagonal()))
+    spectral = evolve_spectral(damping_basis(liouvillian), rho0, times)
+    assert np.abs(ode.states - spectral.states).max() < 1e-8
+
+
 def test_ode_keeps_unweighted_blocks_exactly_zero():
     space = build_space(3)
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
