@@ -183,8 +183,8 @@ def _basis(runs: _SharedRuns, key: str, **changes) -> tuple[DampingBasis, Densit
     if scenario == _SCENARIOS[key]:
         run = runs.get(key)
         return run.basis, run.rho0
-    liouvillian, rho0, _ = restricted_lindblad(*scenario.lindblad_terms(),
-                                               scenario.initial_state().matrix)
+    h, jumps, _ = scenario.lindblad_terms()
+    liouvillian, rho0, _ = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
     return damping_basis(liouvillian), rho0
 
 
@@ -348,10 +348,7 @@ _CRITERIA = (
 )
 
 
-def run_criterion(number: int, runs: _SharedRuns | None = None,
-                  tolerance_scale: float = 1.0) -> CriterionResult:
-    if runs is None:
-        runs = _SharedRuns()
+def run_criterion(number: int, runs: _SharedRuns, tolerance_scale: float = 1.0) -> CriterionResult:
     return _CRITERIA[number - 1](runs, tolerance_scale)
 
 

@@ -405,17 +405,22 @@ def reachable_states(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],
     S is the closure of rho0's diagonal support under the nonzero patterns
     of ``h``, of each live jump A (rate > 0) and of A†A, so -i[h, .],
     A . A† and -{A†A, .}/2 all map operators over S to operators over S.
+    Each pass walks the entries once, until S stops growing.  A†A[k, l] is
+    nonzero where a row of A holds entries in columns k and l, so an entry
+    in a column of S marks its (jump, row) pair, and the columns of a marked
+    pair's entries, adjacent in row-major order, join S.
     """
-    live = [op for op, g in jumps if g > 0]
-    index, rows, cols, values = _entries(live)
-    blocks, columns = _column_blocks(index, rows, cols, values != 0, len(live), h.shape[0])
-    c, k, l = np.nonzero(np.transpose(blocks, (0, 2, 1)) @ blocks)  # A†A's pattern
-    step = h != 0
-    step[rows, cols] = True
-    step[columns[c, k], columns[c, l]] = True
+    index, rows, cols, _ = _entries([op for op, g in jumps if g > 0])
+    hi, hk = np.nonzero(h)
+    pair = np.cumsum(np.diff(index * h.shape[0] + rows, prepend=-1) != 0) - 1
+    marked = np.zeros(pair.size, dtype=bool)
     reached, previous = np.diag(rho0) != 0, None
-    while not np.array_equal(reached, previous):  # stop at the fixed point
-        previous, reached = reached, reached | step[:, reached].any(axis=1)
+    while not np.array_equal(reached, previous):
+        previous = reached.copy()
+        reached[hi[reached[hk]]] = True
+        reached[rows[reached[cols]]] = True
+        marked[pair[reached[cols]]] = True
+        reached[cols[marked[pair]]] = True
     return np.flatnonzero(reached)
 
 

@@ -176,20 +176,18 @@ class Scenario:
             return microscopic_channels(params, space, self.bath, self.freq_tol)
         return dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
 
-    def lindblad_terms(self, channels: list | None = None
-                       ) -> tuple[np.ndarray, list[tuple[SparseOperator, float]]]:
-        """The Hamiltonian and the (operator, rate) jumps of the model's Lindblad form.
-
-        Micro and dressed read ``channels``, :meth:`channels` if not given.
-        """
+    def lindblad_terms(self) -> tuple[np.ndarray, list[tuple[SparseOperator, float]], list | None]:
+        """The Hamiltonian, the (operator, rate) jumps of the model's Lindblad form, and the
+        :meth:`channels` they come from (None for phen, whose jumps are a and a†)."""
         params, space = self.params, self.space()
         if self.model == "phen":
-            return hamiltonian(params, space), _photon_loss(space, self.gamma0, self.nbar)
-        channels = self.channels() if channels is None else channels
-        return hamiltonian(params, space), [(op, g) for _, op, g in channels]
+            return hamiltonian(params, space), _photon_loss(space, self.gamma0, self.nbar), None
+        channels = self.channels()
+        return hamiltonian(params, space), [(op, g) for _, op, g in channels], channels
 
     def generator(self) -> Superoperator:
-        return _lindblad(*self.lindblad_terms())
+        h, jumps, _ = self.lindblad_terms()
+        return _lindblad(h, jumps)
 
     def initial_state(self) -> DensityMatrix:
         return pure_state(self._initial_vector(self.space()))
@@ -216,8 +214,7 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
     generator's bound.  A micro or dressed run builds its channels once
     and returns them.
     """
-    channels = None if scenario.model == "phen" else scenario.channels()
-    h, jumps = scenario.lindblad_terms(channels)
+    h, jumps, channels = scenario.lindblad_terms()
     liouvillian, rho0, reached = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
     times = scenario.time_grid()
     basis = None
@@ -239,18 +236,18 @@ def _edge_population(scenario: Scenario, diagonal: np.ndarray, basis: np.ndarray
     return float(diagonal[..., top].real.sum(axis=-1).max())
 
 
-_BATH_KEYS = {
-    "flat": ("gamma0",),
-    "ohmic": ("alpha", "cutoff"),
-    "lorentzian": ("gamma0", "center", "halfwidth"),
+# bath.kind: its spectrum and the bath.* keys of that spectrum, in constructor order
+_BATH_KINDS = {
+    "flat": (FlatSpectrum, ("gamma0",)),
+    "ohmic": (OhmicSpectrum, ("alpha", "cutoff")),
+    "lorentzian": (LorentzianSpectrum, ("gamma0", "center", "halfwidth")),
 }
 
 _KNOWN_KEYS = {
     "model", "omega0", "rabi", "nmax", "initial", "tau_max", "steps",
     "observables", "solver", "dt", "gamma0", "nbar", "freq_tol",
-    "bath.kind", "bath.temperature", "bath.gamma0", "bath.alpha",
-    "bath.cutoff", "bath.center", "bath.halfwidth",
-}
+    "bath.kind", "bath.temperature",
+} | {f"bath.{key}" for _, keys in _BATH_KINDS.values() for key in keys}
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -298,28 +295,26 @@ def _parse_initial(text: str) -> tuple:
 
 
 def _parse_bath(mapping: dict[str, str]) -> BathSpec | None:
+    given = [key for key in mapping if key.startswith("bath.")]
     if "bath.kind" not in mapping:
+        if given:
+            raise ConfigError(f"{', '.join(given)} set without bath.kind")
         return None
     kind = mapping["bath.kind"]
-    if kind not in _BATH_KEYS:
-        raise ConfigError(f"bath.kind must be one of {sorted(_BATH_KEYS)}, got {kind!r}")
+    if kind not in _BATH_KINDS:
+        raise ConfigError(f"bath.kind must be one of {sorted(_BATH_KINDS)}, got {kind!r}")
+    spectrum, keys = _BATH_KINDS[kind]
     temperature = _get(mapping, "bath.temperature", float, 0.0)
     try:
-        if kind == "flat":
-            spectrum = FlatSpectrum(_get(mapping, "bath.gamma0", float))
-        elif kind == "ohmic":
-            spectrum = OhmicSpectrum(
-                _get(mapping, "bath.alpha", float), _get(mapping, "bath.cutoff", float)
-            )
-        else:
-            spectrum = LorentzianSpectrum(
-                _get(mapping, "bath.gamma0", float),
-                _get(mapping, "bath.center", float),
-                _get(mapping, "bath.halfwidth", float),
-            )
-        return BathSpec(temperature, spectrum)
+        bath = BathSpec(temperature, spectrum(*(_get(mapping, f"bath.{key}", float)
+                                                for key in keys)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid bath block: {exc}") from exc
+    stray = [key for key in given
+             if key.removeprefix("bath.") not in ("kind", "temperature") + keys]
+    if stray:
+        raise ConfigError(f"bath.kind = {kind} takes no {', '.join(stray)}")
+    return bath
 
 
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:

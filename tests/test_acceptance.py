@@ -79,8 +79,9 @@ def test_criteria_4_and_5_read_the_shared_bases_a_fresh_solve_gives():
         reused, rho0 = acceptance._basis(runs, key, **changes)
         assert reused is runs.get(key).basis and rho0 is runs.get(key).rho0
         scenario = replace(acceptance._SCENARIOS[key], **changes)
+        h, jumps, _ = scenario.lindblad_terms()
         liouvillian, fresh_rho0, _ = generators.restricted_lindblad(
-            *scenario.lindblad_terms(), scenario.initial_state().matrix)
+            h, jumps, scenario.initial_state().matrix)
         fresh = solver.damping_basis(liouvillian)
         assert np.array_equal(reused.eigenvalues, fresh.eigenvalues)
         assert len(reused.groups) == len(fresh.groups)

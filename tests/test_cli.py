@@ -273,6 +273,30 @@ def test_non_finite_number_is_a_config_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base, stray", [
+    (BASE, "bath.alpha = 5.0\nbath.halfwidth = 3"), (_OHMIC, "bath.gamma0 = 0.04"),
+    (_LORENTZIAN, "bath.cutoff = 2.0")], ids=["flat", "ohmic", "lorentzian"])
+def test_bath_key_its_kind_does_not_take_is_a_config_error(tmp_path, capsys, base, stray):
+    cfg = _write(tmp_path, "bad.cfg", base + stray)
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    kind = next(line for line in base.splitlines() if line.startswith("bath.kind"))
+    keys = ", ".join(line.split(" =")[0] for line in stray.splitlines())
+    assert err == f"config error: {kind} takes no {keys}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_bath_key_without_a_kind_is_a_config_error(tmp_path, capsys, model):
+    cfg = _write(tmp_path, "bad.cfg", BASE.replace("bath.kind = flat\n", ""))
+    out = tmp_path / "x.csv"
+    assert cli.main(["evolve", "--config", str(cfg), "--model", model, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: bath.temperature, bath.gamma0 set without bath.kind\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag, key", [("--tau-max", "tau_max"), ("--dt", "dt")])
 def test_non_finite_override_is_a_config_error(tmp_path, capsys, flag, key, value):
@@ -459,7 +483,7 @@ def test_ode_step_is_held_to_the_full_generator(tmp_path, capsys):
     # the states rho0 reaches alone would accept a step several times longer
     cfg = CONFIGS / "bell_atomic_ground.cfg"
     scenario = replace(scenario_from_config(cfg.read_text()), n_max=13)
-    h, jumps = scenario.lindblad_terms()
+    h, jumps, _ = scenario.lindblad_terms()
     restricted, _, _ = restricted_lindblad(h, jumps, scenario.initial_state().matrix)
     dt = 2.0 * solver.rk4_step_limit(np.diag(scenario.generator().matrix))
     assert dt < solver.rk4_step_limit(np.diag(restricted.matrix))

@@ -611,6 +611,23 @@ def test_secular_margin_follows_the_anticommutator():
     assert spacing_ratio == pytest.approx(0.3 / 0.7) and omega_ratio == pytest.approx(0.3)
 
 
+def test_reachable_states_walk_the_entries_at_nmax_400():
+    # a thermal phen run reaches all 802 states, one photon level per pass; a dense one-step
+    # pattern of the d x d states and bool A†A products peak at 2.7 MB
+    space = build_space(400)
+    h = hamiltonian(PARAMS, space)
+    jumps = generators._photon_loss(space, GAMMA0, occupation(OMEGA0, 0.22))
+    rho0 = pure_state(space.basis_state(0, "e")).matrix
+    tracemalloc.start()
+    try:
+        states = reachable_states(h, jumps, rho0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.size == space.dim
+    assert peak <= 0.5e6
+
+
 def _superoperator(matrix):
     # a hand-built matrix as the Superoperator of its nonzero entries
     rows, cols = np.nonzero(matrix)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jcsim.bath import FlatSpectrum
+from jcsim.jcmodel import hamiltonian
 from jcsim.scenario import (
     ConfigError,
     parse_config,
@@ -172,3 +173,20 @@ def test_with_model_revalidates():
     scenario = scenario_from_config(MICRO_TEXT)
     with pytest.raises(ConfigError, match="gamma0"):
         replace(scenario, model="phen")
+
+
+@pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
+def test_lindblad_terms_hand_back_the_channels_of_their_jumps(model):
+    scenario = replace(scenario_from_config(MICRO_TEXT), model=model, gamma0=0.04, nbar=0.0)
+    h, jumps, channels = scenario.lindblad_terms()
+    assert np.array_equal(h, hamiltonian(scenario.params, scenario.space()))
+    if model == "phen":
+        assert channels is None
+        return
+    fresh = scenario.channels()
+    assert len(channels) == len(fresh) == len(jumps)
+    for (omega, op, g), (fresh_omega, fresh_op, fresh_g), jump in zip(channels, fresh, jumps):
+        assert jump[0] is op and jump[1] == g
+        assert (omega, g, op.dim) == (fresh_omega, fresh_g, fresh_op.dim)
+        for field in ("rows", "cols", "values"):
+            assert np.array_equal(getattr(op, field), getattr(fresh_op, field))

@@ -973,12 +973,28 @@ def test_thermal_runs_reach_every_state(initial, model, n_max):
 @pytest.mark.parametrize("model", ["micro", "phen", "dressed"])
 @_INITIAL_STATES
 def test_reachable_states_stop_at_the_closure(initial, model, temperature):
-    scenario = _joint_ground_scenario(initial=initial, model=model, n_max=8,
-                                      nbar=occupation(OMEGA0, temperature) if temperature else 0.0)
-    scenario = replace(scenario, bath=BathSpec(temperature, scenario.bath.spectrum))
-    h, jumps = _hamiltonian_and_jumps(scenario)
-    rho0 = scenario.initial_state().matrix
-    assert np.array_equal(reachable_states(h, jumps, rho0), _reachable_reference(h, jumps, rho0))
+    for rabi in (0.2, 0.41, 0.9):
+        scenario = _joint_ground_scenario(
+            initial=initial, model=model, n_max=8, rabi=rabi,
+            nbar=occupation(OMEGA0, temperature) if temperature else 0.0)
+        scenario = replace(scenario, bath=BathSpec(temperature, scenario.bath.spectrum))
+        h, jumps = _hamiltonian_and_jumps(scenario)
+        rho0 = scenario.initial_state().matrix
+        assert np.array_equal(reachable_states(h, jumps, rho0),
+                              _reachable_reference(h, jumps, rho0))
+    # sigma_x flips the atom alone: live, it breaks the excitation number and reaches every
+    # state; at rate 0 it adds none
+    sm, sp, _ = atomic_operators(scenario.space())
+    flip = SparseOperator.from_dense(sm + sp)
+    for g in (0.05, 0.0):
+        for start in np.eye(h.shape[0]):
+            rho0 = np.diag(start)
+            states = reachable_states(h, jumps + [(flip, g)], rho0)
+            assert np.array_equal(states, _reachable_reference(h, jumps + [(flip, g)], rho0))
+            if g:
+                assert states.size == h.shape[0]
+            else:
+                assert np.array_equal(states, reachable_states(h, jumps, rho0))
 
 
 def test_evolve_spectral_keeps_unweighted_blocks_exactly_zero():
