@@ -34,52 +34,43 @@ def occupation(omega: float | np.ndarray, temperature: float) -> float | np.ndar
     return (1.0 / np.expm1(omega / temperature))[()]
 
 
+class _PositiveParameters:
+    """A spectral density: every parameter must be positive (so not nan), checked in field order."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
-class FlatSpectrum:
+class FlatSpectrum(_PositiveParameters):
     """White noise: J(omega) = gamma0 for all omega > 0."""
 
     gamma0: float
-
-    def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
 
     def density(self, omega: float | np.ndarray) -> float | np.ndarray:
         return np.full(np.shape(omega), self.gamma0)[()]
 
 
 @dataclass(frozen=True)
-class OhmicSpectrum:
+class OhmicSpectrum(_PositiveParameters):
     """J(omega) = alpha * omega * exp(-omega/cutoff)."""
 
     alpha: float
     cutoff: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
 
     def density(self, omega: float | np.ndarray) -> float | np.ndarray:
         return self.alpha * omega * np.exp(-omega / self.cutoff)
 
 
 @dataclass(frozen=True)
-class LorentzianSpectrum:
+class LorentzianSpectrum(_PositiveParameters):
     """J(omega) = gamma0 * halfwidth^2 / ((omega - center)^2 + halfwidth^2)."""
 
     gamma0: float
     center: float
     halfwidth: float
-
-    def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not self.center > 0:
-            raise ValueError(f"center must be positive, got {self.center}")
-        if not self.halfwidth > 0:
-            raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
 
     def density(self, omega: float | np.ndarray) -> float | np.ndarray:
         return self.gamma0 * self.halfwidth**2 / ((omega - self.center) ** 2 + self.halfwidth**2)

@@ -65,14 +65,20 @@ def _csv(header: list[str], rows) -> str:
     return ",".join(header) + "\n" + body.replace("], [", "\n").replace(", ", ",") + "\n"
 
 
+def _three_digits(value: float, up: bool) -> float:
+    """``value`` rounded up (or down) to 3 significant digits: its decimal parses at or above
+    (at or below) ``value``."""
+    sign = 1 if up else -1
+    scale = 10.0 ** (np.floor(np.log10(value)) - 2)
+    steps = sign * np.ceil(sign * value / scale)
+    while sign * float(f"{steps * scale:.3g}") < sign * value:  # the decimal may parse past value
+        steps += sign
+    return float(f"{steps * scale:.3g}")
+
+
 def _ode_step_bound(diagonal: np.ndarray) -> str:
     """:func:`rk4_step_limit` of a generator's diagonal, rounded down to 3 significant digits."""
-    limit = rk4_step_limit(diagonal)
-    scale = 10.0 ** (np.floor(np.log10(limit)) - 2)
-    steps = np.floor(limit / scale)
-    while float(f"{steps * scale:.3g}") > limit:  # the decimal may parse a bit above
-        steps -= 1
-    return f"{steps * scale:.3g}"
+    return f"{_three_digits(rk4_step_limit(diagonal), up=False):.3g}"
 
 
 def run_evolve(scenario: Scenario, out_path: str) -> Trajectory:
@@ -207,9 +213,7 @@ def _print_advisories(scenario: Scenario, channels: list, reached: np.ndarray) -
     verdict = "ok"
     if float(f"{spacing_ratio:.3g}") > 0.1:
         # freq_tol groups them from their spacing on (rounded up here), and not below it
-        gap = pair[1] - pair[0]
-        scale = 10.0 ** (np.floor(np.log10(gap)) - 2)
-        remedy = float(f"{np.ceil(gap / scale) * scale:.3g}")
+        remedy = _three_digits(pair[1] - pair[0], up=True)
         verdict = f"NOT satisfied: omega = {pair[0]:.4g} and {pair[1]:.4g} are closest;"
         if scenario.model == "micro" and _merges_into_zero(scenario, remedy):
             nearest = min(abs(omega) for omega, _, _ in channels)

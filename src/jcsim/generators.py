@@ -1,18 +1,22 @@
 """Builders for the Liouvillian superoperators of the lossy atom-cavity system.
 
 Every generator is one Lindblad form, -i[H, .] plus the dissipator of a
-list of (jump operator, rate) pairs; the three differ in their jumps:
+list of (jump operator, rate) pairs; the three models differ in their
+jumps, which ``model_terms`` alone picks:
 
-* ``phenomenological_generator`` damps the bare cavity mode with jump
-  operators a and a† at thermally split rates;
-* ``microscopic_generator`` expands the cavity quadrature a + a† over the
-  Bohr frequencies of the dressed spectrum and attaches a bath rate to
-  every jump channel, so it is the atom-cavity eigenstates that decay;
-* ``dressed_approx_generator`` is the secular projection of the
-  phenomenological generator in the dressed basis, the standard
-  weak-damping approximation that the microscopic construction reproduces
-  for a flat zero-temperature bath, built from the Bohr-frequency
-  components of a and a† at their photon-loss and photon-gain rates.
+* ``phen`` damps the bare cavity mode with jump operators a and a† at
+  thermally split rates;
+* ``micro`` expands the cavity quadrature a + a† over the Bohr
+  frequencies of the dressed spectrum and attaches a bath rate to every
+  jump channel, so it is the atom-cavity eigenstates that decay;
+* ``dressed`` is the secular projection of the phenomenological
+  generator in the dressed basis, the standard weak-damping approximation
+  that the microscopic construction reproduces for a flat
+  zero-temperature bath, built from the Bohr-frequency components of a
+  and a† at their photon-loss and photon-gain rates.
+
+Each of ``phenomenological_generator``, ``microscopic_generator`` and
+``dressed_approx_generator`` is ``_lindblad`` of its model's terms.
 
 ``restricted_lindblad`` cuts a run's problem down to the states
 (``reachable_states``) it can populate; the CLI solves every trajectory
@@ -330,8 +334,7 @@ def microscopic_generator(
     their rates makes the truncated thermal state of the Hamiltonian
     stationary.  No Lamb-shift correction is added to the commutator.
     """
-    channels = microscopic_channels(params, space, bath, freq_tol)
-    return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
+    return _lindblad(*model_terms("micro", params, space, bath, freq_tol=freq_tol)[:2])
 
 
 def _ladder_jumps(space: StateSpace, gamma0: float, nbar: float
@@ -345,12 +348,6 @@ def _ladder_jumps(space: StateSpace, gamma0: float, nbar: float
     return [(a, gamma0 * (nbar + 1.0)), (a_dag, gamma0 * nbar)]
 
 
-def _photon_loss(space: StateSpace, gamma0: float, nbar: float
-                 ) -> list[tuple[SparseOperator, float]]:
-    """Jumps a and a† with their rates gamma0(nbar+1) and gamma0*nbar."""
-    return [(SparseOperator.from_dense(op), g) for op, g in _ladder_jumps(space, gamma0, nbar)]
-
-
 def phenomenological_generator(
     params: JCParams,
     space: StateSpace,
@@ -358,7 +355,7 @@ def phenomenological_generator(
     nbar: float,
 ) -> Superoperator:
     """Liouvillian with bare photon loss/gain at rates gamma0(nbar+1), gamma0*nbar."""
-    return _lindblad(hamiltonian(params, space), _photon_loss(space, gamma0, nbar))
+    return _lindblad(*model_terms("phen", params, space, gamma0=gamma0, nbar=nbar)[:2])
 
 
 def dressed_channels(
@@ -394,8 +391,26 @@ def dressed_approx_generator(
     That is again a Lindblad form, over the jumps of :func:`dressed_channels`;
     the commutator part is kept in full.
     """
-    channels = dressed_channels(params, space, gamma0, nbar, freq_tol)
-    return _lindblad(hamiltonian(params, space), [(op, g) for _, op, g in channels])
+    return _lindblad(*model_terms("dressed", params, space, gamma0=gamma0, nbar=nbar,
+                                  freq_tol=freq_tol)[:2])
+
+
+def model_terms(model: str, params: JCParams, space: StateSpace, bath: BathSpec | None = None,
+                gamma0: float | None = None, nbar: float | None = None,
+                freq_tol: float | None = None) -> tuple[np.ndarray, list, list | None]:
+    """The Hamiltonian, (operator, rate) jumps and (omega, operator, rate) channels of one model:
+    micro's from :func:`microscopic_channels`, dressed's from :func:`dressed_channels`, and
+    phen's jumps a and a† at the rates gamma0(nbar+1) and gamma0*nbar, with channels None."""
+    if model == "phen":
+        jumps = [(SparseOperator.from_dense(op), g) for op, g in _ladder_jumps(space, gamma0, nbar)]
+        return hamiltonian(params, space), jumps, None
+    if model == "micro":
+        channels = microscopic_channels(params, space, bath, freq_tol)
+    elif model == "dressed":
+        channels = dressed_channels(params, space, gamma0, nbar, freq_tol)
+    else:
+        raise ValueError(f"model must be micro, phen or dressed, got {model!r}")
+    return hamiltonian(params, space), [(op, g) for _, op, g in channels], channels
 
 
 def reachable_states(h: np.ndarray, jumps: list[tuple[SparseOperator, float]],

@@ -33,10 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bath import BathSpec, FlatSpectrum, LorentzianSpectrum, OhmicSpectrum
-from .generators import (SparseOperator, Superoperator, _lindblad, _photon_loss, default_freq_tol,
-                         dressed_channels, microscopic_channels, restricted_lindblad)
+from .generators import (SparseOperator, Superoperator, _lindblad, default_freq_tol, model_terms,
+                         restricted_lindblad)
 from .hilbert import DensityMatrix, StateSpace, build_space, pure_state
-from .jcmodel import JCParams, complete_eigensystem, hamiltonian
+from .jcmodel import JCParams, complete_eigensystem
 from .observables import ObservableSet
 from .solver import (DampingBasis, TimeSeries, check_rk4_step, damping_basis, evolve_ode,
                      evolve_spectral)
@@ -114,20 +114,12 @@ class Scenario:
         self._initial_vector(build_space(self.n_max))  # validates the label
 
     def _initial_photons(self) -> int:
-        kind = self.initial[0]
-        if kind == "ground":
-            return 0
-        if kind == "fock":
-            return self.initial[1]
-        if kind == "dressed":
+        if self.initial[0] in ("fock", "dressed"):
             return self.initial[1]
         raise ConfigError(f"unknown initial state kind {self.initial[0]!r}")
 
     def _initial_vector(self, space: StateSpace) -> np.ndarray:
-        kind = self.initial[0]
-        if kind == "ground":
-            return space.basis_state(0, "g")
-        if kind == "fock":
+        if self.initial[0] == "fock":
             _, n, s = self.initial
             try:
                 return space.basis_state(n, s)
@@ -157,33 +149,20 @@ class Scenario:
                               f"rabi = {self.rabi}")
         return self.tau_grid() / (2.0 * self.rabi)
 
-    def channels(self) -> list[tuple[float, SparseOperator, float]]:
-        """The (omega, operator, rate) jump channels of a micro or dressed model.
+    def lindblad_terms(self) -> tuple[np.ndarray, list[tuple[SparseOperator, float]], list | None]:
+        """The scenario's :func:`model_terms`: the Hamiltonian, the (operator, rate) jumps of
+        its Lindblad form and the (omega, operator, rate) channels they come from (None for phen).
 
-        Each operator holds only its nonzero entries.  Both models take their
-        channels from the dressed levels, with |0,g> the lowest; at rabi >=
-        omega0 the level (1,-) at omega0/2 - rabi lies at or below |0,g> at
-        -omega0/2, and the build is a :class:`ConfigError`.
+        Micro and dressed take their channels from the dressed levels, with
+        |0,g> the lowest; at rabi >= omega0 the level (1,-) at omega0/2 - rabi
+        lies at or below |0,g> at -omega0/2, and the build is a :class:`ConfigError`.
         """
-        if self.model == "phen":
-            raise ValueError("phen's jumps a and a† are no Bohr-frequency channels")
-        if self.rabi >= self.omega0:
+        if self.model != "phen" and self.rabi >= self.omega0:
             raise ConfigError(f"model = {self.model} needs rabi < omega0: at rabi = {self.rabi} "
                               f"and omega0 = {self.omega0} the dressed level (1,-) lies at or "
                               f"below |0,g>, so the excitation manifolds cross")
-        params, space = self.params, self.space()
-        if self.model == "micro":
-            return microscopic_channels(params, space, self.bath, self.freq_tol)
-        return dressed_channels(params, space, self.gamma0, self.nbar, self.freq_tol)
-
-    def lindblad_terms(self) -> tuple[np.ndarray, list[tuple[SparseOperator, float]], list | None]:
-        """The Hamiltonian, the (operator, rate) jumps of the model's Lindblad form, and the
-        :meth:`channels` they come from (None for phen, whose jumps are a and a†)."""
-        params, space = self.params, self.space()
-        if self.model == "phen":
-            return hamiltonian(params, space), _photon_loss(space, self.gamma0, self.nbar), None
-        channels = self.channels()
-        return hamiltonian(params, space), [(op, g) for _, op, g in channels], channels
+        return model_terms(self.model, self.params, self.space(), self.bath, self.gamma0,
+                           self.nbar, self.freq_tol)
 
     def generator(self) -> Superoperator:
         h, jumps, _ = self.lindblad_terms()
@@ -279,7 +258,7 @@ def _get(mapping: dict[str, str], key: str, convert, default=None):
 
 def _parse_initial(text: str) -> tuple:
     if text == "ground":
-        return ("ground",)
+        return ("fock", 0, "g")
     kind, _, rest = text.partition(":")
     parts = [p.strip() for p in rest.split(",")]
     try:

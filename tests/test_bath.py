@@ -116,6 +116,18 @@ def test_parameter_validation():
         BathSpec(-0.5, FlatSpectrum(0.1))
 
 
+@pytest.mark.parametrize("build, values, message", [
+    (FlatSpectrum, (np.nan,), "gamma0 must be positive, got nan"),
+    (OhmicSpectrum, (0.0, -1.0), "alpha must be positive, got 0.0"),
+    (OhmicSpectrum, (0.1, np.nan), "cutoff must be positive, got nan"),
+    (LorentzianSpectrum, (0.2, -1.0, 0.0), "center must be positive, got -1.0"),
+    (LorentzianSpectrum, (0.2, 1.0, -0.5), "halfwidth must be positive, got -0.5"),
+])
+def test_every_spectrum_parameter_must_be_positive_in_field_order(build, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*values)
+
+
 @pytest.mark.parametrize("spectrum", SPECTRA)
 @pytest.mark.parametrize("temperature", [0.0, 0.22])
 def test_rates_at_an_array_of_frequencies_match_each_scalar_call(spectrum, temperature):

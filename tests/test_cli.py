@@ -11,10 +11,11 @@ from jcsim.acceptance import (_SCENARIOS, DT, CriterionResult, _SharedRuns, run_
                               run_criterion)
 from jcsim.analytic import rabi_micro
 from jcsim.bath import BathSpec, FlatSpectrum, occupation, rate
-from jcsim.generators import Superoperator, microscopic_channels, restricted_lindblad
+from jcsim.generators import (Superoperator, eigenoperators, microscopic_channels, model_terms,
+                              restricted_lindblad)
 from jcsim.hilbert import build_space
-from jcsim.jcmodel import JCParams
-from jcsim.scenario import MODELS, ConfigError, Scenario, run_trajectory, scenario_from_config
+from jcsim.jcmodel import Eigensystem, JCParams
+from jcsim.scenario import MODELS, ConfigError, run_trajectory, scenario_from_config
 
 BASE = """
 model = micro
@@ -168,6 +169,22 @@ def test_secular_remedy_is_offered_only_where_the_build_takes_it(tmp_path, capsy
         assert "zero-frequency jump channel" in captured.err
     else:  # the pair the advisory named now shares one channel
         assert "omega = 1.17 and 1.41 are closest" not in captured.out
+
+
+def test_secular_remedy_merges_the_pair_it_names(capsys):
+    # the spacing 0.052500000000000005 lies a few ulps above the decimal 0.0525
+    energies = np.array([0.0, 0.100095, 0.152595])
+    eigensystem = Eigensystem(energies, np.eye(3), ["ground", (1, -1), (1, +1)])
+    coupling = np.zeros((3, 3))
+    coupling[0, 1] = coupling[0, 2] = 1.0
+    channels = [(omega, op, 0.03) for omega, op in eigenoperators(coupling, eigensystem, 1e-9)]
+    assert [omega for omega, _, _ in channels] == [0.100095, 0.152595]
+    scenario = replace(scenario_from_config(BASE), model="dressed")
+    cli._print_advisories(scenario, channels, np.arange(3))
+    margin = capsys.readouterr().out
+    assert "merging them takes freq_tol >= 0.0526)" in margin
+    assert float("0.0526") >= 0.152595 - 0.100095
+    assert len(eigenoperators(coupling, eigensystem, float("0.0526"))) == 1
 
 
 def test_secular_margin_skips_phen_and_reads_zero_without_loss(tmp_path, capsys):
@@ -498,6 +515,8 @@ def test_ode_step_bound_rounds_down(ode_step, limit):
     diagonal = np.array([0.0, -0.01 / limit, 0.0, 0.0])
     assert cli._ode_step_bound(diagonal) == repr(ode_step)
     assert float(cli._ode_step_bound(diagonal)) <= solver.rk4_step_limit(diagonal)
+    # the secular remedy rounds the other way, and its decimal parses at or above the value
+    assert limit <= cli._three_digits(limit, up=True) <= 1.01 * limit
 
 
 _PHEN_ORACLES = {"fock": analytic.rabi_phen, "dressed": analytic.bell_phen}
@@ -727,12 +746,13 @@ def test_one_damping_basis_per_generator(tmp_path, monkeypatch, capsys, argv, so
 def test_evolve_builds_its_channels_once(tmp_path, monkeypatch, capsys, model, builds):
     calls = []
 
-    def counting(self):
-        calls.append(self.model)
-        return channels(self)
+    def counting(model, *args):
+        terms = model_terms(model, *args)
+        if terms[2] is not None:
+            calls.append(model)
+        return terms
 
-    channels = Scenario.channels
-    monkeypatch.setattr(Scenario, "channels", counting)
+    monkeypatch.setattr("jcsim.scenario.model_terms", counting)
     cfg = _write(tmp_path, "rabi.cfg", BASE)
     assert cli.main(["evolve", "--config", str(cfg), "--model", model,
                      "--out", str(tmp_path / "c.csv")]) == 0

@@ -15,6 +15,7 @@ from jcsim.generators import (
     eigenoperators,
     microscopic_channels,
     microscopic_generator,
+    model_terms,
     phenomenological_generator,
     reachable_states,
     restricted_lindblad,
@@ -372,6 +373,11 @@ def test_phenomenological_reduces_to_zero_temperature_form():
     assert np.array_equal(built.matrix, zero_t)
 
 
+def test_model_terms_refuse_an_unknown_model():
+    with pytest.raises(ValueError, match="^model must be micro, phen or dressed, got 'single'$"):
+        model_terms("single", PARAMS, build_space(2), gamma0=GAMMA0, nbar=0.0)
+
+
 def test_photon_loss_dissipator_action():
     space = build_space(2)
     a, _ = ladder_operators(space)
@@ -616,7 +622,7 @@ def test_reachable_states_walk_the_entries_at_nmax_400():
     # pattern of the d x d states and bool A†A products peak at 2.7 MB
     space = build_space(400)
     h = hamiltonian(PARAMS, space)
-    jumps = generators._photon_loss(space, GAMMA0, occupation(OMEGA0, 0.22))
+    jumps = model_terms("phen", PARAMS, space, gamma0=GAMMA0, nbar=occupation(OMEGA0, 0.22))[1]
     rho0 = pure_state(space.basis_state(0, "e")).matrix
     tracemalloc.start()
     try:

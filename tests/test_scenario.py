@@ -76,6 +76,12 @@ def test_micro_scenario_construction():
     assert rho0.matrix[1, 1] == pytest.approx(1.0)
 
 
+def test_ground_is_the_fock_state_0_g():
+    ground = scenario_from_config(MICRO_TEXT.replace("initial = fock:0,e", "initial = ground"))
+    assert ground.initial == ("fock", 0, "g")
+    assert ground.initial_state().matrix[0, 0] == 1.0
+
+
 def test_phen_scenario_construction():
     scenario = scenario_from_config(PHEN_TEXT)
     assert scenario.solver == "ode" and scenario.dt == pytest.approx(2e-3)
@@ -183,7 +189,7 @@ def test_lindblad_terms_hand_back_the_channels_of_their_jumps(model):
     if model == "phen":
         assert channels is None
         return
-    fresh = scenario.channels()
+    fresh = scenario.lindblad_terms()[2]
     assert len(channels) == len(fresh) == len(jumps)
     for (omega, op, g), (fresh_omega, fresh_op, fresh_g), jump in zip(channels, fresh, jumps):
         assert jump[0] is op and jump[1] == g

@@ -15,11 +15,10 @@ from jcsim.generators import (
     SparseOperator,
     Superoperator,
     _lindblad,
-    _photon_loss,
     dressed_approx_generator,
-    dressed_channels,
     microscopic_channels,
     microscopic_generator,
+    model_terms,
     phenomenological_generator,
     reachable_states,
     restricted_lindblad,
@@ -916,14 +915,8 @@ def test_damping_basis_diagonalizes_block_by_block(model, monkeypatch):
 
 def _hamiltonian_and_jumps(scenario) -> tuple[np.ndarray, list]:
     # the h and (operator, rate) jumps that scenario.generator() hands to _lindblad
-    params, space = scenario.params, scenario.space()
-    if scenario.model == "micro":
-        channels = microscopic_channels(params, space, scenario.bath)
-    elif scenario.model == "dressed":
-        channels = dressed_channels(params, space, scenario.gamma0, scenario.nbar)
-    else:
-        channels = [(None, op, g) for op, g in _photon_loss(space, scenario.gamma0, scenario.nbar)]
-    h, jumps = hamiltonian(params, space), [(op, g) for _, op, g in channels]
+    h, jumps, _ = model_terms(scenario.model, scenario.params, scenario.space(), scenario.bath,
+                              scenario.gamma0, scenario.nbar)
     assert np.array_equal(_lindblad(h, jumps).matrix, scenario.generator().matrix)
     return h, jumps
 
