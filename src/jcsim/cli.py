@@ -4,7 +4,7 @@ All numeric output except the three-digit advisory comment lines goes
 through the shortest round-trip decimal representation (up to 17
 significant digits), CSV files are written atomically (temp file +
 rename) with LF line endings and the umask's mode, and repeated runs
-produce byte-identical files.
+on one machine and BLAS kernel produce byte-identical files.
 
 ``evolve`` and ``compare``, like the battery behind ``verify``, solve
 each trajectory with :func:`jcsim.scenario.run_trajectory` on the states
@@ -102,8 +102,13 @@ def run_evolve(scenario: Scenario, out_path: str) -> Trajectory:
 
 def _reduced(scenario: Scenario) -> tuple[dict[str, np.ndarray], float]:
     """A run's observables and dominant frequency; its states and basis are freed on return."""
-    run = run_trajectory(scenario)
-    basis = run.basis or damping_basis(run.liouvillian)  # the ode route solves it for this only
+    try:
+        run = run_trajectory(scenario)
+        basis = run.basis or damping_basis(run.liouvillian)  # the ode route solves it for this only
+    except (DampingBasisError, StepSizeError) as exc:
+        note = ("; compare reads each model's frequency from its damping basis on either route"
+                if isinstance(exc, DampingBasisError) else "")
+        raise type(exc)(f"model {scenario.model}: {exc}{note}") from exc
     return run.observables, dominant_frequency(basis, run.rho0)
 
 

@@ -12,6 +12,8 @@ import pytest
 from jcsim import acceptance, generators, scenario, solver
 from jcsim.acceptance import RABI, run_all_criteria
 from jcsim.bath import BathSpec, FlatSpectrum
+from jcsim.hilbert import build_space
+from jcsim.jcmodel import JCParams
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +91,45 @@ def test_criteria_4_and_5_read_the_shared_bases_a_fresh_solve_gives():
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert (solver.dominant_frequency(reused, rho0)
                 == solver.dominant_frequency(fresh, fresh_rho0))
+
+
+def test_micro_and_dressed_generators_are_equal_bit_for_bit_at_criterion_6s_point():
+    # a flat bath at T = 0, rabi 0.2, gamma0 0.04, nmax 4
+    params, space, gamma0 = JCParams(acceptance.OMEGA0, 0.2), build_space(4), 0.04
+    micro = generators.microscopic_generator(params, space, BathSpec(0.0, FlatSpectrum(gamma0)))
+    dressed = generators.dressed_approx_generator(params, space, gamma0, 0.0)
+    for field in ("rows", "cols", "values"):
+        assert getattr(micro, field).tobytes() == getattr(dressed, field).tobytes(), field
+
+
+@pytest.fixture(scope="module")
+def runs():
+    return acceptance._SharedRuns()
+
+
+def _moved_value(gen):
+    values = gen.values.copy()
+    values[7] += 1e-9
+    return replace(gen, values=values)
+
+
+def _dropped_entry(gen):
+    return replace(gen, rows=gen.rows[1:], cols=gen.cols[1:], values=gen.values[1:])
+
+
+@pytest.mark.parametrize("corrupt, shown", [(_moved_value, "1.000e-09"), (_dropped_entry, "inf")])
+def test_criterion_6_fails_on_a_corrupted_dressed_generator(monkeypatch, runs, corrupt, shown):
+    build = acceptance.dressed_approx_generator
+    monkeypatch.setattr(acceptance, "dressed_approx_generator",
+                        lambda *args: corrupt(build(*args)))
+    result = acceptance.run_criterion(6, runs)
+    assert not result.passed
+    assert result.lines == [f"FAIL micro vs dressed, every generator entry: {shown} < 1.000e-12"]
+
+
+def test_criterion_6_reads_exactly_zero_so_only_a_zero_tolerance_fails_it(runs):
+    assert acceptance.run_criterion(6, runs).lines == [
+        "ok   micro vs dressed, every generator entry: 0.000e+00 < 1.000e-12"]
+    # the deviation is exactly 0, so it stays below any positive threshold, here 1e-20
+    assert acceptance.run_criterion(6, runs, tolerance_scale=1e-8).passed
+    assert not acceptance.run_criterion(6, runs, tolerance_scale=0.0).passed

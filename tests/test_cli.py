@@ -482,6 +482,29 @@ def test_ill_conditioned_damping_basis_names_cond(tmp_path, capsys):
         assert not out.exists()
 
 
+_PAIRING = "left/right pairing failed in decoupled block 0 of "
+_EITHER_ROUTE = "; compare reads each model's frequency from its damping basis on either route\n"
+
+
+@pytest.mark.parametrize("models, nmax, route, start, end", [
+    ("micro,phen", 12, [], "model micro: " + _PAIRING, _EITHER_ROUTE),
+    ("micro,phen", 12, ["--solver", "ode", "--dt", "7e-4"], "model micro: " + _PAIRING,
+     _EITHER_ROUTE),
+    # phen is the second model; dressed passes at nmax 11
+    ("dressed,phen", 11, [], "model phen: " + _PAIRING, _EITHER_ROUTE),
+    ("micro,phen", 12, ["--solver", "ode", "--dt", "1e-3"],
+     "model micro: dt = 1.000e-03 exceeds 0.01/max|diag L| = 7.690e-04\n", ""),
+], ids=["spectral", "ode", "second-model", "ode-step"])
+def test_compare_failure_names_the_model(tmp_path, capsys, models, nmax, route, start, end):
+    cfg, out = _thermal(tmp_path, "rabi_joint_ground.cfg"), tmp_path / "c.csv"
+    argv = ["compare", "--config", str(cfg), "--model", models, "--nmax", str(nmax),
+            "--tau-max", "0.01", "--steps", "2", "--out", str(out)]
+    assert cli.main(argv + route) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("solver failure: " + start) and captured.err.endswith(end)
+
+
 def test_spectral_failure_names_the_rk4_remedy(tmp_path, capsys):
     cfg, out = _thermal(tmp_path, "bell_atomic_ground.cfg"), tmp_path / "e.csv"
     argv = ["evolve", "--config", str(cfg), "--model", "phen", "--nmax", "13", "--out", str(out)]

@@ -741,6 +741,17 @@ def test_steady_state_micro_at_nmax_40_meets_gibbs():
     assert _distance_to_gibbs(rho, hamiltonian(params, space), temperature) < 1e-6
 
 
+@pytest.mark.parametrize("nmax", [4, 8, 16])
+def test_steady_state_dressed_meets_gibbs_of_the_free_hamiltonian(nmax):
+    # criterion 7's point: dressed's rates balance with weights exp(-N omega0/T), constant on
+    # each manifold N, so it relaxes to phen's fixed point and not to micro's Gibbs(H)
+    params, space, temperature, gamma0 = JCParams(OMEGA0, 0.2), build_space(nmax), 0.25, 0.02
+    rho = steady_state(dressed_approx_generator(params, space, gamma0,
+                                                occupation(OMEGA0, temperature)))
+    assert _distance_to_free_gibbs(rho, space, temperature) <= 1e-6
+    assert _distance_to_gibbs(rho, hamiltonian(params, space), temperature) > 1e-3
+
+
 def test_steady_state_hot_phen_meets_gibbs_of_the_free_hamiltonian():
     # phen at T = 2 omega0, nmax 46: 95 decoupled blocks, the widest 186
     temperature, gamma0, space = 2.0 * OMEGA0, 0.02, build_space(46)
