@@ -1,7 +1,9 @@
 """The acceptance battery: every headline claim, checked at a fixed tolerance.
 
 Each criterion runs one self-contained numerical experiment and records
-"measured vs threshold" lines; `run_all_criteria` executes all ten.  The
+"measured vs threshold" lines, which `run_criterion` collects under the
+criterion's number and name in `_CRITERIA`; `run_all_criteria` runs all
+ten through it, as `jcsim verify`, the tests and perfbench do.  The
 scenarios reuse one parameter point with gamma/(2*rabi) = 0.1, chosen so
 that (a) the dressed doublets never cross between excitation manifolds
 (rabi*(1+sqrt(2)) < omega0, which the closed-form solutions require at
@@ -13,8 +15,9 @@ Every trajectory comes from :func:`jcsim.scenario.run_trajectory`, on
 the states its initial state reaches, as ``jcsim evolve`` solves it.
 
 ``tolerance_scale`` multiplies every "<" threshold (and divides every
-">" one), so scaling it down corrupts the tolerances and must make the
-suite fail; it exists as a hook for the battery's negative test.
+">" one), so scaling it down corrupts the tolerances and fails the
+suite; it exists as a hook for the battery's negative test.  Criterion
+6 reads exactly 0, so it fails only at a scale of 0.
 """
 
 from __future__ import annotations
@@ -77,9 +80,6 @@ class _Checker:
         self._record(low <= value <= high * self.scale,
                      f"{label}: {value:.3e} in [{low:.3e}, {high * self.scale:.3e}]")
 
-    def result(self, number: int, name: str) -> CriterionResult:
-        return CriterionResult(number, name, self.passed, self.lines)
-
 
 _SCENARIOS = {  # the shared runs' scenarios, on the spectral route
     "micro_rabi": Scenario(
@@ -137,18 +137,15 @@ def _gibbs(h: np.ndarray, temperature: float) -> np.ndarray:
     return (evecs * weights) @ evecs.conj().T
 
 
-def _criterion_1(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
+def _criterion_1(runs: _SharedRuns, check: _Checker) -> None:
     pops = runs.get("micro_rabi").observables
     t = _SCENARIOS["micro_rabi"].time_grid()
     oracle = 1.0 - np.exp(-GAMMA * t / 2.0)
     check.less("max |P_0g - (1 - e^{-gamma t/2})|", np.abs(pops["pop_0g"] - oracle).max(), 1e-8)
     check.less("runtime [s]", runs.runtimes["micro_rabi", "spectral"], 1.0)
-    return check.result(1, "micro-rabi-decay")
 
 
-def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
+def _criterion_2(runs: _SharedRuns, check: _Checker) -> None:
     cases = {
         "phen_rabi": lambda t: rabi_phen(t, GAMMA, RABI),
         "phen_bell": lambda t: bell_phen(t, GAMMA, RABI),
@@ -160,18 +157,15 @@ def _criterion_2(runs: _SharedRuns, scale: float) -> CriterionResult:
             pops = runs.get(key, solver_name).observables
             dev = max(np.abs(pops[name] - oracle[name]).max() for name in oracle)
             check.less(f"{key} {solver_name} vs closed form", dev, tol)
-    return check.result(2, "phen-closed-forms")
 
 
-def _criterion_3(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
+def _criterion_3(runs: _SharedRuns, check: _Checker) -> None:
     t = _SCENARIOS["micro_rabi"].time_grid()
     micro, phen = runs.get("micro_rabi").observables, runs.get("phen_rabi").observables
     micro_resid = np.abs(micro["pop_0g"] - _fitted_exponential(t, micro["pop_0g"])).max()
     phen_resid = np.abs(phen["pop_0g"] - _fitted_exponential(t, phen["pop_0g"])).max()
     check.less("micro residual vs fitted exponential", micro_resid, 1e-8)
     check.within("phen residual peak (order gamma/rabi)", phen_resid, 0.01, 0.2)
-    return check.result(3, "oscillation-signature")
 
 
 def _basis(runs: _SharedRuns, key: str, **changes) -> tuple[DampingBasis, DensityMatrix]:
@@ -188,12 +182,11 @@ def _basis(runs: _SharedRuns, key: str, **changes) -> tuple[DampingBasis, Densit
     return damping_basis(liouvillian), rho0
 
 
-def _criterion_4(runs: _SharedRuns, scale: float) -> CriterionResult:
+def _criterion_4(runs: _SharedRuns, check: _Checker) -> None:
     """Phen's frequency against its closed form, and the micro-phen shift's slope in gamma.
 
     The sweep's point gamma = 0.1 * 2 * rabi is ``GAMMA``, so it reads the shared runs.
     """
-    check = _Checker(scale)
     f_phen = dominant_frequency(*_basis(runs, "phen_rabi"))
     expected = np.sqrt(16.0 * RABI**2 - GAMMA**2) / 2.0
     check.less("|phen frequency - sqrt(16 rabi^2 - gamma^2)/2|", abs(f_phen - expected), 1e-10)
@@ -207,7 +200,6 @@ def _criterion_4(runs: _SharedRuns, scale: float) -> CriterionResult:
         shifts.append((f_micro - f_phen) / f_micro)
     slope = np.polyfit(np.log(gammas), np.log(shifts), 1)[0]
     check.less("|log-log slope of shift vs gamma - 2|", abs(slope - 2.0), 0.1)
-    return check.result(4, "frequency-shift")
 
 
 def _expected_sector_eigenvalues(bath: BathSpec) -> np.ndarray:
@@ -234,12 +226,11 @@ def _expected_sector_eigenvalues(bath: BathSpec) -> np.ndarray:
     ])
 
 
-def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
+def _criterion_5(runs: _SharedRuns, check: _Checker) -> None:
     """Micro's spectrum on S = {|0,g>, |0,e>, |1,g>} against its jumps, and biorthonormality.
 
     The "degenerate" flat bath is ``micro_rabi``'s, so it reads that shared run's basis.
     """
-    check = _Checker(scale)
     for spectrum, tag in ((OhmicSpectrum(0.15, 2.0 * OMEGA0), "distinct"),
                           (FlatSpectrum(GAMMA), "degenerate")):
         bath = BathSpec(0.0, spectrum)
@@ -251,13 +242,11 @@ def _criterion_5(runs: _SharedRuns, scale: float) -> CriterionResult:
         # max over blocks of |left_b right_b - 1|: off the blocks, left @ right is exactly zero
         check.less(f"biorthonormality residual ({tag})", max(
             np.abs(g.left @ g.right - np.eye(g.index.shape[1])).max() for g in basis.groups), 1e-10)
-    return check.result(5, "damping-basis-spectrum")
 
 
-def _criterion_6(runs: _SharedRuns, scale: float) -> CriterionResult:
+def _criterion_6(runs: _SharedRuns, check: _Checker) -> None:
     """Micro's and dressed's generators entry by entry: at T = 0 with no crossed manifolds, the
     secular projection of photon loss is micro's equation, as a + a†'s emission parts are a's."""
-    check = _Checker(scale)
     params = JCParams(OMEGA0, 0.2)
     gamma0 = 0.04
     space = build_space(4)
@@ -266,11 +255,9 @@ def _criterion_6(runs: _SharedRuns, scale: float) -> CriterionResult:
     same = np.array_equal(micro.rows, dressed.rows) and np.array_equal(micro.cols, dressed.cols)
     dev = np.abs(micro.values - dressed.values).max() if same else np.inf
     check.less("micro vs dressed, every generator entry", dev, 1e-12)
-    return check.result(6, "generator-equivalence")
 
 
-def _criterion_7(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
+def _criterion_7(runs: _SharedRuns, check: _Checker) -> None:
     params = JCParams(OMEGA0, 0.2)
     temperature = OMEGA0 / 4.0
     space = build_space(20)
@@ -288,11 +275,9 @@ def _criterion_7(runs: _SharedRuns, scale: float) -> CriterionResult:
     check.less("phen steady state vs Gibbs(H_free)",
                _trace_distance(phen_ss.matrix, gibbs_free), 1e-6)
     check.greater("Gibbs(H) vs Gibbs(H_free)", _trace_distance(gibbs_jc, gibbs_free), 1e-3)
-    return check.result(7, "thermal-steady-states")
 
 
-def _criterion_8(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
+def _criterion_8(runs: _SharedRuns, check: _Checker) -> None:
     spectra = {
         "flat": FlatSpectrum(0.2),
         "ohmic": OhmicSpectrum(0.15, 2.0 * OMEGA0),
@@ -305,14 +290,12 @@ def _criterion_8(runs: _SharedRuns, scale: float) -> CriterionResult:
             emit = rate(omegas, bath)
             rel = np.max(np.abs(rate(-omegas, bath) - np.exp(-omegas / temperature) * emit) / emit)
             check.less(f"{name} spectrum, T = {temperature:g}", rel, 1e-12)
-    return check.result(8, "kms-detailed-balance")
 
 
-def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
+def _criterion_9(runs: _SharedRuns, check: _Checker) -> None:
     """The worst sample defects of the six shared runs, as their validation measured them."""
-    check = _Checker(scale)
     worst_trace, worst_herm, worst_eig = 0.0, 0.0, 0.0
-    for key in ("micro_rabi", "phen_rabi", "phen_bell"):
+    for key in _SCENARIOS:
         for series in (runs.get(key).series, runs.get(key, "ode").series):  # on S: worst_eig >= 0
             worst_trace = max(worst_trace, series.trace_defect.max())
             worst_herm = max(worst_herm, series.herm_defect.max())
@@ -320,30 +303,43 @@ def _criterion_9(runs: _SharedRuns, scale: float) -> CriterionResult:
     check.less("max |trace - 1|", worst_trace, 1e-10)
     check.less("max hermiticity defect", worst_herm, 1e-12)
     check.less("max negative eigenvalue", worst_eig, 1e-10)
-    return check.result(9, "trajectory-physicality")
 
 
-def _criterion_10(runs: _SharedRuns, scale: float) -> CriterionResult:
-    check = _Checker(scale)
-    for key in ("micro_rabi", "phen_rabi", "phen_bell"):
+def _criterion_10(runs: _SharedRuns, check: _Checker) -> None:
+    for key in _SCENARIOS:
         spectral, ode = runs.get(key).series, runs.get(key, "ode").series
         # both routes hold the entries of the blocks rho0 touches, in one order
         same = np.array_equal(spectral.positions, ode.positions)
         dev = np.abs(spectral.states - ode.states).max() if same else np.inf
         check.less(f"{key}: spectral vs RK4", dev, 1e-8)
-    return check.result(10, "cross-method-agreement")
 
 
-_CRITERIA = (
-    _criterion_1, _criterion_2, _criterion_3, _criterion_4, _criterion_5,
-    _criterion_6, _criterion_7, _criterion_8, _criterion_9, _criterion_10,
+_CRITERIA = (  # (name, criterion) in battery order: criterion n is entry n - 1
+    ("micro-rabi-decay", _criterion_1),
+    ("phen-closed-forms", _criterion_2),
+    ("oscillation-signature", _criterion_3),
+    ("frequency-shift", _criterion_4),
+    ("damping-basis-spectrum", _criterion_5),
+    ("generator-equivalence", _criterion_6),
+    ("thermal-steady-states", _criterion_7),
+    ("kms-detailed-balance", _criterion_8),
+    ("trajectory-physicality", _criterion_9),
+    ("cross-method-agreement", _criterion_10),
 )
 
 
 def run_criterion(number: int, runs: _SharedRuns, tolerance_scale: float = 1.0) -> CriterionResult:
-    return _CRITERIA[number - 1](runs, tolerance_scale)
+    """Run criterion ``number`` of ``_CRITERIA`` on the shared runs and collect its checks.
+
+    A ``tolerance_scale`` far below 1 tightens every threshold and fails the battery; criterion 6
+    reads exactly 0, so only a scale of 0 fails it.
+    """
+    name, criterion = _CRITERIA[number - 1]
+    check = _Checker(tolerance_scale)
+    criterion(runs, check)
+    return CriterionResult(number, name, check.passed, check.lines)
 
 
 def run_all_criteria(tolerance_scale: float = 1.0) -> list[CriterionResult]:
     runs = _SharedRuns()
-    return [fn(runs, tolerance_scale) for fn in _CRITERIA]
+    return [run_criterion(n, runs, tolerance_scale) for n in range(1, len(_CRITERIA) + 1)]

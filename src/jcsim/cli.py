@@ -30,8 +30,7 @@ import numpy as np
 from .acceptance import run_all_criteria
 from .generators import microscopic_channels, secular_margin
 from .hilbert import DensityMatrix
-from .scenario import (ConfigError, Scenario, Trajectory, _edge_population, run_trajectory,
-                       scenario_from_config)
+from .scenario import ConfigError, Scenario, Trajectory, run_trajectory, scenario_from_config
 from .solver import (DampingBasisError, KernelMultiplicityError, StepSizeError, damping_basis,
                      dominant_frequency, rk4_step_limit, steady_state)
 
@@ -234,8 +233,12 @@ def _print_advisories(scenario: Scenario, channels: list, reached: np.ndarray) -
     )
 
 
-def _print_edge_population(edge: float) -> None:
-    """The cutoff check: the top Fock level's population, small at or below 1e-10."""
+def _print_edge_population(scenario: Scenario, diagonal: np.ndarray, basis: np.ndarray) -> None:
+    """The cutoff check: the largest top Fock level population of state diagonals (..., n) held
+    on ``basis`` (0 off it), small at or below 1e-10."""
+    space = scenario.space()
+    top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
+    edge = float(diagonal[..., top].real.sum(axis=-1).max())
     print(
         f"# top Fock level population = {_fmt(edge)}"
         f" ({'ok' if edge <= 1e-10 else 'NOT small'})"
@@ -273,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
             run = run_evolve(scenario, args.out)
             if run.channels is not None:  # phen's jumps a and a† involve no secular approximation
                 _print_advisories(scenario, run.channels, run.reached)
-            _print_edge_population(run.edge)
+            _print_edge_population(scenario, run.series.diagonal(), run.reached)
         elif args.command == "compare":
             if not args.model or "," not in args.model:
                 raise ConfigError("compare needs --model <model_a>,<model_b>")
@@ -289,8 +292,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{key} = {_fmt(value)}")
         elif args.command == "steady":
             rho = run_steady(scenario, args.out)
-            _print_edge_population(_edge_population(scenario, np.diagonal(rho.matrix),
-                                                     np.arange(rho.dim)))
+            _print_edge_population(scenario, np.diagonal(rho.matrix), np.arange(rho.dim))
         elif args.command == "spectrum":
             run_spectrum(scenario, args.out)
         return 0

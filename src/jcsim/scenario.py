@@ -180,7 +180,6 @@ class Trajectory(NamedTuple):
     basis: DampingBasis | None  # None on the ode route, which never diagonalizes
     series: TimeSeries  # the validated states' entries on S, with their defects
     observables: dict[str, np.ndarray]  # on the time grid
-    edge: float  # the top Fock level's largest population along the grid
     reached: np.ndarray  # S
     channels: list | None  # micro's or dressed's (omega, operator, rate) channels; phen: None
 
@@ -204,15 +203,7 @@ def run_trajectory(scenario: Scenario) -> Trajectory:
         basis = damping_basis(liouvillian)
         series = evolve_spectral(basis, rho0, times)
     observables = scenario.observables.evaluate(series, scenario.space(), reached)
-    edge = _edge_population(scenario, series.diagonal(), reached)
-    return Trajectory(liouvillian, rho0, basis, series, observables, edge, reached, channels)
-
-
-def _edge_population(scenario: Scenario, diagonal: np.ndarray, basis: np.ndarray) -> float:
-    """Largest top Fock level population of state diagonals (..., n) held on ``basis``; 0 off it."""
-    space = scenario.space()
-    top = np.flatnonzero(np.isin(basis, [space.index(scenario.n_max, s) for s in ("g", "e")]))
-    return float(diagonal[..., top].real.sum(axis=-1).max())
+    return Trajectory(liouvillian, rho0, basis, series, observables, reached, channels)
 
 
 # bath.kind: its spectrum and the bath.* keys of that spectrum, in constructor order

@@ -1,9 +1,13 @@
-"""Test oracles: the atomic operators as dense arrays, and the operators built from their products."""
+"""Test oracles: the atomic operators as dense arrays, the operators built from their products,
+and the hand-built operators and states that several test modules share."""
+
+import math
 
 import numpy as np
 
+from jcsim.generators import Superoperator
 from jcsim.hilbert import StateSpace, ladder_operators
-from jcsim.jcmodel import JCParams
+from jcsim.jcmodel import JCParams, complete_eigensystem
 
 
 def atomic_operators(space: StateSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -28,3 +32,15 @@ def dense_hamiltonian(params: JCParams, space: StateSpace) -> np.ndarray:
     sm, sp, sz = atomic_operators(space)
     return (params.omega0 / 2.0) * sz + params.omega0 * (a_dag @ a) \
         + params.rabi * (a @ sp + a_dag @ sm)
+
+
+def superoperator(matrix: np.ndarray) -> Superoperator:
+    """A hand-built matrix as the Superoperator of its nonzero entries."""
+    rows, cols = np.nonzero(matrix)
+    return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
+
+
+def doublet_plus(params: JCParams, space: StateSpace) -> np.ndarray:
+    """The dressed state (1,+) as a vector."""
+    _, vectors, labels = complete_eigensystem(params, space)
+    return vectors[:, labels.index((1, +1))]

@@ -4,6 +4,7 @@ One pass/fail line per criterion is printed (visible with `pytest -s`,
 or through `jcsim verify`, which drives the same checks).
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,21 @@ def test_criterion(results, number):
     for line in result.lines:
         print(f"      {line}")
     assert result.passed, f"criterion {number} ({result.name}) failed:\n" + "\n".join(result.lines)
+
+
+def test_the_battery_is_the_criterion_table_run_through_run_criterion(results):
+    assert [(r.number, r.name) for r in results] == [
+        (1, "micro-rabi-decay"), (2, "phen-closed-forms"), (3, "oscillation-signature"),
+        (4, "frequency-shift"), (5, "damping-basis-spectrum"), (6, "generator-equivalence"),
+        (7, "thermal-steady-states"), (8, "kms-detailed-balance"),
+        (9, "trajectory-physicality"), (10, "cross-method-agreement")]
+    runs = acceptance._SharedRuns()
+    one_by_one = [acceptance.run_criterion(n, runs) for n in range(1, 11)]
+
+    def report(result):  # criterion 1's runtime is the only line that differs between runs
+        return (result.number, result.name, result.passed,
+                [re.sub(r"(runtime \[s\]: )\S+", r"\1X", line) for line in result.lines])
+    assert [report(r) for r in one_by_one] == [report(r) for r in results]
 
 
 def test_shared_runs_are_solved_before_any_criterion(monkeypatch):

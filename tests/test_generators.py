@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -26,7 +25,7 @@ from jcsim.generators import (
 from jcsim.hilbert import build_space, ladder_operators, pure_state
 from jcsim.jcmodel import JCParams, complete_eigensystem, hamiltonian
 from jcsim.solver import damping_basis, evolve_spectral
-from dense_operators import atomic_operators
+from dense_operators import atomic_operators, superoperator
 from stacks import dense
 
 OMEGA0 = 1.0
@@ -634,17 +633,11 @@ def test_reachable_states_walk_the_entries_at_nmax_400():
     assert peak <= 0.5e6
 
 
-def _superoperator(matrix):
-    # a hand-built matrix as the Superoperator of its nonzero entries
-    rows, cols = np.nonzero(matrix)
-    return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
-
-
 def test_superoperator_shape_validation():
     with pytest.raises(ValueError):
-        _superoperator(np.ones((3, 4)))  # 1 wide: no room for column 3
+        superoperator(np.ones((3, 4)))  # 1 wide: no room for column 3
     with pytest.raises(ValueError):
-        _superoperator(np.ones((5, 5)))  # not a square number: dim 2 holds 4 rows
+        superoperator(np.ones((5, 5)))  # not a square number: dim 2 holds 4 rows
     with pytest.raises(ValueError, match="1-d arrays of one length"):
         Superoperator(np.array([0, 1]), np.array([0]), np.ones(2), 2)
     with pytest.raises(ValueError, match="1-d arrays of one length"):
@@ -654,5 +647,5 @@ def test_superoperator_shape_validation():
     with pytest.raises(ValueError, match="row-major order at distinct positions"):
         Superoperator(np.array([0, 0]), np.array([1, 1]), np.ones(2), 2)
     matrix = np.arange(16.0).reshape(4, 4) * (1.0 - 2.0j)
-    assert np.array_equal(_superoperator(matrix).matrix, matrix)
-    assert np.array_equal(_superoperator(matrix).diagonal(), np.diag(matrix))
+    assert np.array_equal(superoperator(matrix).matrix, matrix)
+    assert np.array_equal(superoperator(matrix).diagonal(), np.diag(matrix))

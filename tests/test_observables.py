@@ -5,10 +5,10 @@ from jcsim.analytic import rabi_micro
 from jcsim.bath import BathSpec, FlatSpectrum
 from jcsim.generators import microscopic_generator, phenomenological_generator
 from jcsim.hilbert import build_space, ladder_operators, pure_state
-from jcsim.jcmodel import JCParams, complete_eigensystem
+from jcsim.jcmodel import JCParams
 from jcsim.observables import OBSERVABLE_NAMES, ObservableSet, evaluate
 from jcsim.solver import damping_basis, evolve_ode, evolve_spectral
-from dense_operators import excitation_number
+from dense_operators import doublet_plus, excitation_number
 from stacks import dense, series_of
 
 
@@ -22,16 +22,11 @@ def _one(name, rho, space):
     return evaluate(name, _series(rho[None]), space)[0]
 
 
-def _doublet_plus(space, params):
-    _, vectors, labels = complete_eigensystem(params, space)
-    return vectors[:, labels.index((1, +1))]
-
-
 def test_atomic_ground_population():
     space = build_space(2)
     params = JCParams(1.0, 0.2)
     assert _one("atomic_ground", pure_state(space.basis_state(0, "e")).matrix, space) == 0.0
-    plus = _doublet_plus(space, params)
+    plus = doublet_plus(params, space)
     assert _one("atomic_ground", pure_state(plus).matrix, space) \
         == pytest.approx(0.5)
 

@@ -1,4 +1,3 @@
-import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -50,7 +49,7 @@ from jcsim.solver import (
     rk4_step_limit,
     steady_state,
 )
-from dense_operators import atomic_operators
+from dense_operators import atomic_operators, doublet_plus, superoperator
 from stacks import dense, dense_diagnostics, series_of
 from test_analytic import rabi_micro_density
 
@@ -60,12 +59,6 @@ PARAMS = JCParams(OMEGA0, RABI)
 SECTOR_BATH = BathSpec(0.0, OhmicSpectrum(0.15, 2.0 * OMEGA0))  # unequal sideband rates
 GAMMA_A, GAMMA_B = rate(OMEGA0 - RABI, SECTOR_BATH), rate(OMEGA0 + RABI, SECTOR_BATH)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-
-def _superoperator(matrix: np.ndarray) -> Superoperator:
-    # a hand-built matrix as the Superoperator of its nonzero entries
-    rows, cols = np.nonzero(matrix)
-    return Superoperator(rows, cols, matrix[rows, cols], math.isqrt(matrix.shape[0]))
 
 
 def _blocks(liouvillian: Superoperator) -> list[np.ndarray]:
@@ -241,15 +234,10 @@ def test_ode_matches_spectral():
     assert np.abs(spectral.states - ode.states).max() < 1e-8
 
 
-def _doublet_plus(space):
-    _, vectors, labels = complete_eigensystem(PARAMS, space)
-    return vectors[:, labels.index((1, +1))]
-
-
 def test_ode_unitary_limit_keeps_populations():
     space = build_space(2)
     liouvillian = phenomenological_generator(PARAMS, space, 0.0, 0.0)
-    plus = _doublet_plus(space)
+    plus = doublet_plus(PARAMS, space)
     rho0 = pure_state(plus)
     times = np.linspace(0.0, 20.0, 30)
     series = evolve_ode(liouvillian, rho0, times, dt=2e-3)
@@ -263,7 +251,7 @@ def test_ode_unitary_limit_keeps_populations():
 def test_ode_trace_conservation():
     space = build_space(3)
     liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.0)
-    series = evolve_ode(liouvillian, pure_state(_doublet_plus(space)),
+    series = evolve_ode(liouvillian, pure_state(doublet_plus(PARAMS, space)),
                         np.linspace(0.0, 60.0, 50), dt=2e-3)
     assert abs(np.trace(dense(series)[-1]) - 1.0) < 1e-10
 
@@ -499,7 +487,7 @@ def test_coupled_blocks_partition_the_generator(model):
 def test_steady_state_counts_isolated_indices_in_the_kernel():
     # every index of the zero generator is a 1x1 block with eigenvalue 0
     with pytest.raises(KernelMultiplicityError, match="kernel dimension 4 "):
-        steady_state(_superoperator(np.zeros((4, 4))))
+        steady_state(superoperator(np.zeros((4, 4))))
 
 
 def _record_linalg(monkeypatch, names=("eig", "eigvals", "solve", "inv")) -> list:
@@ -553,7 +541,7 @@ def _two_level_superoperator(populations: list) -> Superoperator:
     # ``populations``; the coherences decay at rate 1
     matrix = np.diag([0.0, -1.0, -1.0, 0.0]).astype(complex)
     matrix[np.ix_([0, 3], [0, 3])] = populations
-    return _superoperator(matrix)
+    return superoperator(matrix)
 
 
 def test_steady_state_refuses_a_populated_block_with_a_second_small_eigenvalue(monkeypatch):
@@ -586,7 +574,7 @@ def _anti_hermitian_shift(n_max: int, strength: float) -> Superoperator:
     a, _ = ladder_operators(space)
     k, eye = 1j * strength * (a.conj().T @ a), np.eye(space.dim)
     phen = _thermal_generators(n_max, 0.22)["phen"].matrix
-    return _superoperator(phen - 1j * (np.kron(eye, k) - np.kron(k.T, eye)))
+    return superoperator(phen - 1j * (np.kron(eye, k) - np.kron(k.T, eye)))
 
 
 @pytest.mark.parametrize("strength", [0.03, 0.3])
@@ -609,7 +597,7 @@ def test_steady_state_counts_the_blocks_its_inverse_bound_does_not_clear(corner,
     matrix[1, 1] = matrix[2, 2] = -1e-5
     matrix[1, 2] = corner
     calls = _record_linalg(monkeypatch, ("eigvals",))
-    rho = steady_state(_superoperator(matrix))
+    rho = steady_state(superoperator(matrix))
     # `counted` blocks enter the count: the population block always, through its inverse, and
     # the coherence block too where its bound does not clear; that one reaches eigvals, holds
     # no zero eigenvalue, and the state is |0><0| either way
@@ -634,7 +622,7 @@ def test_steady_state_refuses_a_kernel_the_trace_row_solve_misses(diagonal, popu
         matrix[np.ix_([0, 3], [0, 3])] = populations
     with pytest.raises(KernelMultiplicityError,
                        match=rf"has residual {residual} \(the kernel is traceless, or that row is not"):
-        steady_state(_superoperator(matrix))
+        steady_state(superoperator(matrix))
 
 
 def _reachable_reference(h: np.ndarray, jumps: list, rho0: np.ndarray) -> np.ndarray:
@@ -815,7 +803,7 @@ def _reference_case(case: str) -> Superoperator:
     if case == "lossless-phen":  # eig returns its repeated eigenvalues' vectors near-parallel
         return phenomenological_generator(PARAMS, build_space(2), 0.0, 0.0)
     if case == "zero":  # every index is a block of its own
-        return _superoperator(np.zeros((4, 4)))
+        return superoperator(np.zeros((4, 4)))
     model, n_max, temperature = case.split("-")
     return _thermal_generators(int(n_max), float(temperature))[model]
 
@@ -1078,7 +1066,7 @@ def test_defective_liouvillian_raises_with_cluster():
     matrix[2, 2] = matrix[3, 3] = -1.0  # a repeated eigenvalue split over two 1-wide blocks
     with pytest.raises(DampingBasisError,
                        match=r"block 0 of 3 \(2 wide.* clusters in that block: 0\+0j \(x2\)$"):
-        damping_basis(_superoperator(matrix))
+        damping_basis(superoperator(matrix))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow in the residual products
@@ -1099,7 +1087,7 @@ def test_mode_order_survives_last_bit_changes():
     a = SparseOperator.from_dense(ladder_operators(space)[0])
     h = hamiltonian(JCParams(1.0, 0.41), space)
     dissipator = _lindblad(np.zeros_like(h), [(a, 1.0)]).matrix
-    scaled = _superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
+    scaled = superoperator(_lindblad(h, []).matrix + gamma0 * dissipator)
     folded = _lindblad(h, [(a, gamma0)])
     assert np.abs(scaled.matrix - folded.matrix).max() > 0.0
     lam_scaled = damping_basis(scaled).eigenvalues
