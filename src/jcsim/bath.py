@@ -30,8 +30,10 @@ def occupation(omega: float | np.ndarray, temperature: float) -> float | np.ndar
         raise ValueError(f"temperature must be nonnegative, got {temperature}")
     if temperature == 0:
         return np.zeros_like(omega)[()]
-    # expm1 keeps full relative accuracy for omega << T
-    return (1.0 / np.expm1(omega / temperature))[()]
+    # expm1 keeps full relative accuracy for omega << T; past its overflow at omega/T ~ 709.8
+    # the value is 1/inf, exactly 0
+    with np.errstate(over="ignore"):
+        return (1.0 / np.expm1(omega / temperature))[()]
 
 
 class _PositiveParameters:

@@ -19,17 +19,18 @@ SVD; a defective block fails the residual gate with its eigenvalue
 clusters named.
 
 The fixed-step RK4 integrator is an independent check that never touches
-an eigendecomposition.  One step of size h is the matrix P(hL) = I + hL
-+ (hL)^2/2 + (hL)^3/6 + (hL)^4/24, so a span of n substeps is P(hL)^n.
-On each block where rho(0) has weight it is formed by repeated squaring
-twice, for the span up to the first sample and for the grid step, with
-the identity kept apart so that rounding against it cannot accumulate;
-the samples then follow by doubling, each pass advancing the samples
-already known by twice as many grid steps.  The steady state deflates
-each populated block that preserves the trace: one inverse of the block
-with its trace row in place of a population row certifies its one zero
-eigenvalue and is the kernel element.  ``eigvals`` counts only the blocks
-the deflation or an inverse bound does not clear.
+an eigendecomposition.  It takes a grid uniform from t = 0.  One step of
+size h is the matrix P(hL) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24,
+so a grid step of n substeps is P(hL)^n.  On each block where rho(0) has
+weight, that step's one increment P(hL)^n - I is formed by repeated
+squaring, with the identity kept apart so that rounding against it cannot
+accumulate; the samples then follow from rho(0) by doubling, each pass
+advancing the samples already known by twice as many grid steps.  The
+steady state deflates each populated block that preserves the trace: one
+inverse of the block with its trace row in place of a population row
+certifies its one zero eigenvalue and is the kernel element.
+``eigvals`` counts only the blocks the deflation or an inverse bound
+does not clear.
 """
 
 from __future__ import annotations
@@ -320,43 +321,40 @@ def evolve_ode(
 ) -> TimeSeries:
     """Fixed-step 4th-order Runge-Kutta trajectory sampled on ``times``, validated.
 
-    ``times`` must be uniform after its first sample t0 >= 0: every
-    interval differs from the grid step (t_last - t0)/(n - 1) by at most 8
-    float steps of t_last, as the intervals of any ``linspace`` do; any
-    other grid raises ``ValueError``.  The first span, from t = 0 to t0,
-    and the grid step are each covered with n_sub = ceil(span / dt)
-    uniform substeps of h = span / n_sub.  One RK4 step is multiplication
-    by P(hL), the 4th-order Taylor polynomial of exp(hL), so a span
-    applies P(hL)^n_sub - I as v <- v + (P^n_sub - I) v.  Sample 0 is v0
-    advanced by the first span's increment; with Q the grid step's, the
-    samples m to 2m - 1 are the samples 0 to m - 1 advanced by Q, which
-    then becomes 2Q + Q^2, the increment of twice its span, for m = 1, 2,
-    4, ...  Both increments are built on each decoupled block of L in
+    ``times`` must start at t = 0 and be uniform: every interval differs
+    from the grid step t_last/(n - 1) by at most 8 float steps of t_last,
+    as the intervals of any ``linspace`` do; any other grid raises
+    ``ValueError``.  The grid step is covered with n_sub = ceil(step / dt)
+    uniform substeps of h = step / n_sub.  One RK4 step is multiplication
+    by P(hL), the 4th-order Taylor polynomial of exp(hL), so a grid step
+    applies Q = P(hL)^n_sub - I as v <- v + Q v.  Sample 0 is rho0's own
+    entries; the samples m to 2m - 1 are the samples 0 to m - 1 advanced
+    by Q, which then becomes 2Q + Q^2, the increment of twice its span,
+    for m = 1, 2, 4, ...  Q is built once on each decoupled block of L in
     which rho0 has weight, and the series holds only those blocks'
     entries, in the order of :func:`evolve_spectral`'s.  ``dt`` must
     resolve the fastest scale of the generator: dt <=
     :func:`rk4_step_limit`, the diagonal of L carrying every Bohr
-    frequency and decay rate, and no span may need more than 2**53
-    substeps.
+    frequency and decay rate, and the grid step may not need more than
+    2**53 substeps.
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(np.diff(times) <= 0) or times[0] < 0:
-        raise ValueError("times must be a nonempty strictly increasing grid with t >= 0")
-    step = (times[-1] - times[0]) / max(times.size - 1, 1)
+    if times.size == 0 or times[0] != 0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be a nonempty strictly increasing grid from t = 0")
+    step = times[-1] / max(times.size - 1, 1)
     spread = np.abs(np.diff(times) - step).max(initial=0.0)
     if not spread <= 8.0 * np.spacing(times[-1]):
-        raise ValueError(f"times must be uniform after the first sample: an interval is "
-                         f"{spread:.3e} off the grid step {step:.6g}, more than 8 float steps "
-                         f"of t = {times[-1]:.6g}")
+        raise ValueError(f"times must be uniform from t = 0: an interval is {spread:.3e} off "
+                         f"the grid step {step:.6g}, more than 8 float steps of "
+                         f"t = {times[-1]:.6g}")
     check_rk4_step(dt, liouvillian.diagonal())
     v0 = vec(rho0.matrix)
-    spans = np.array([times[0], step])
     with np.errstate(over="ignore"):
-        n_sub = np.ceil(spans / dt - 1e-12)
-    if n_sub.max() > 2 ** 53:
-        raise StepSizeError(f"dt = {dt:.3e} needs {n_sub.max():.3e} RK4 substeps on one grid "
+        n_sub = np.ceil(step / dt - 1e-12)
+    if n_sub > 2 ** 53:
+        raise StepSizeError(f"dt = {dt:.3e} needs {n_sub:.3e} RK4 substeps on one grid "
                             f"interval, more than 2**53")
-    n_sub = np.maximum(1, n_sub.astype(int))
+    n_sub = max(1, int(n_sub))
     blocks = coupled_blocks(liouvillian)
     touched = np.bincount(blocks[0][np.flatnonzero(v0)], minlength=blocks[2].size) > 0
     groups = list(width_groups(liouvillian, blocks, touched))
@@ -365,10 +363,9 @@ def evolve_ode(
     start = 0
     for _, index, subs in groups:
         for block, sub in zip(index, subs):
-            first, increment = (_power_increment(_rk4_step_increment(sub, span / n), n)
-                                for span, n in zip(spans, n_sub))
+            increment = _power_increment(_rk4_step_increment(sub, step / n_sub), n_sub)
             trajectory = states[:, start:start + block.size]
-            trajectory[0] = v0[block] + first @ v0[block]
+            trajectory[0] = v0[block]
             known = 1
             while known < times.size:
                 new = min(known, times.size - known)

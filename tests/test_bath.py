@@ -88,6 +88,21 @@ def test_kms_detailed_balance_grid(spectrum, temperature):
         assert abs(lhs - rhs) < 1e-12 * rate(omega, bath)
 
 
+def test_occupation_is_exactly_zero_where_exp_overflows():
+    # exp(omega/T) overflows past omega/T ~ 709.8; there n = 1/inf = 0 exactly, with no warning
+    assert occupation(1.0, 1e-3) == 0.0
+    temperature = 1e-3
+    bath = BathSpec(temperature, FlatSpectrum(0.2))
+    omega = np.array([0.7, 0.705, 0.71, 1.0, 5.0])  # omega/T from 700 to 5000
+    absorption = rate(-omega, bath)
+    assert (rate(omega, bath) == 0.2).all()
+    beyond = omega / temperature > np.log(np.finfo(float).max)
+    assert beyond.tolist() == [False, False, True, True, True]
+    assert (absorption[beyond] == 0.0).all()
+    below = np.exp(-omega[~beyond] / temperature) * 0.2
+    assert (np.abs(absorption[~beyond] - below) < 1e-12 * below).all()
+
+
 def test_rate_rejects_zero_frequency():
     with pytest.raises(ValueError):
         rate(0.0, BathSpec(0.0, FlatSpectrum(0.2)))

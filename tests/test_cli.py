@@ -212,6 +212,17 @@ def test_evolve_flag_overrides(tmp_path):
     assert data[-1, 0] == pytest.approx(10.0)
 
 
+def test_a_bath_too_cold_for_exp_runs_without_a_warning(tmp_path, capsys):
+    # at T = 0.002 some micro channels have omega/T > 709.8, where exp(omega/T) overflows
+    text = (CONFIGS / "rabi_joint_ground.cfg").read_text()
+    cfg = _write(tmp_path, "cold.cfg", text.replace("bath.temperature = 0.0",
+                                                    "bath.temperature = 0.002"))
+    for command in ("evolve", "steady"):
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / f"{command}.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert cli.main(["evolve", "--config", str(tmp_path / "missing.cfg"),

@@ -288,16 +288,6 @@ def test_ode_matches_loop_reference_on_battery_scenarios(key):
     assert np.abs(got - reference).max() <= 1e-12
 
 
-def test_ode_matches_loop_reference_from_a_later_first_time():
-    space = build_space(3)
-    liouvillian = phenomenological_generator(PARAMS, space, 0.08, 0.1)
-    rho0 = pure_state(space.basis_state(1, "e"))
-    times = np.linspace(0.7, 9.0, 37)  # the first interval runs from t = 0 to 0.7
-    got = dense(evolve_ode(liouvillian, rho0, times, 2e-3))
-    reference = _rk4_loop_reference(liouvillian.matrix, rho0.matrix, times, 2e-3)
-    assert np.abs(got - reference).max() <= 1e-12
-
-
 def test_ode_matches_loop_reference_on_merged_blocks():
     liouvillian = _u1_breaking_generator(3)
     blocks = _blocks(liouvillian)
@@ -324,8 +314,8 @@ def test_ode_matches_loop_reference_on_a_whole_battery_grid():
 
 
 @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.cfg")))
-def test_ode_forms_two_propagators_per_touched_block(config, monkeypatch):
-    # one for the span up to the first sample, one for the grid step, whatever the sample count
+def test_ode_forms_one_propagator_per_touched_block(config, monkeypatch):
+    # the grid step's, whatever the sample count; sample 0 is rho0 itself
     calls = []
     power_increment = solver._power_increment
     monkeypatch.setattr(solver, "_power_increment",
@@ -334,12 +324,12 @@ def test_ode_forms_two_propagators_per_touched_block(config, monkeypatch):
     run = run_trajectory(replace(scenario, solver="ode", dt=DT))
     labels = coupled_blocks(run.liouvillian)[0]
     touched = np.unique(labels[np.flatnonzero(vec(run.rho0.matrix))])
-    assert touched.size >= 1 and len(calls) == 2 * touched.size
+    assert touched.size >= 1 and len(calls) == touched.size
 
 
 def test_ode_refuses_a_non_uniform_grid():
     liouvillian, rho0 = _sector_generator(), _sector_state_excited_atom()
-    with pytest.raises(ValueError, match="times must be uniform after the first sample"):
+    with pytest.raises(ValueError, match="times must be uniform from t = 0"):
         evolve_ode(liouvillian, rho0, np.array([0.0, 1.0, 2.0, 3.5]), dt=1e-3)
     times = np.linspace(0.0, 5.0, 11)
     times[5] += 2 * np.spacing(5.0)  # two intervals 2 float steps of t_last off: uniform
@@ -347,6 +337,24 @@ def test_ode_refuses_a_non_uniform_grid():
     times[5] += 14 * np.spacing(5.0)  # 16 off
     with pytest.raises(ValueError, match="more than 8 float steps of t = 5"):
         evolve_ode(liouvillian, rho0, times, dt=1e-3)
+
+
+@pytest.mark.parametrize("first", [0.7, 1e-300, -0.5])
+def test_ode_refuses_a_grid_that_does_not_start_at_zero(first):
+    liouvillian, rho0 = _sector_generator(), _sector_state_excited_atom()
+    times = np.linspace(first, 9.0, 37)  # uniform, but not from t = 0
+    with pytest.raises(ValueError, match="from t = 0"):
+        evolve_ode(liouvillian, rho0, times, dt=2e-3)
+
+
+@pytest.mark.parametrize("config, initial", [("rabi_joint_ground.cfg", ("fock", 0, "e")),
+                                             ("bell_atomic_ground.cfg", ("dressed", 1, 1))])
+def test_ode_series_starts_at_rho0_exactly(config, initial):
+    scenario = scenario_from_config((CONFIGS / config).read_text())
+    assert scenario.initial == initial
+    run = run_trajectory(replace(scenario, solver="ode", dt=DT))
+    assert run.series.times[0] == 0.0
+    assert np.array_equal(run.series.states[0], vec(run.rho0.matrix)[run.series.positions])
 
 
 def test_ode_takes_a_long_linspace_as_uniform():
